@@ -9,6 +9,7 @@ default Buchberger limits for every subcommand.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -51,14 +52,7 @@ def _limits(args) -> Limits:
         value = getattr(args, name, None)
         if value is not None:
             overrides[name] = value
-    if overrides:
-        base = Limits(
-            max_pairs=overrides.get("max_pairs", base.max_pairs),
-            max_basis=overrides.get("max_basis", base.max_basis),
-            max_degree=overrides.get("max_degree", base.max_degree),
-            timeout=overrides.get("timeout", base.timeout),
-        )
-    return base
+    return dataclasses.replace(base, **overrides)
 
 
 def _emit(args, text: str) -> None:

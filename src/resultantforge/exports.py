@@ -9,7 +9,7 @@ column-major order (all leading coefficients first).
 from __future__ import annotations
 
 import json
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from .poly import Polynomial, Ring, Variable, format_rational
 
@@ -49,18 +49,13 @@ def polynomial_text(p: Polynomial, namer=None, mul: str = "*") -> str:
     if p.is_zero:
         return "0"
     namer = namer or (lambda v: v.name)
-    ranking = p.ring.variables
-    monos = sorted(p.terms, key=lambda m: tuple(m[v] for v in ranking), reverse=True)
+    monos = sorted(p.terms, key=p.ring.canonical_key, reverse=True)
     text = _term_text(monos[0], p.terms[monos[0]], namer, mul)
     for m in monos[1:]:
         c = p.terms[m]
         piece = _term_text(m, abs(c), namer, mul)
         text += f" - {piece}" if c < 0 else f" + {piece}"
     return text
-
-
-def _ring_vars_column_major(ring: Ring) -> List[Variable]:
-    return list(ring.coeff_vars_column_major())
 
 
 def to_json_doc(ring: Ring, polys: Sequence[Polynomial]) -> str:
@@ -93,7 +88,7 @@ def to_m2(ring: Ring, polys: Sequence[Polynomial], alias: Optional[bool] = None)
         )
     else:
         namer = lambda v: f"a_({v.i},{v.j})"
-        decl = ",".join(namer(v) for v in _ring_vars_column_major(ring))
+        decl = ",".join(namer(v) for v in ring.coeff_vars_column_major())
     lines = [f"R = QQ[{decl}];", "I = ideal("]
     body = [f"  {polynomial_text(p, namer)}" for p in polys]
     lines.append(",\n".join(body))
@@ -104,7 +99,7 @@ def to_m2(ring: Ring, polys: Sequence[Polynomial], alias: Optional[bool] = None)
 def to_singular(ring: Ring, polys: Sequence[Polynomial]) -> str:
     """A Singular script with paren-indexed variables a(i)(j)."""
     namer = lambda v: f"a({v.i})({v.j})"
-    decl = ",".join(namer(v) for v in _ring_vars_column_major(ring))
+    decl = ",".join(namer(v) for v in ring.coeff_vars_column_major())
     lines = [
         f"ring r = 0, ({decl}), dp;",
         "ideal I = " + ",\n  ".join(polynomial_text(p, namer) for p in polys) + ";",

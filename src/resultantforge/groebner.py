@@ -11,7 +11,7 @@ limits are explicit; exceeding one raises instead of truncating.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
@@ -25,7 +25,7 @@ from .orders import (
     leading_term,
     normal_form,
 )
-from .poly import Polynomial, Ring, ZeroPolynomialError
+from .poly import Polynomial, Ring, RingMismatchError, ZeroPolynomialError
 
 
 class ResourceExhaustedError(RuntimeError):
@@ -40,6 +40,12 @@ class Limits:
     max_basis: int = 5_000
     max_degree: Optional[int] = None
     timeout: Optional[float] = None  # seconds of wall clock
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None and value < 0:
+                raise ValueError(f"limit {f.name} must not be negative, got {value}")
 
     @classmethod
     def parse(cls, text: str) -> "Limits":
@@ -95,8 +101,7 @@ class _Run:
         self.order = order
         self.limits = limits
         self.G: List[Polynomial] = []
-        self.lms: list = []
-        self.lcs: list = []
+        self.reducer = _Reducer(order)
         self.pairs: set = set()
         self.pairs_processed = 0
         self.deadline = None if limits.timeout is None else time.monotonic() + limits.timeout
@@ -109,11 +114,13 @@ class _Run:
 
     def add(self, f: Polynomial) -> None:
         """Gebauer-Moeller update of the pair set with the new element f."""
-        order, lms = self.order, self.lms
-        lmf, _ = leading_term(f, order)
+        order, lms = self.order, self.reducer.lms
         t = len(self.G)
         if t + 1 > self.limits.max_basis:
             raise ResourceExhaustedError(f"basis size limit {self.limits.max_basis} exceeded")
+        self.G.append(f)
+        self.reducer.add(f)
+        lmf = lms[t]
         if self.limits.max_degree is not None and lmf.degree > self.limits.max_degree:
             raise ResourceExhaustedError(
                 f"degree limit {self.limits.max_degree} exceeded by a basis element of degree {lmf.degree}"
@@ -147,13 +154,8 @@ class _Run:
                 continue
             self.pairs.add((min(group), t))
 
-        self.G.append(f)
-        lm, lc = leading_term(f, order)
-        self.lms.append(lm)
-        self.lcs.append(lc)
-
     def select(self) -> tuple:
-        order, lms = self.order, self.lms
+        order, lms = self.order, self.reducer.lms
         return min(
             self.pairs, key=lambda p: (order.key(lms[p[0]].lcm(lms[p[1]])), p[0], p[1])
         )
@@ -167,7 +169,7 @@ class _Run:
             self.pairs.remove((i, j))
             self.pairs_processed += 1
             s = s_polynomial(self.G[i], self.G[j], self.order)
-            r = normal_form(s, self.G, self.order)
+            r = self.reducer.reduce(s)
             if not r.is_zero:
                 self.add(r.content_normalize(self.order))
 
@@ -209,11 +211,13 @@ def buchberger(
     if not gens or all(g.is_zero for g in gens):
         raise ZeroPolynomialError("no nonzero generators")
     ring = gens[0].ring
+    if any(g.ring != ring for g in gens):
+        raise RingMismatchError("generators live in different rings")
     run = _Run(order, limits)
     for g in gens:
         if g.is_zero:
             continue
-        r = normal_form(g, run.G, order) if run.G else g
+        r = run.reducer.reduce(g)
         if not r.is_zero:
             run.add(r.content_normalize(order))
     run.loop()
@@ -226,19 +230,18 @@ def buchberger(
 def is_groebner_basis(basis: Sequence[Polynomial], order: TermOrder) -> bool:
     """Full Buchberger criterion: every s-polynomial reduces to zero."""
     basis = list(basis)
-    reducer = _Reducer(basis, order)
+    reducer = _Reducer(order, basis)
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
-            s = s_polynomial(basis[i], basis[j], order)
-            if reducer.reduce_terms(s.terms):
+            if reducer.reduce(s_polynomial(basis[i], basis[j], order)):
                 return False
     return True
 
 
 def reduces_to_zero(polys: Sequence[Polynomial], basis: Sequence[Polynomial], order: TermOrder) -> bool:
     """True when every polynomial reduces to zero against the basis."""
-    reducer = _Reducer(list(basis), order)
-    return all(not reducer.reduce_terms(p.terms) for p in polys)
+    reducer = _Reducer(order, basis)
+    return all(reducer.reduce(p).is_zero for p in polys)
 
 
 def elimination_order(ring: Ring) -> TermOrder:
@@ -300,16 +303,6 @@ def ideal_equal(a: IdealPresentation, b: IdealPresentation, limits: Limits = DEF
     )
 
 
-def dehomogenized_ideals(d: int, n: int):
-    """Substitute a_1_0 = 1 into the depth-d minors (the set-theoretic
-    generators) and into the full generator list, returning both."""
-    ring = Ring(d, n)
-    sub = {ring.coeff(1, 0): 1}
-    top = [rec.poly.substitute(sub) for rec in top_minor_records(d, n, ring)]
-    full = [rec.poly.substitute(sub) for rec in enumerate_generators(d, n, ring)]
-    return ring, top, full
-
-
 def chart_equal(d: int, n: int, limits: Limits = DEFAULT_LIMITS) -> bool:
     """Do the depth-d minors and the full generator set agree on the affine
     chart a_1_0 = 1?
@@ -318,7 +311,10 @@ def chart_equal(d: int, n: int, limits: Limits = DEFAULT_LIMITS) -> bool:
     is checked. The underlying projective schemes coincide exactly when
     this holds on every chart; the remaining charts follow by symmetry.
     """
-    ring, top, full = dehomogenized_ideals(d, n)
+    ring = Ring(d, n)
+    sub = {ring.coeff(1, 0): 1}
+    top = [rec.poly.substitute(sub) for rec in top_minor_records(d, n, ring)]
+    full = [rec.poly.substitute(sub) for rec in enumerate_generators(d, n, ring)]
     order = DegRevLexOrder(ring.coeff_vars_column_major())
     pres_top = IdealPresentation(ring, top, order)
     pres_full = IdealPresentation(ring, full, order)

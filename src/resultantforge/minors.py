@@ -87,30 +87,13 @@ def minor_det(m: CascadeMatrix, sel: RowSelection) -> Polynomial:
     return expand(rows, 1)
 
 
-def enumerate_generators(d: int, n: int, ring: Optional[Ring] = None) -> List[GeneratorRecord]:
-    """One record per nonzero maximal minor of M_k for every k = 1..d.
-
-    Selections with an identically zero minor never appear: the walk
-    enumeration only produces in-lattice selections.
-    """
-    ring = ring if ring is not None else Ring(d, n)
-    out: List[GeneratorRecord] = []
-    for k in range(1, d + 1):
-        if n * k < d + k:
-            continue  # matrix too flat to have maximal minors
-        matrix = build_cascade(d, n, k, ring)
-        for walk in enumerate_walks(d, n, k):
-            sel = selection_for_walk(walk, d, n)
-            out.append(GeneratorRecord(k, sel, walk, minor_det(matrix, sel)))
-    return out
-
-
-def generators_for_basis(d: int, n: int, ring: Optional[Ring] = None) -> List[GeneratorRecord]:
-    """The records of reduced walks only: the distinguished basis G."""
+def _expand(d: int, n: int, walks: List[MinorWalk], ring: Optional[Ring]) -> List[GeneratorRecord]:
+    """One record per walk, expanding its minor in a cascade matrix built
+    once per depth, so the minors of one matrix share its memo."""
     ring = ring if ring is not None else Ring(d, n)
     matrices = {}
     out: List[GeneratorRecord] = []
-    for walk in enumerate_reduced(d, n):
+    for walk in walks:
         k = len(walk) - d
         if k not in matrices:
             matrices[k] = build_cascade(d, n, k, ring)
@@ -119,16 +102,27 @@ def generators_for_basis(d: int, n: int, ring: Optional[Ring] = None) -> List[Ge
     return out
 
 
+def enumerate_generators(d: int, n: int, ring: Optional[Ring] = None) -> List[GeneratorRecord]:
+    """One record per nonzero maximal minor of M_k for every k = 1..d.
+
+    Selections with an identically zero minor never appear: the walk
+    enumeration only produces in-lattice selections. Depths whose matrix
+    is too flat to have maximal minors (n*k < d+k) contribute nothing.
+    """
+    return _expand(
+        d, n, [w for k in range(1, d + 1) if n * k >= d + k for w in enumerate_walks(d, n, k)], ring
+    )
+
+
+def generators_for_basis(d: int, n: int, ring: Optional[Ring] = None) -> List[GeneratorRecord]:
+    """The records of reduced walks only: the distinguished basis G."""
+    return _expand(d, n, enumerate_reduced(d, n), ring)
+
+
 def top_minor_records(d: int, n: int, ring: Optional[Ring] = None) -> List[GeneratorRecord]:
     """The 2d x 2d minors of M_d alone; their common zero locus is already
     the common-root variety set-theoretically."""
-    ring = ring if ring is not None else Ring(d, n)
-    matrix = build_cascade(d, n, d, ring)
-    out = []
-    for walk in enumerate_walks(d, n, d):
-        sel = selection_for_walk(walk, d, n)
-        out.append(GeneratorRecord(d, sel, walk, minor_det(matrix, sel)))
-    return out
+    return _expand(d, n, enumerate_walks(d, n, d), ring)
 
 
 def all_selections(d: int, n: int, k: int):

@@ -163,30 +163,37 @@ def leading_monomial(p: Polynomial, order: TermOrder) -> Monomial:
 
 
 class _Reducer:
-    """Divisor list prepared once for repeated normal-form computations."""
+    """Divisor list for repeated normal-form computations.
+
+    It starts empty or from a basis and grows through add(); each divisor's
+    leading term is computed once, when it is added.
+    """
 
     __slots__ = ("lms", "lcs", "tails", "order")
 
-    def __init__(self, basis: Sequence[Polynomial], order: TermOrder):
+    def __init__(self, order: TermOrder, basis: Sequence[Polynomial] = ()):
         self.order = order
         self.lms, self.lcs, self.tails = [], [], []
         for b in basis:
-            if b.is_zero:
-                raise ZeroPolynomialError("division by a basis containing zero")
-            lm, lc = leading_term(b, order)
-            self.lms.append(lm)
-            self.lcs.append(lc)
-            self.tails.append([(m, c) for m, c in b.terms.items() if m != lm])
+            self.add(b)
 
-    def reduce_terms(self, terms: dict) -> dict:
-        """Full remainder of the term map against the divisor list.
+    def add(self, b: Polynomial) -> None:
+        if b.is_zero:
+            raise ZeroPolynomialError("division by a basis containing zero")
+        lm, lc = leading_term(b, self.order)
+        self.lms.append(lm)
+        self.lcs.append(lc)
+        self.tails.append([(m, c) for m, c in b.terms.items() if m != lm])
+
+    def reduce(self, p: Polynomial) -> Polynomial:
+        """Full remainder of p against the divisor list.
 
         The order-largest reducible term is rewritten first, scanning
         divisors in list order, so the result is deterministic.
         """
         key = self.order.key
         lms = self.lms
-        work = dict(terms)
+        work = dict(p.terms)
         remainder = {}
         while work:
             m = max(work, key=key)
@@ -209,7 +216,7 @@ class _Reducer:
                     work[mm] = nc
                 elif prev is not None:
                     del work[mm]
-        return remainder
+        return Polynomial(p.ring, remainder, _trusted=True)
 
 
 def normal_form(p: Polynomial, basis: Sequence[Polynomial], order: TermOrder) -> Polynomial:
@@ -219,5 +226,4 @@ def normal_form(p: Polynomial, basis: Sequence[Polynomial], order: TermOrder) ->
     for b in basis:
         if b.ring != p.ring:
             raise RingMismatchError("division across different rings")
-    reducer = _Reducer(basis, order)
-    return Polynomial(p.ring, reducer.reduce_terms(p.terms), _trusted=True)
+    return _Reducer(order, basis).reduce(p)

@@ -63,7 +63,7 @@ class Ring:
     optional symbol groups have interchangeable variables.
     """
 
-    __slots__ = ("d", "n", "with_x", "with_aux", "_members", "_key")
+    __slots__ = ("d", "n", "with_x", "with_aux", "_key", "_rank")
 
     def __init__(self, d: int, n: int, *, with_x: bool = False, with_aux: bool = False):
         if d < 1:
@@ -80,8 +80,9 @@ class Ring:
         if with_aux:
             members.add(Variable("r"))
             members.update(Variable("b", i, j) for i in range(1, n + 1) for j in range(d))
-        self._members = frozenset(members)
         self._key = (d, n, with_x, with_aux)
+        # negated position in the sorted variable list, for canonical_key
+        self._rank = {v: -idx for idx, v in enumerate(sorted(members))}
 
     def coeff(self, i: int, j: int) -> Variable:
         """The coefficient symbol a_i_j, 1 <= i <= n, 0 <= j <= d."""
@@ -119,10 +120,18 @@ class Ring:
 
     @property
     def variables(self) -> tuple:
-        return tuple(sorted(self._members))
+        return tuple(self._rank)
+
+    def canonical_key(self, m: "Monomial") -> tuple:
+        """Sort key of the order-free canonical term order: lex over
+        `variables`, first variable largest. It orders monomials as their
+        dense exponent vectors do, reading only the sparse exponents, which
+        Monomial keeps sorted in the same variable order."""
+        rank = self._rank
+        return tuple((rank[v], e) for v, e in m.exps)
 
     def __contains__(self, var: Variable) -> bool:
-        return var in self._members
+        return var in self._rank
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Ring) and self._key == other._key
@@ -247,6 +256,10 @@ def format_rational(c: Rational) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
+    """A rational from its "num/den" (or integer) string; any other type,
+    a JSON float in particular, is rejected rather than coerced."""
+    if not isinstance(text, str):
+        raise ValueError(f'rational must be a "num/den" string, got {text!r}')
     return Fraction(text)
 
 
@@ -450,8 +463,7 @@ class Polynomial:
         """Order-free deterministic lead: lex over the sorted variable list."""
         if not self.terms:
             raise ZeroPolynomialError("zero polynomial has no lead monomial")
-        ranking = self.ring.variables
-        return max(self.terms, key=lambda m: tuple(m[v] for v in ranking))
+        return max(self.terms, key=self.ring.canonical_key)
 
     def content_normalize(self, order=None) -> "Polynomial":
         """Scale to coprime integer coefficients with positive lead coefficient.
@@ -480,10 +492,8 @@ class Polynomial:
 
     def to_json(self) -> list:
         """Term list [{"c": "num/den", "m": {name: exp}}, ...], stably ordered."""
-        ranking = self.ring.variables
-        order_key = lambda m: tuple(m[v] for v in ranking)
         out = []
-        for m in sorted(self.terms, key=order_key, reverse=True):
+        for m in sorted(self.terms, key=self.ring.canonical_key, reverse=True):
             out.append(
                 {"c": format_rational(self.terms[m]), "m": {v.name: e for v, e in m.exps}}
             )
@@ -500,9 +510,8 @@ class Polynomial:
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
-        ranking = self.ring.variables
         parts = []
-        for m in sorted(self.terms, key=lambda m: tuple(m[v] for v in ranking), reverse=True):
+        for m in sorted(self.terms, key=self.ring.canonical_key, reverse=True):
             c = self.terms[m]
             sign = "-" if c < 0 else "+"
             mag = abs(c)

@@ -131,7 +131,6 @@ def _poly_rem(u: List[Fraction], v: List[Fraction]) -> List[Fraction]:
         du = _poly_degree(u)
         if du < dv:
             return u[len(u) - 1 - du :] if du >= 0 else []
-        shift = du - dv
         factor = u[len(u) - 1 - du] / lead
         for idx in range(dv + 1):
             u[len(u) - 1 - du + idx] -= factor * v[len(v) - 1 - dv + idx]

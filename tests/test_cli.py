@@ -25,6 +25,17 @@ class TestGens:
         assert code == 0
         assert len(out.strip().split("\n")) == 7
 
+    def test_single_polynomial_prints_an_empty_ideal(self, capsys):
+        code, out = run(capsys, "gens", "--d", "2", "--n", "1", "--format", "json")
+        assert code == 0
+        assert out == '{\n  "d": 2,\n  "generators": [],\n  "n": 1\n}\n'
+
+    def test_numeric_coefficient_in_ideal_document_is_usage_error(self, capsys, tmp_path):
+        blob = tmp_path / "ideal.json"
+        blob.write_text(json.dumps({"d": 1, "n": 2, "generators": [[{"c": 0.5, "m": {"a_1_0": 1}}]]}))
+        code, _ = run(capsys, "export", "--input", str(blob), "--format", "text")
+        assert code == 2
+
     def test_json_round_trip_through_export(self, capsys, tmp_path):
         code, out = run(capsys, "gens", "--d", "1", "--n", "2", "--format", "json")
         assert code == 0
@@ -114,6 +125,15 @@ class TestVerify:
         code, _ = run(capsys, "verify", "elimination", "--d", "2", "--n", "3")
         assert code == 3
 
+    def test_negative_env_limit_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv(LIMITS_ENV, "max_pairs=-5")
+        code, _ = run(capsys, "verify", "elimination", "--d", "1", "--n", "2")
+        assert code == 2
+
+    def test_negative_flag_limit_is_usage_error(self, capsys):
+        code, _ = run(capsys, "verify", "elimination", "--d", "1", "--n", "2", "--max-pairs", "-5")
+        assert code == 2
+
     def test_flag_overrides_env(self, capsys, monkeypatch):
         monkeypatch.setenv(LIMITS_ENV, "max_pairs=1")
         code, out = run(capsys, "verify", "elimination", "--d", "1", "--n", "2", "--max-pairs", "100000")
@@ -143,6 +163,12 @@ class TestSampleAndEval:
         blob = tmp_path / "tuple.json"
         blob.write_text(out)
         code, _ = run(capsys, "eval", "--d", "2", "--n", "3", "--coeffs", str(blob))
+        assert code == 2
+
+    def test_eval_rejects_float_coefficients(self, capsys, tmp_path):
+        blob = tmp_path / "tuple.json"
+        blob.write_text(json.dumps({"d": 1, "n": 2, "values": [["1", 0.1], ["3", "4"]]}))
+        code, _ = run(capsys, "eval", "--d", "1", "--n", "2", "--coeffs", str(blob))
         assert code == 2
 
 

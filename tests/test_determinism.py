@@ -1,0 +1,32 @@
+"""CLI output does not depend on the interpreter's string-hash seed."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import resultantforge
+
+SRC = str(pathlib.Path(resultantforge.__file__).resolve().parents[1])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gens", "--d", "2", "--n", "3", "--format", "json"],
+        ["verify", "groebner", "--d", "2", "--n", "3"],
+        ["verify", "elimination", "--d", "2", "--n", "3"],
+    ],
+)
+def test_stdout_identical_across_hash_seeds(argv):
+    outputs = set()
+    for seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=SRC)
+        done = subprocess.run(
+            [sys.executable, "-m", "resultantforge", *argv],
+            env=env, capture_output=True, timeout=120, check=True,
+        )
+        outputs.add(done.stdout)
+    assert len(outputs) == 1

@@ -161,6 +161,12 @@ class TestBuchberger:
         with pytest.raises(ValueError):
             Limits.parse("bogus=3")
 
+    def test_negative_limits_rejected(self):
+        assert Limits(timeout=0.0).timeout == 0.0
+        for field in ("max_pairs", "max_basis", "max_degree", "timeout"):
+            with pytest.raises(ValueError):
+                Limits(**{field: -5})
+
 
 class TestEliminateX:
     def test_two_linear_forms(self):

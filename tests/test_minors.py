@@ -79,6 +79,11 @@ class TestEnumerateGenerators:
         ks = {rec.k for rec in enumerate_generators(3, 2)}
         assert ks == {3}
 
+    def test_single_polynomial_has_no_generators(self):
+        # every M_k of one polynomial is too flat; the walk enumerator itself
+        # rejects n = 1, so the flatness guard must skip it
+        assert enumerate_generators(2, 1) == []
+
     def test_homogeneous_and_per_row_degrees(self, all_records):
         for (d, n) in GRID:
             for rec in all_records[(d, n)]:

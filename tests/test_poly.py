@@ -242,6 +242,14 @@ class TestJson:
             blob = json.dumps(p.to_json())
             assert Polynomial.from_json(ring, json.loads(blob)) == p
 
+    def test_canonical_key_matches_dense_exponent_vectors(self, all_records, rings):
+        for dn, records in all_records.items():
+            ring = rings[dn]
+            dense = lambda m: tuple(m[v] for v in ring.variables)
+            for rec in records:
+                terms = list(rec.poly.terms)
+                assert sorted(terms, key=ring.canonical_key) == sorted(terms, key=dense)
+
     def test_rational_strings(self):
         ring = Ring(1, 2)
         p = Polynomial.term(ring, Monomial({ring.coeff(1, 0): 1}), Fraction(-3, 7))
