@@ -32,7 +32,7 @@ print("set-theoretic criterion consistent:", scan.biconditional_ok)
 # the depth-1 equation alone does not force a common root
 tup = CoefficientTuple(2, 3, [[1, 0, 0], [1, 0, 1], [2, 0, 1]])
 scan = membership_scan(tup)
-depth_one = [v for rec, v in zip(scan.records, scan.vanishing) if rec.k == 1]
+depth_one = [v for sel, v in zip(scan.selections, scan.vanishing) if sel.k == 1]
 print("\nsingular depth-1 matrix but no common root:")
 print("    depth-1 minor vanishes:", depth_one == [True])
 print("    gcd degree:", scan.root.gcd_degree)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .poly import Polynomial, Ring, Variable
+from .poly import Ring, Variable
 
 
 class CascadeMatrix:
@@ -75,12 +75,6 @@ class CascadeMatrix:
             return self.ring.coeff(j, shift)
         return None
 
-    def entry(self, i: int, j: int, col: int) -> Polynomial:
-        var = self.entry_variable(i, j, col)
-        if var is None:
-            return Polynomial.zero(self.ring)
-        return Polynomial.variable(self.ring, var)
-
     def row_entries(self, i: int, j: int) -> list:
         """The d+1 nonzero entries of row (i, j) as (column, variable) pairs."""
         self._check_label(i, j)
@@ -89,13 +83,6 @@ class CascadeMatrix:
     def rows(self) -> list:
         """All row labels in lexicographic order, top to bottom."""
         return [self.row_label(r) for r in range(1, self.nrows + 1)]
-
-    def grid(self) -> list:
-        """The full entry grid as Polynomials (zeros included)."""
-        return [
-            [self.entry(i, j, col) for col in range(1, self.ncols + 1)]
-            for (i, j) in self.rows()
-        ]
 
     def name_grid(self) -> list:
         """The grid as variable names with "0" for zero entries."""

@@ -216,8 +216,8 @@ def _cmd_eval(args) -> int:
             "gcd_degree": report.root.gcd_degree,
         },
         "generators": [
-            {"k": rec.k, "rows": [list(p) for p in rec.selection.pairs], "vanishes": v}
-            for rec, v in zip(report.records, report.vanishing)
+            {"k": sel.k, "rows": [list(p) for p in sel.pairs], "vanishes": v}
+            for sel, v in zip(report.selections, report.vanishing)
         ],
         "top_minors_all_vanish": report.top_minors_all_vanish,
         "biconditional_ok": report.biconditional_ok,

@@ -30,10 +30,8 @@ def alias_name(var: Variable, d: int) -> str:
     return f"{_LETTERS[var.j]}_{var.i}"
 
 
-def _term_text(mono, coeff, namer, mul: str = "*", pow_char: str = "^") -> str:
-    body = mul.join(
-        namer(v) if e == 1 else f"{namer(v)}{pow_char}{e}" for v, e in mono.exps
-    )
+def _term_text(mono, coeff, namer) -> str:
+    body = "*".join(namer(v) if e == 1 else f"{namer(v)}^{e}" for v, e in mono.exps)
     c = format_rational(coeff)
     if not body:
         return c
@@ -41,19 +39,19 @@ def _term_text(mono, coeff, namer, mul: str = "*", pow_char: str = "^") -> str:
         return body
     if c == "-1":
         return f"-{body}"
-    return f"{c}{mul}{body}"
+    return f"{c}*{body}"
 
 
-def polynomial_text(p: Polynomial, namer=None, mul: str = "*") -> str:
+def polynomial_text(p: Polynomial, namer=None) -> str:
     """Deterministic human/CAS-readable rendering of one polynomial."""
     if p.is_zero:
         return "0"
     namer = namer or (lambda v: v.name)
     monos = sorted(p.terms, key=p.ring.canonical_key, reverse=True)
-    text = _term_text(monos[0], p.terms[monos[0]], namer, mul)
+    text = _term_text(monos[0], p.terms[monos[0]], namer)
     for m in monos[1:]:
         c = p.terms[m]
-        piece = _term_text(m, abs(c), namer, mul)
+        piece = _term_text(m, abs(c), namer)
         text += f" - {piece}" if c < 0 else f" + {piece}"
     return text
 

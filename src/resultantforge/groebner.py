@@ -177,11 +177,12 @@ class _Run:
 def _interreduce(basis: List[Polynomial], order: TermOrder) -> List[Polynomial]:
     """Minimal basis (no leading monomial divides another) with every tail
     fully reduced; canonical up to the content normalization applied."""
-    elems = sorted(basis, key=lambda g: order.key(leading_term(g, order)[0]))
+    leads = sorted(((leading_term(g, order)[0], g) for g in basis), key=lambda e: order.key(e[0]))
     minimal: List[Polynomial] = []
-    for g in elems:
-        lm, _ = leading_term(g, order)
-        if not any(leading_term(h, order)[0].divides(lm) for h in minimal):
+    kept_lms = []
+    for lm, g in leads:
+        if not any(h.divides(lm) for h in kept_lms):
+            kept_lms.append(lm)
             minimal.append(g)
     changed = True
     while changed:
@@ -192,7 +193,9 @@ def _interreduce(basis: List[Polynomial], order: TermOrder) -> List[Polynomial]:
             if r.terms != minimal[idx].terms:
                 minimal[idx] = r.content_normalize(order)
                 changed = True
-    return sorted(minimal, key=lambda g: order.key(leading_term(g, order)[0]))
+    # interreduction rewrites tails only, and the leads of a minimal basis
+    # are distinct, so minimal is still in ascending lead order
+    return minimal
 
 
 def buchberger(

@@ -102,16 +102,19 @@ def _expand(d: int, n: int, walks: List[MinorWalk], ring: Optional[Ring]) -> Lis
     return out
 
 
+def generator_walks(d: int, n: int) -> List[MinorWalk]:
+    """The walks of every generator in output order, k = 1..d. Depths whose
+    matrix is too flat to have maximal minors (n*k < d+k) contribute nothing."""
+    return [w for k in range(1, d + 1) if n * k >= d + k for w in enumerate_walks(d, n, k)]
+
+
 def enumerate_generators(d: int, n: int, ring: Optional[Ring] = None) -> List[GeneratorRecord]:
     """One record per nonzero maximal minor of M_k for every k = 1..d.
 
     Selections with an identically zero minor never appear: the walk
-    enumeration only produces in-lattice selections. Depths whose matrix
-    is too flat to have maximal minors (n*k < d+k) contribute nothing.
+    enumeration only produces in-lattice selections.
     """
-    return _expand(
-        d, n, [w for k in range(1, d + 1) if n * k >= d + k for w in enumerate_walks(d, n, k)], ring
-    )
+    return _expand(d, n, generator_walks(d, n), ring)
 
 
 def generators_for_basis(d: int, n: int, ring: Optional[Ring] = None) -> List[GeneratorRecord]:

@@ -146,10 +146,6 @@ class BlockOrder(TermOrder):
                 self.second.key(Monomial._make(tuple(tail))))
 
 
-def compare(order: TermOrder, u: Monomial, v: Monomial) -> int:
-    return order.compare(u, v)
-
-
 def leading_term(p: Polynomial, order: TermOrder):
     """The order-maximal (monomial, coefficient) pair of a nonzero polynomial."""
     if p.is_zero:

@@ -2,6 +2,10 @@
 roots: an exact gcd-based root oracle, planted-root substitution, sample
 generators, and evaluation scans.
 
+Evaluation expands no minor: a generator, the minor of d+k rows of M_k,
+vanishes at a tuple exactly when those rows of the specialized M_k are
+rank deficient, which exact_rank decides in Python ints (Bareiss).
+
 Sampling uses a fixed 64-bit linear congruential generator (Knuth's MMIX
 constants: state <- state * 6364136223846793005 + 1442695040888963407
 mod 2^64, top 32 bits drawn per step) so fixtures reproduce bit-for-bit
@@ -14,11 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
-from .cascade import CascadeMatrix
-from .minors import GeneratorRecord, enumerate_generators
+from .cascade import CascadeMatrix, RowSelection, build_cascade
+from .minors import enumerate_generators, generator_walks
 from .poly import Polynomial, Ring, Variable, format_rational, parse_rational
+from .walks import selection_for_walk
 
 _LCG_MUL = 6364136223846793005
 _LCG_ADD = 1442695040888963407
@@ -67,17 +72,6 @@ class CoefficientTuple:
             for i in range(1, self.n + 1)
             for j in range(self.d + 1)
         }
-
-    def cleared(self) -> "CoefficientTuple":
-        """Row-wise integer form: each row scaled by the positive lcm of
-        its denominators. Each generator takes exactly one entry of every
-        selected row per term, so it is homogeneous row by row and its
-        vanishing is unchanged by the scaling."""
-        rows = []
-        for row in self.values:
-            mult = lcm(*(v.denominator for v in row)) if row else 1
-            rows.append([v * mult for v in row])
-        return CoefficientTuple(self.d, self.n, rows)
 
     def row_polynomial(self, i: int) -> List[Fraction]:
         """Coefficients of f_i, leading first."""
@@ -185,36 +179,39 @@ class MembershipReport:
     """Evaluation of every generator at one coefficient tuple."""
 
     root: RootReport
-    vanishing: List[bool]  # aligned with the generator records
-    records: List[GeneratorRecord]
+    vanishing: List[bool]  # aligned with the selections
+    selections: List[RowSelection]  # in enumerate_generators order
     top_minors_all_vanish: bool
     biconditional_ok: bool
 
 
-def membership_scan(c: CoefficientTuple, records: Optional[List[GeneratorRecord]] = None) -> MembershipReport:
-    """Evaluate all generators at the tuple and cross-check the
+def membership_scan(c: CoefficientTuple) -> MembershipReport:
+    """Decide every generator at the tuple and cross-check the
     set-theoretic criterion: the depth-d minors all vanish exactly when
     the polynomials share a root or every leading coefficient is zero.
 
-    Evaluation happens on the row-cleared integer tuple, which leaves
-    vanishing untouched (see CoefficientTuple.cleared).
+    Each M_k is specialized once, its rows scaled to integers; a generator
+    vanishes exactly when its d+k selected rows have rank below d+k.
     """
     ring = Ring(c.d, c.n)
-    if records is None:
-        records = enumerate_generators(c.d, c.n, ring)
-    assignment = {
-        var: val.numerator for var, val in c.cleared().assignment(ring).items()
-    }
-    vanishing = [rec.poly.evaluate(assignment) == 0 for rec in records]
-    top_all = all(
-        vanish for rec, vanish in zip(records, vanishing) if rec.k == c.d
-    )
+    specialized = {}
+    selections: List[RowSelection] = []
+    vanishing: List[bool] = []
+    for walk in generator_walks(c.d, c.n):
+        sel = selection_for_walk(walk, c.d, c.n)
+        if sel.k not in specialized:
+            matrix = build_cascade(c.d, c.n, sel.k, ring)
+            specialized[sel.k] = (matrix, _integer_rows(specialized_rows(matrix, c)))
+        matrix, grid = specialized[sel.k]
+        vanishing.append(exact_rank([grid[matrix.row_index(i, j) - 1] for i, j in sel]) < len(sel))
+        selections.append(sel)
+    top_all = all(vanish for sel, vanish in zip(selections, vanishing) if sel.k == c.d)
     root = common_root_oracle(c)
     expected = root.has_affine_common_root or root.all_leading_zero
     return MembershipReport(
         root=root,
         vanishing=vanishing,
-        records=records,
+        selections=selections,
         top_minors_all_vanish=top_all,
         biconditional_ok=(top_all == expected),
     )
@@ -304,27 +301,43 @@ def specialized_rows(matrix: CascadeMatrix, c: CoefficientTuple) -> List[List[Fr
     return grid
 
 
-def exact_rank(rows: List[List[Fraction]]) -> int:
-    """Rank over the rationals by fraction-exact Gaussian elimination."""
-    grid = [list(row) for row in rows]
+def _integer_rows(rows: Sequence[Sequence]) -> List[List[int]]:
+    """Each row scaled to integers by the lcm of its denominators."""
+    out = []
+    for row in rows:
+        mult = lcm(*(v.denominator for v in row))
+        out.append([v.numerator * (mult // v.denominator) for v in row])
+    return out
+
+
+def exact_rank(rows: Sequence[Sequence]) -> int:
+    """Rank over the rationals of a grid of ints or Fractions.
+
+    Each row is scaled to integers by the lcm of its denominators, which
+    leaves the rank unchanged. Bareiss's fraction-free elimination then
+    keeps every entry, up to sign, a minor of the scaled grid, so each
+    division by the previous pivot is exact.
+    """
+    grid = _integer_rows(rows)
     if not grid:
         return 0
-    ncols = len(grid[0])
+    nrows, ncols = len(grid), len(grid[0])
     rank = 0
-    row_at = 0
+    prev = 1
     for col in range(ncols):
-        pivot = next((r for r in range(row_at, len(grid)) if grid[r][col]), None)
+        pivot = next((r for r in range(rank, nrows) if grid[r][col]), None)
         if pivot is None:
             continue
-        grid[row_at], grid[pivot] = grid[pivot], grid[row_at]
-        head = grid[row_at][col]
-        for r in range(row_at + 1, len(grid)):
-            if grid[r][col]:
-                factor = grid[r][col] / head
-                for cc in range(col, ncols):
-                    grid[r][cc] -= factor * grid[row_at][cc]
-        row_at += 1
+        grid[rank], grid[pivot] = grid[pivot], grid[rank]
+        head = grid[rank]
+        p = head[col]
+        for r in range(rank + 1, nrows):
+            row = grid[r]
+            f = row[col]
+            for cc in range(col + 1, ncols):
+                row[cc] = (p * row[cc] - f * head[cc]) // prev
+        prev = p
         rank += 1
-        if row_at == len(grid):
+        if rank == nrows:
             break
     return rank

@@ -61,3 +61,33 @@ def brute_force_minimal_covers(supports):
                 if not any(prev < chosen for prev in covers):
                     covers.append(chosen)
     return sorted(covers, key=lambda s: (len(s), sorted(s)))
+
+
+def leibniz_det(grid) -> Fraction:
+    """Determinant of a square grid of rationals as the explicit signed sum
+    over all permutations."""
+    size = len(grid)
+    total = Fraction(0)
+    for perm in permutations(range(size)):
+        inversions = sum(
+            1 for a in range(size) for b in range(a + 1, size) if perm[a] > perm[b]
+        )
+        prod = Fraction(-1) ** inversions
+        for row in range(size):
+            prod *= grid[row][perm[row]]
+        total += prod
+    return total
+
+
+def rank_by_minors(rows) -> int:
+    """Rank as the size of the largest square submatrix with a nonzero
+    Leibniz determinant, trying every row and column subset."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    for size in range(min(nrows, ncols), 0, -1):
+        for pick_rows in combinations(range(nrows), size):
+            for pick_cols in combinations(range(ncols), size):
+                sub = [[Fraction(rows[r][c]) for c in pick_cols] for r in pick_rows]
+                if leibniz_det(sub):
+                    return size
+    return 0

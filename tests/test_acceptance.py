@@ -142,15 +142,14 @@ def test_07_planted_root_annihilates():
             assert report.ok, (dn, report.nonzero_images)
 
 
-def test_08_sampling_biconditional(all_records):
+def test_08_sampling_biconditional():
     """200 planted samples vanish on every generator; 200 root-free samples
     with a nonzero leading coefficient always leave a nonzero depth-d
     minor."""
     with criterion("AC-08 sampled soundness and completeness (200 + 200 per size)"):
         for dn in GRID:
-            records = all_records[dn]
             for seed in range(200):
-                scan = membership_scan(sample_planted(*dn, seed), records)
+                scan = membership_scan(sample_planted(*dn, seed))
                 assert all(scan.vanishing), (dn, seed)
                 assert scan.biconditional_ok, (dn, seed)
             accepted = 0
@@ -162,7 +161,7 @@ def test_08_sampling_biconditional(all_records):
                 if root.gcd_degree != 0 or root.all_leading_zero:
                     continue
                 accepted += 1
-                scan = membership_scan(tup, records)
+                scan = membership_scan(tup)
                 assert not scan.top_minors_all_vanish, (dn, seed)
                 assert scan.biconditional_ok, (dn, seed)
 

@@ -3,7 +3,10 @@
 import json
 import pathlib
 
+import pytest
+
 from resultantforge.cli import LIMITS_ENV, main
+from resultantforge.roots import sample_planted
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -152,6 +155,32 @@ class TestSampleAndEval:
         assert doc["root_report"]["has_affine_common_root"]
         assert all(entry["vanishes"] for entry in doc["generators"])
         assert doc["biconditional_ok"]
+
+    @pytest.mark.parametrize(
+        "golden, tup",
+        [
+            ("eval_d2_n3_planted_seed11.json", sample_planted(2, 3, 11).to_json()),
+            # the frozen fixture of the depth-one test in test_roots.py
+            (
+                "eval_d2_n3_depth_one.json",
+                {
+                    "d": 2,
+                    "n": 3,
+                    "values": [
+                        ["17/7", "-19/14", "20/11"],
+                        ["-11/16", "7/3", "-15/7"],
+                        ["62525/14112", "-8557/2646", "1825/462"],
+                    ],
+                },
+            ),
+        ],
+    )
+    def test_eval_matches_golden(self, capsys, tmp_path, golden, tup):
+        blob = tmp_path / "tuple.json"
+        blob.write_text(json.dumps(tup))
+        code, out = run(capsys, "eval", "--d", "2", "--n", "3", "--coeffs", str(blob))
+        assert code == 0
+        assert out == (GOLDEN / golden).read_text()
 
     def test_sample_deterministic(self, capsys):
         _, first = run(capsys, "sample", "--d", "2", "--n", "2", "--seed", "3")

@@ -7,7 +7,7 @@ from resultantforge.diagonal import (
     diagonal_order,
     verify_diagonal_property,
 )
-from resultantforge.orders import GREATER, compare
+from resultantforge.orders import GREATER
 from resultantforge.cascade import RowSelection, build_cascade
 from resultantforge.minors import minor_det
 from resultantforge.poly import Monomial, Ring
@@ -61,7 +61,7 @@ class TestDiagonalOrder:
         assert dw.weight_of(diag) == 17
         for mono in det.terms:
             if mono != diag:
-                assert compare(order, diag, mono) == GREATER
+                assert order.compare(diag, mono) == GREATER
                 assert dw.weight_of(mono) < 17
 
     def test_degree_one_determinant(self):
@@ -71,8 +71,8 @@ class TestDiagonalOrder:
         u = Monomial({ring.coeff(1, 0): 1, ring.coeff(2, 1): 1})
         v = Monomial({ring.coeff(1, 1): 1, ring.coeff(2, 0): 1})
         assert dw.weight_of(u) == 4 and dw.weight_of(v) == 3
-        assert compare(order, u, v) == GREATER
-        assert compare(order, u, u) == 0
+        assert order.compare(u, v) == GREATER
+        assert order.compare(u, u) == 0
 
     def test_extended_ring_ranks_extras_on_top(self):
         # on a ring with the eliminand or planted-root symbols, those sit in
@@ -81,7 +81,7 @@ class TestDiagonalOrder:
             order = diagonal_order(build_diagonal_weights(2, 2), ring)
             heavy_a = Monomial({ring.coeff(1, 0): 5, ring.coeff(2, 0): 5})
             extra = ring.x if ring.with_x else ring.root
-            assert compare(order, Monomial({extra: 1}), heavy_a) == GREATER
+            assert order.compare(Monomial({extra: 1}), heavy_a) == GREATER
 
 
 class TestSwapInequality:

@@ -14,7 +14,6 @@ from resultantforge.orders import (
     DegRevLexOrder,
     LexOrder,
     WeightedOrder,
-    compare,
     leading_term,
     normal_form,
 )
@@ -44,14 +43,14 @@ class TestCompare:
         order = DegRevLexOrder(ring.coeff_vars_row_major())
         u = mono((ring.coeff(1, 0), 2))
         v = mono((ring.coeff(1, 0), 1), (ring.coeff(1, 1), 1))
-        assert compare(order, u, v) == GREATER
+        assert order.compare(u, v) == GREATER
 
     def test_equal_iff_same_monomial(self):
         ring = Ring(2, 3)
         for order in (LexOrder(ring.coeff_vars_row_major()), DegRevLexOrder(ring.coeff_vars_row_major())):
             m = mono((ring.coeff(2, 1), 1))
-            assert compare(order, m, m) == EQUAL
-            assert compare(order, m, mono((ring.coeff(2, 1), 2))) != EQUAL
+            assert order.compare(m, m) == EQUAL
+            assert order.compare(m, mono((ring.coeff(2, 1), 2))) != EQUAL
 
     def test_weighted_diagonal_weights(self):
         ring = Ring(2, 3)
@@ -61,7 +60,7 @@ class TestCompare:
         assert isinstance(order, WeightedOrder)
         assert order.weight(u) == 17
         assert order.weight(v) == 13
-        assert compare(order, u, v) == GREATER
+        assert order.compare(u, v) == GREATER
 
     def test_unknown_variable_rejected(self):
         ring = Ring(2, 3)
@@ -96,12 +95,12 @@ class TestOrderAxioms:
             for _ in range(120):
                 u, v, w = (rand_monomial(rng, pool) for _ in range(3))
                 if not u.is_one:
-                    assert compare(order, MONOMIAL_ONE, u) == LESS
-                cuv = compare(order, u, v)
-                assert cuv == -compare(order, v, u)
+                    assert order.compare(MONOMIAL_ONE, u) == LESS
+                cuv = order.compare(u, v)
+                assert cuv == -order.compare(v, u)
                 assert (cuv == EQUAL) == (u == v)
                 if cuv == LESS:
-                    assert compare(order, u.mul(w), v.mul(w)) == LESS
+                    assert order.compare(u.mul(w), v.mul(w)) == LESS
 
 
 class TestLeadingTerm:

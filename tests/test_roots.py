@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resultantforge.minors import enumerate_generators
 from resultantforge.poly import Ring
@@ -10,6 +12,7 @@ from resultantforge.roots import (
     CoefficientTuple,
     Lcg64,
     common_root_oracle,
+    exact_rank,
     membership_scan,
     planted_assignment,
     planted_vanishing,
@@ -17,6 +20,9 @@ from resultantforge.roots import (
     sample_random,
     univariate_gcd,
 )
+
+from conftest import GRID
+from oracles import rank_by_minors
 
 
 class TestLcg:
@@ -49,11 +55,6 @@ class TestCoefficientTuple:
             CoefficientTuple(1, 2, [[1, 2]])
         with pytest.raises(ValueError):
             CoefficientTuple(1, 2, [[1], [2]])
-
-    def test_cleared_scales_rows_to_integers(self):
-        tup = CoefficientTuple(1, 2, [[Fraction(1, 2), Fraction(1, 3)], [2, 5]])
-        cleared = tup.cleared()
-        assert cleared.values == ((Fraction(3), Fraction(2)), (Fraction(2), Fraction(5)))
 
 
 class TestCommonRootOracle:
@@ -120,7 +121,63 @@ class TestSampling:
         assert len(g) == 2  # both linear forms vanish at the sampled root
 
 
+_ENTRY = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-6, max_value=6, max_denominator=7),
+)
+
+
+@st.composite
+def rational_grids(draw):
+    """Small int/Fraction grids with planted dependent rows and zero columns."""
+    ncols = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(_ENTRY, min_size=ncols, max_size=ncols), min_size=1, max_size=4))
+    for _ in range(draw(st.integers(0, 2))):
+        a = draw(st.integers(-3, 3))
+        b = draw(st.fractions(min_value=-3, max_value=3, max_denominator=5))
+        u = draw(st.sampled_from(rows))
+        v = draw(st.sampled_from(rows))
+        rows.append([a * x + b * y for x, y in zip(u, v)])
+    for col in draw(st.sets(st.integers(0, ncols - 1), max_size=2)):
+        for row in rows:
+            row[col] = 0
+    return draw(st.permutations(rows))
+
+
+class TestExactRank:
+    def test_integer_rows_stay_exact(self):
+        # row 3 = row 1 - row 2; float division used to report full rank
+        assert exact_rank([[3, 4, -8], [-1, 7, 6], [4, -3, -14]]) == 2
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(rational_grids())
+    def test_matches_largest_nonzero_minor(self, rows):
+        assert exact_rank(rows) == rank_by_minors(rows)
+
+
 class TestMembershipScan:
+    def test_rank_scan_matches_symbolic_evaluation(self, all_records, rings):
+        # the expanded minors evaluated at the tuple are the reference
+        rng = Lcg64(77)
+        for (d, n) in GRID:
+            records = all_records[(d, n)]
+            tuples = [sample_planted(d, n, seed) for seed in range(3)]
+            tuples += [sample_random(d, n, 50 + seed) for seed in range(3)]
+            for _ in range(2):
+                values = [[0] + [rng.rational() for _ in range(d)] for _ in range(n)]
+                tuples.append(CoefficientTuple(d, n, values))
+            # last row a rational combination of the first two: some
+            # generators vanish and others do not
+            rows = [list(row) for row in sample_random(d, n, 90).values]
+            a, b = rng.rational(), rng.rational()
+            rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+            tuples.append(CoefficientTuple(d, n, rows))
+            for tup in tuples:
+                rep = membership_scan(tup)
+                assert rep.selections == [rec.selection for rec in records]
+                point = tup.assignment(rings[(d, n)])
+                assert rep.vanishing == [rec.poly.evaluate(point) == 0 for rec in records]
+
     def test_shared_root_kills_the_resultant(self):
         tup = CoefficientTuple(2, 2, [[1, -3, 2], [1, -1, 0]])
         rep = membership_scan(tup)
@@ -151,10 +208,9 @@ class TestMembershipScan:
         # coefficient vanishes, so every generator must evaluate to zero
         rng = Lcg64(123)
         for (d, n) in [(2, 3), (3, 2)]:
-            recs = enumerate_generators(d, n)
             for _ in range(10):
                 values = [[0] + [rng.rational() for _ in range(d)] for _ in range(n)]
-                rep = membership_scan(CoefficientTuple(d, n, values), recs)
+                rep = membership_scan(CoefficientTuple(d, n, values))
                 assert all(rep.vanishing)
                 assert rep.biconditional_ok
 
@@ -163,7 +219,6 @@ class TestMembershipScan:
         # an affine root: plant (x - r) inside the truncated polynomials
         rng = Lcg64(321)
         d, n = 3, 3
-        recs = enumerate_generators(d, n)
         for _ in range(10):
             r = rng.rational()
             rows = []
@@ -175,7 +230,7 @@ class TestMembershipScan:
                 trunc.append(-r * q[d - 2])
                 rows.append([0] + trunc)
             tup = CoefficientTuple(d, n, rows)
-            rep = membership_scan(tup, recs)
+            rep = membership_scan(tup)
             assert rep.root.all_leading_zero
             assert rep.root.has_affine_common_root
             assert all(rep.vanishing)
@@ -192,7 +247,7 @@ class TestMembershipScan:
         ]
         tup = CoefficientTuple(2, 3, [[Fraction(v) for v in row] for row in values])
         rep = membership_scan(tup)
-        depth_one = [v for rec, v in zip(rep.records, rep.vanishing) if rec.k == 1]
+        depth_one = [v for sel, v in zip(rep.selections, rep.vanishing) if sel.k == 1]
         assert depth_one == [True]
         assert rep.root.gcd_degree == 0 and not rep.root.all_leading_zero
         assert not rep.top_minors_all_vanish
