@@ -47,7 +47,6 @@ from .orders import (
     LexOrder,
     TermOrder,
     WeightedOrder,
-    leading_monomial,
     leading_term,
     normal_form,
 )

@@ -64,12 +64,15 @@ def _emit(args, text: str) -> None:
 
 
 def _records(args):
-    if getattr(args, "reduced_only", False):
+    k = args.k
+    if k is not None and not 1 <= k <= args.d:
+        raise UsageError(f"--k must lie in 1..{args.d}, got {k}")
+    if args.reduced_only:
         records = generators_for_basis(args.d, args.n)
     else:
         records = enumerate_generators(args.d, args.n)
-    if getattr(args, "k", None):
-        records = [rec for rec in records if rec.k == args.k]
+    if k is not None:
+        records = [rec for rec in records if rec.k == k]
     return records
 
 
@@ -91,7 +94,7 @@ def _cmd_gens(args) -> int:
 
 
 def _cmd_cascade(args) -> int:
-    k = args.k if args.k else args.d
+    k = args.d if args.k is None else args.k
     grid = build_cascade(args.d, args.n, k).name_grid()
     if args.format == "json":
         _emit(args, json.dumps(grid, indent=2) + "\n")
@@ -108,7 +111,7 @@ def _cmd_walks(args) -> int:
     if args.reduced:
         walks = enumerate_reduced(args.d, args.n)
     else:
-        k = args.k if args.k else args.d
+        k = args.d if args.k is None else args.k
         walks = enumerate_walks(args.d, args.n, k)
     if args.format == "monomials":
         ring = Ring(args.d, args.n)

@@ -21,7 +21,7 @@ from typing import List, Optional
 
 from .minors import enumerate_generators
 from .orders import BlockOrder, DegRevLexOrder, TermOrder, WeightedOrder, leading_term
-from .poly import Monomial, Ring
+from .poly import Ring
 
 
 @dataclass(frozen=True)
@@ -32,14 +32,6 @@ class DiagonalWeights:
     n: int
     increments: dict
     weights: dict
-
-    def weight_of(self, mono: Monomial) -> int:
-        total = 0
-        for v, e in mono.exps:
-            if v.kind != "a":
-                raise ValueError(f"{v.name} carries no diagonal weight")
-            total += self.weights[(v.i, v.j)] * e
-        return total
 
 
 def build_diagonal_weights(d: int, n: int) -> DiagonalWeights:
@@ -108,8 +100,8 @@ def verify_diagonal_property(d: int, n: int) -> DiagonalReport:
         if lead != expected:
             report.lead_violations.append((rec.k, rec.selection.pairs, expected, lead))
             continue
-        top = dw.weight_of(expected)
+        top = order.weight(expected)
         for mono in rec.poly.terms:
-            if mono != expected and dw.weight_of(mono) >= top:
+            if mono != expected and order.weight(mono) >= top:
                 report.dominance_violations.append((rec.k, rec.selection.pairs, mono))
     return report

@@ -3,7 +3,9 @@
 External systems are export targets only, never runtime dependencies.
 Rationals are always printed as num/den strings, output is byte-stable for
 fixed input, and ring declarations list the coefficient variables in
-column-major order (all leading coefficients first).
+column-major order (all leading coefficients first). Polynomials are
+rendered by poly.polynomial_text, the same printer as their repr; this
+module only chooses the variable names and the script around them.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import json
 from typing import Optional, Sequence
 
-from .poly import Polynomial, Ring, Variable, format_rational
+from .poly import Polynomial, Ring, Variable, json_field, polynomial_text
 
 FORMATS = ("json", "m2", "singular", "text")
 
@@ -30,32 +32,6 @@ def alias_name(var: Variable, d: int) -> str:
     return f"{_LETTERS[var.j]}_{var.i}"
 
 
-def _term_text(mono, coeff, namer) -> str:
-    body = "*".join(namer(v) if e == 1 else f"{namer(v)}^{e}" for v, e in mono.exps)
-    c = format_rational(coeff)
-    if not body:
-        return c
-    if c == "1":
-        return body
-    if c == "-1":
-        return f"-{body}"
-    return f"{c}*{body}"
-
-
-def polynomial_text(p: Polynomial, namer=None) -> str:
-    """Deterministic human/CAS-readable rendering of one polynomial."""
-    if p.is_zero:
-        return "0"
-    namer = namer or (lambda v: v.name)
-    monos = sorted(p.terms, key=p.ring.canonical_key, reverse=True)
-    text = _term_text(monos[0], p.terms[monos[0]], namer)
-    for m in monos[1:]:
-        c = p.terms[m]
-        piece = _term_text(m, abs(c), namer)
-        text += f" - {piece}" if c < 0 else f" + {piece}"
-    return text
-
-
 def to_json_doc(ring: Ring, polys: Sequence[Polynomial]) -> str:
     doc = {
         "d": ring.d,
@@ -66,9 +42,17 @@ def to_json_doc(ring: Ring, polys: Sequence[Polynomial]) -> str:
 
 
 def from_json_doc(text: str):
+    """The ring and generators of an ideal document; a malformed document
+    raises ValueError naming the bad field, e.g. generators[0][1].c."""
     doc = json.loads(text)
-    ring = Ring(int(doc["d"]), int(doc["n"]))
-    return ring, [Polynomial.from_json(ring, entry) for entry in doc["generators"]]
+    ring = Ring(json_field(doc, "d", int), json_field(doc, "n", int))
+    polys = []
+    for idx, entry in enumerate(json_field(doc, "generators", list)):
+        try:
+            polys.append(Polynomial.from_json(ring, entry))
+        except ValueError as exc:
+            raise ValueError(f"generators[{idx}]: {exc}") from None
+    return ring, polys
 
 
 def to_m2(ring: Ring, polys: Sequence[Polynomial], alias: Optional[bool] = None) -> str:

@@ -89,9 +89,7 @@ def s_polynomial(p: Polynomial, q: Polynomial, order: TermOrder) -> Polynomial:
     lmp, lcp = leading_term(p, order)
     lmq, lcq = leading_term(q, order)
     lcm = lmp.lcm(lmq)
-    return p.mul_term(lcm.div(lmp), Fraction(1, 1) / lcp) - q.mul_term(
-        lcm.div(lmq), Fraction(1, 1) / lcq
-    )
+    return p.mul_term(lcm.div(lmp), 1 / lcp) + q.mul_term(lcm.div(lmq), -1 / lcq)
 
 
 class _Run:
@@ -184,17 +182,13 @@ def _interreduce(basis: List[Polynomial], order: TermOrder) -> List[Polynomial]:
         if not any(h.divides(lm) for h in kept_lms):
             kept_lms.append(lm)
             minimal.append(g)
-    changed = True
-    while changed:
-        changed = False
-        for idx in range(len(minimal)):
-            others = minimal[:idx] + minimal[idx + 1 :]
-            r = normal_form(minimal[idx], others, order)
-            if r.terms != minimal[idx].terms:
-                minimal[idx] = r.content_normalize(order)
-                changed = True
-    # interreduction rewrites tails only, and the leads of a minimal basis
-    # are distinct, so minimal is still in ascending lead order
+    # one pass suffices: whether a term is reducible depends only on the
+    # leading monomials, and reducing the tails of a minimal basis changes
+    # none of them; for the same reason minimal stays in ascending lead order
+    for idx in range(len(minimal)):
+        r = normal_form(minimal[idx], minimal[:idx] + minimal[idx + 1 :], order)
+        if r.terms != minimal[idx].terms:
+            minimal[idx] = r.content_normalize(order)
     return minimal
 
 
@@ -277,7 +271,9 @@ def eliminate_x(d: int, n: int, limits: Limits = DEFAULT_LIMITS) -> IdealPresent
 
     Runs Buchberger over the extended ring under the elimination order and
     keeps the x-free basis elements; those are a certified basis of the
-    contraction for the induced degrevlex order on the coefficients.
+    contraction for the induced degrevlex order on the coefficients. On
+    x-free polynomials the elimination order is that degrevlex order, so
+    they keep the ascending lead order of the full basis.
     """
     ring_x = Ring(d, n, with_x=True)
     order = elimination_order(ring_x)
@@ -290,7 +286,6 @@ def eliminate_x(d: int, n: int, limits: Limits = DEFAULT_LIMITS) -> IdealPresent
         for g in done.certified_basis
         if all(m[xvar] == 0 for m in g.terms)
     ]
-    restricted = sorted(restricted, key=lambda g: a_order.key(leading_term(g, a_order)[0]))
     return IdealPresentation(ring_a, restricted, a_order, restricted)
 
 

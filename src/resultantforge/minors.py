@@ -23,7 +23,7 @@ from .walks import (
     selection_for_walk,
 )
 
-_ONE = Fraction(1)
+_SIGNS = (Fraction(1), Fraction(-1))
 
 
 @dataclass(frozen=True)
@@ -79,8 +79,7 @@ def minor_det(m: CascadeMatrix, sel: RowSelection) -> Polynomial:
                 sub = expand(rows[:idx] + rows[idx + 1 :], col + 1)
                 if sub.is_zero:
                     continue
-                term = sub.mul_term(Monomial(((ring.coeff(j, col - i), 1),)), _ONE)
-                out = (out + term) if idx % 2 == 0 else (out - term)
+                out = out + sub.mul_term(Monomial(((ring.coeff(j, col - i), 1),)), _SIGNS[idx % 2])
         cache[(rows, col)] = out
         return out
 

@@ -154,10 +154,6 @@ def leading_term(p: Polynomial, order: TermOrder):
     return m, p.terms[m]
 
 
-def leading_monomial(p: Polynomial, order: TermOrder) -> Monomial:
-    return leading_term(p, order)[0]
-
-
 class _Reducer:
     """Divisor list for repeated normal-form computations.
 

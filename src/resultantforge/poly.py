@@ -5,9 +5,10 @@ polynomials f_i(x) = a_i_0 x^d + a_i_1 x^(d-1) + ... + a_i_d: the
 coefficient variables a_i_j, optionally the eliminand x, and optionally
 the substitution symbols r and b_i_j used by planted-root checks.
 
-Coefficients are arbitrary-precision Fractions, monomials are sparse
-exponent maps, and every value is immutable after construction, so
-polynomials can be shared freely between threads.
+Coefficients are arbitrary-precision Fractions and monomials are sparse
+exponent maps; neither changes after construction, so polynomials can be
+shared freely between threads. polynomial_text, here, is the one printer
+of polynomials and monomials: reprs, the text format and the CAS scripts.
 """
 
 from __future__ import annotations
@@ -242,9 +243,7 @@ class Monomial:
         return self._hash
 
     def __repr__(self) -> str:
-        if not self.exps:
-            return "1"
-        return "*".join(v.name if e == 1 else f"{v.name}^{e}" for v, e in self.exps)
+        return _term_text(self, 1, str)
 
 
 MONOMIAL_ONE = Monomial()
@@ -261,6 +260,53 @@ def parse_rational(text: str) -> Fraction:
     if not isinstance(text, str):
         raise ValueError(f'rational must be a "num/den" string, got {text!r}')
     return Fraction(text)
+
+
+_JSON_KINDS = {int: "an integer", str: "a string", list: "an array", dict: "an object"}
+
+
+def json_value(value, kind: type, path: str):
+    """value itself when its JSON type is exactly kind. A float, a numeric
+    string or a boolean where an integer belongs is rejected, never coerced;
+    the error names the field by its path in the document."""
+    if type(value) is not kind:
+        raise ValueError(f"{path} must be {_JSON_KINDS[kind]}, got {repr(value)[:40]}")
+    return value
+
+
+def json_field(doc, key: str, kind: type, path: str = ""):
+    """The field doc[key] of a JSON object, checked by json_value."""
+    json_value(doc, dict, path or "document")
+    where = f"{path}.{key}" if path else key
+    if key not in doc:
+        raise ValueError(f"{where} is missing")
+    return json_value(doc[key], kind, where)
+
+
+def _term_text(mono: "Monomial", coeff: Rational, namer) -> str:
+    body = "*".join(namer(v) if e == 1 else f"{namer(v)}^{e}" for v, e in mono.exps)
+    c = format_rational(coeff)
+    if not body:
+        return c
+    if c == "1":
+        return body
+    if c == "-1":
+        return f"-{body}"
+    return f"{c}*{body}"
+
+
+def polynomial_text(p: "Polynomial", namer=str) -> str:
+    """Deterministic human/CAS-readable rendering of one polynomial; namer
+    maps a Variable to its printed name."""
+    if p.is_zero:
+        return "0"
+    monos = sorted(p.terms, key=p.ring.canonical_key, reverse=True)
+    text = _term_text(monos[0], p.terms[monos[0]], namer)
+    for m in monos[1:]:
+        c = p.terms[m]
+        piece = _term_text(m, abs(c), namer)
+        text += f" - {piece}" if c < 0 else f" + {piece}"
+    return text
 
 
 class Polynomial:
@@ -322,9 +368,6 @@ class Polynomial:
         """Maximum term degree; the zero polynomial reports -1."""
         return max((m.degree for m in self.terms), default=-1)
 
-    def items(self):
-        return self.terms.items()
-
     def coefficient(self, mono: Monomial) -> Fraction:
         return self.terms.get(mono, Fraction(0))
 
@@ -343,16 +386,7 @@ class Polynomial:
         return Polynomial(self.ring, out, _trusted=True)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        _check_same_ring(self, other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            s = -c if s is None else s - c
-            if s:
-                out[m] = s
-            elif m in out:
-                del out[m]
-        return Polynomial(self.ring, out, _trusted=True)
+        return self + (-other)
 
     def __neg__(self) -> "Polynomial":
         return Polynomial(self.ring, {m: -c for m, c in self.terms.items()}, _trusted=True)
@@ -500,30 +534,16 @@ class Polynomial:
         return out
 
     @classmethod
-    def from_json(cls, ring: Ring, data: Iterable) -> "Polynomial":
+    def from_json(cls, ring: Ring, data: list) -> "Polynomial":
+        """Inverse of to_json; errors name the bad field by its path, such
+        as [2].m.a_1_0, relative to the term list."""
         terms = []
-        for entry in data:
-            mono = Monomial((Variable.parse(name), e) for name, e in entry["m"].items())
-            terms.append((mono, parse_rational(entry["c"])))
+        for idx, entry in enumerate(json_value(data, list, "polynomial")):
+            at = f"[{idx}]"
+            exps = json_field(entry, "m", dict, at).items()
+            mono = Monomial((Variable.parse(v), json_value(e, int, f"{at}.m.{v}")) for v, e in exps)
+            terms.append((mono, parse_rational(json_field(entry, "c", str, at))))
         return cls(ring, terms)
 
     def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for m in sorted(self.terms, key=self.ring.canonical_key, reverse=True):
-            c = self.terms[m]
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            if m.is_one:
-                body = format_rational(mag)
-            elif mag == 1:
-                body = repr(m)
-            else:
-                body = f"{format_rational(mag)}*{m!r}"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        return polynomial_text(self)

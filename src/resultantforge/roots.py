@@ -22,7 +22,7 @@ from typing import Dict, List, Sequence
 
 from .cascade import CascadeMatrix, RowSelection, build_cascade
 from .minors import enumerate_generators, generator_walks
-from .poly import Polynomial, Ring, Variable, format_rational, parse_rational
+from .poly import Polynomial, Ring, Variable, format_rational, json_field, json_value, parse_rational
 from .walks import selection_for_walk
 
 _LCG_MUL = 6364136223846793005
@@ -86,11 +86,10 @@ class CoefficientTuple:
 
     @classmethod
     def from_json(cls, data: dict) -> "CoefficientTuple":
-        return cls(
-            int(data["d"]),
-            int(data["n"]),
-            [[parse_rational(v) for v in row] for row in data["values"]],
-        )
+        """Inverse of to_json; errors name the bad field, e.g. values[1]."""
+        rows = enumerate(json_field(data, "values", list))
+        values = [[parse_rational(v) for v in json_value(row, list, f"values[{i}]")] for i, row in rows]
+        return cls(json_field(data, "d", int), json_field(data, "n", int), values)
 
     def __eq__(self, other) -> bool:
         return (

@@ -51,10 +51,6 @@ class MinorWalk:
     def __getitem__(self, s):
         return self.steps[s]
 
-    @property
-    def vertex_set(self) -> frozenset:
-        return frozenset(self.steps)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, MinorWalk) and self.steps == other.steps
 

@@ -23,6 +23,11 @@ class TestGens:
         assert code == 0
         assert out == (GOLDEN / "gens_d2_n3.m2").read_text()
 
+    def test_text_matches_golden(self, capsys):
+        code, out = run(capsys, "gens", "--d", "2", "--n", "3", "--format", "text")
+        assert code == 0
+        assert out == (GOLDEN / "gens_d2_n3.txt").read_text()
+
     def test_reduced_only_counts(self, capsys):
         code, out = run(capsys, "gens", "--d", "2", "--n", "3", "--reduced-only", "--format", "text")
         assert code == 0
@@ -82,6 +87,11 @@ class TestLeadterms:
         _, rev = run(capsys, "leadterms", "--d", "2", "--n", "3", "--k", "1", "--order", "degrevlex")
         assert json.loads(diag) == ["a_1_0*a_2_1*a_3_2"]
         assert json.loads(rev) == ["a_1_2*a_2_1*a_3_0"]
+
+    def test_matches_golden(self, capsys):
+        code, out = run(capsys, "leadterms", "--d", "2", "--n", "3")
+        assert code == 0
+        assert out == (GOLDEN / "leadterms_d2_n3.json").read_text()
 
 
 class TestComponentsAndDegree:
@@ -229,3 +239,78 @@ class TestUsage:
         code = main(["degree", "--degrees", "1,1", "-o", str(target)])
         assert code == 0
         assert json.loads(target.read_text())["D"] == 2
+
+
+GOOD_TUPLE = {"d": 1, "n": 2, "values": [["1", "2"], ["3", "4"]]}
+GOOD_TERM = {"c": "1", "m": {"a_1_0": 1}}
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"d": 1, "n": 2},
+            {"d": 1, "n": 2, "values": "1,2,3,4"},
+            {"d": 1, "n": 2, "values": [["1", "2"], 3]},
+            [["1", "2"], ["3", "4"]],
+            dict(GOOD_TUPLE, d=1.9),
+            dict(GOOD_TUPLE, d="1"),
+            dict(GOOD_TUPLE, d=True),
+        ],
+        ids=["no-values", "values-not-list", "row-not-list", "array", "float-d", "string-d", "bool-d"],
+    )
+    def test_eval_exits_two(self, capsys, tmp_path, doc):
+        blob = tmp_path / "tuple.json"
+        blob.write_text(json.dumps(doc))
+        code, out = run(capsys, "eval", "--d", "1", "--n", "2", "--coeffs", str(blob))
+        assert code == 2 and out == ""
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"d": 1, "n": 2},
+            {"d": 1, "n": 2, "generators": [GOOD_TERM]},
+            {"d": 1, "n": 2, "generators": [[{"m": {"a_1_0": 1}}]]},
+            {"d": 1, "n": 2, "generators": [[{"c": "1"}]]},
+            {"d": 1, "n": 2, "generators": [[{"c": "1", "m": {"a_1_0": 1.9}}]]},
+            {"d": 1, "n": 2, "generators": [[{"c": "1", "m": {"a_1_0": True}}]]},
+            {"d": 1, "n": 2, "generators": [[{"c": "1", "m": {"a_1_0": "2"}}]]},
+            {"d": 1.0, "n": 2, "generators": [[GOOD_TERM]]},
+            [[GOOD_TERM]],
+        ],
+        ids=[
+            "no-generators", "generator-not-list", "term-without-c", "term-without-m",
+            "float-exponent", "bool-exponent", "string-exponent", "float-d", "array",
+        ],
+    )
+    def test_export_input_exits_two(self, capsys, tmp_path, doc):
+        blob = tmp_path / "ideal.json"
+        blob.write_text(json.dumps(doc))
+        code, out = run(capsys, "export", "--input", str(blob), "--format", "text")
+        assert code == 2 and out == ""
+
+    def test_error_names_the_field(self, capsys, tmp_path):
+        blob = tmp_path / "ideal.json"
+        blob.write_text(json.dumps({"d": 1, "n": 2, "generators": [[GOOD_TERM, {"m": {}}]]}))
+        assert main(["export", "--input", str(blob), "--format", "text"]) == 2
+        assert capsys.readouterr().err == "error: generators[0]: [1].c is missing\n"
+
+    def test_integer_exponent_still_accepted(self, capsys, tmp_path):
+        blob = tmp_path / "ideal.json"
+        blob.write_text(json.dumps({"d": 1, "n": 2, "generators": [[{"c": "-2", "m": {"a_1_0": 2}}]]}))
+        code, out = run(capsys, "export", "--input", str(blob), "--format", "text")
+        assert code == 0 and out == "-2*a_1_0^2\n"
+
+
+class TestDepthFlag:
+    @pytest.mark.parametrize("command", ["gens", "leadterms", "export", "cascade", "walks"])
+    @pytest.mark.parametrize("k", ["0", "-1", "3"])
+    def test_out_of_range_is_usage_error(self, capsys, command, k):
+        extra = ["--format", "text"] if command == "export" else []
+        code, out = run(capsys, command, "--d", "2", "--n", "3", "--k", k, *extra)
+        assert code == 2 and out == ""
+
+    def test_every_depth_in_range_is_accepted(self, capsys):
+        for k in ("1", "2"):
+            code, out = run(capsys, "gens", "--d", "2", "--n", "3", "--k", k)
+            assert code == 0 and out

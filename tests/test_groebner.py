@@ -1,5 +1,7 @@
 """Buchberger engine, elimination, and ideal comparisons."""
 
+from math import gcd
+
 import pytest
 
 from resultantforge.diagonal import build_diagonal_weights, diagonal_order
@@ -18,9 +20,10 @@ from resultantforge.groebner import (
     system_polynomials,
 )
 from resultantforge.minors import enumerate_generators
-from resultantforge.orders import BlockOrder, DegRevLexOrder, LexOrder, leading_term
+from resultantforge.orders import BlockOrder, DegRevLexOrder, LexOrder, leading_term, normal_form
 from resultantforge.poly import Polynomial, Ring, ZeroPolynomialError
 
+from conftest import GRID
 from oracles import sylvester_resultant
 
 
@@ -221,3 +224,36 @@ class TestChartEqual:
     @pytest.mark.parametrize("dn", [(1, 2), (2, 2), (2, 3)])
     def test_chart(self, dn):
         assert chart_equal(*dn)
+
+
+def assert_reduced(basis, order):
+    """Each element is its own normal form against the others, the leads
+    ascend strictly, and coefficients are coprime integers with a positive
+    leading coefficient."""
+    leads = [leading_term(g, order) for g in basis]
+    keys = [order.key(lm) for lm, _ in leads]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    for idx, g in enumerate(basis):
+        assert normal_form(g, basis[:idx] + basis[idx + 1 :], order) == g
+        assert leads[idx][1] > 0
+        assert all(c.denominator == 1 for c in g.terms.values())
+        assert gcd(*(c.numerator for c in g.terms.values())) == 1
+
+
+class TestReducedBasis:
+    @pytest.mark.parametrize("dn", GRID)
+    def test_buchberger_output_is_reduced(self, dn, basis_records, all_records, diag_orders):
+        order = diag_orders[dn]
+        for records in (basis_records, all_records):
+            gens = [rec.poly for rec in records[dn]]
+            assert_reduced(buchberger(gens, order, self_check=False).certified_basis, order)
+
+    @pytest.mark.parametrize("dn", [(2, 2), (2, 3), (3, 2)])
+    def test_eliminated_basis_is_reduced(self, dn):
+        # the full run over the ring with x is where interreduction rewrites
+        # a tail, at (2, 3); eliminate_x keeps only its x-free elements
+        ring_x = Ring(*dn, with_x=True)
+        order = elimination_order(ring_x)
+        assert_reduced(buchberger(system_polynomials(ring_x), order).certified_basis, order)
+        elim = eliminate_x(*dn)
+        assert_reduced(elim.certified_basis, elim.order)
