@@ -63,10 +63,14 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _check_k(args) -> None:
+    if args.k is not None and not 1 <= args.k <= args.d:
+        raise UsageError(f"--k must lie in 1..{args.d}, got {args.k}")
+
+
 def _records(args):
+    _check_k(args)
     k = args.k
-    if k is not None and not 1 <= k <= args.d:
-        raise UsageError(f"--k must lie in 1..{args.d}, got {k}")
     if args.reduced_only:
         records = generators_for_basis(args.d, args.n)
     else:
@@ -108,6 +112,7 @@ def _cmd_cascade(args) -> int:
 
 
 def _cmd_walks(args) -> int:
+    _check_k(args)
     if args.reduced:
         walks = enumerate_reduced(args.d, args.n)
     else:
@@ -171,7 +176,7 @@ def _cmd_verify(args) -> int:
         ring = Ring(args.d, args.n)
         order = diagonal_order(build_diagonal_weights(args.d, args.n), ring)
         basis = [rec.poly for rec in generators_for_basis(args.d, args.n)]
-        ok = is_groebner_basis(basis, order)
+        ok = is_groebner_basis(basis, order, limits)
         return _verify_report(
             args,
             "reduced-walk minors are a Groebner basis under the diagonal order",

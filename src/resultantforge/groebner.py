@@ -4,8 +4,11 @@ The engine is deterministic: pairs are selected by smallest lcm in the
 term order (first index pair breaking ties), useless pairs are discarded
 with Buchberger's product and chain criteria in their Gebauer-Moeller
 packaging, and output bases are inter-reduced, content-normalized, and
-sorted, so identical inputs always produce identical bases. Resource
-limits are explicit; exceeding one raises instead of truncating.
+sorted, so identical inputs always produce identical bases. The
+certificate is_groebner_basis reduces only the pairs the same
+Gebauer-Moeller update keeps for a given basis (Gebauer & Moeller, JSC
+1988). Resource limits are explicit; exceeding one raises instead of
+truncating.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .orders import (
     leading_term,
     normal_form,
 )
-from .poly import Polynomial, Ring, RingMismatchError, ZeroPolynomialError
+from .poly import Monomial, Polynomial, Ring, RingMismatchError, ZeroPolynomialError
 
 
 class ResourceExhaustedError(RuntimeError):
@@ -92,6 +95,40 @@ def s_polynomial(p: Polynomial, q: Polynomial, order: TermOrder) -> Polynomial:
     return p.mul_term(lcm.div(lmp), 1 / lcp) + q.mul_term(lcm.div(lmq), -1 / lcq)
 
 
+def _update_pairs(pairs: set, lms: Sequence[Monomial], t: int, order: TermOrder) -> set:
+    """Gebauer-Moeller update of the index pairs over lms[:t] when lms[t]
+    joins (Gebauer & Moeller, JSC 1988).
+
+    Pairs are dropped by the chain and product criteria. After inserting
+    every element of a basis this way, the basis is a Groebner basis if the
+    s-polynomial of each kept pair reduces to zero against it.
+    """
+    lmf = lms[t]
+    # chain criterion applied to the old pairs against lm(f)
+    kept = set()
+    for (i, j) in pairs:
+        lij = lms[i].lcm(lms[j])
+        if not lmf.divides(lij) or lms[i].lcm(lmf) == lij or lms[j].lcm(lmf) == lij:
+            kept.add((i, j))
+
+    # group candidate new pairs by their lcm and keep one representative
+    # of every divisibility-minimal group
+    by_lcm: dict = {}
+    for i in range(t):
+        by_lcm.setdefault(lms[i].lcm(lmf), []).append(i)
+    minimal = []
+    for lcm in sorted(by_lcm, key=order.key):
+        if not any(other.divides(lcm) for other in minimal):
+            minimal.append(lcm)
+    for lcm in minimal:
+        group = by_lcm[lcm]
+        # product criterion: a coprime pair in the group kills the group
+        if any(lms[i].mul(lmf) == lcm for i in group):
+            continue
+        kept.add((min(group), t))
+    return kept
+
+
 class _Run:
     """State of one Buchberger execution."""
 
@@ -111,46 +148,18 @@ class _Run:
             )
 
     def add(self, f: Polynomial) -> None:
-        """Gebauer-Moeller update of the pair set with the new element f."""
-        order, lms = self.order, self.reducer.lms
+        """Append f to the basis and update the pair set."""
         t = len(self.G)
         if t + 1 > self.limits.max_basis:
             raise ResourceExhaustedError(f"basis size limit {self.limits.max_basis} exceeded")
         self.G.append(f)
         self.reducer.add(f)
-        lmf = lms[t]
+        lmf = self.reducer.lms[t]
         if self.limits.max_degree is not None and lmf.degree > self.limits.max_degree:
             raise ResourceExhaustedError(
                 f"degree limit {self.limits.max_degree} exceeded by a basis element of degree {lmf.degree}"
             )
-
-        # chain criterion applied to the old pairs against lm(f)
-        kept = set()
-        for (i, j) in self.pairs:
-            lij = lms[i].lcm(lms[j])
-            if (
-                not lmf.divides(lij)
-                or lms[i].lcm(lmf) == lij
-                or lms[j].lcm(lmf) == lij
-            ):
-                kept.add((i, j))
-        self.pairs = kept
-
-        # group candidate new pairs by their lcm and keep one representative
-        # of every divisibility-minimal group
-        by_lcm: dict = {}
-        for i in range(t):
-            by_lcm.setdefault(lms[i].lcm(lmf), []).append(i)
-        minimal = []
-        for lcm in sorted(by_lcm, key=order.key):
-            if not any(other.divides(lcm) for other in minimal):
-                minimal.append(lcm)
-        for lcm in minimal:
-            group = by_lcm[lcm]
-            # product criterion: a coprime pair in the group kills the group
-            if any(lms[i].mul(lmf) == lcm for i in group):
-                continue
-            self.pairs.add((min(group), t))
+        self.pairs = _update_pairs(self.pairs, self.reducer.lms, t, self.order)
 
     def select(self) -> tuple:
         order, lms = self.order, self.reducer.lms
@@ -200,9 +209,8 @@ def buchberger(
 ) -> IdealPresentation:
     """Certified reduced basis of the ideal generated by gens.
 
-    With self_check (the default) every pair of the finished basis is
-    re-verified to have vanishing s-polynomial normal form, including the
-    pairs the criteria skipped.
+    With self_check (the default) the finished basis is certified again,
+    from scratch, by is_groebner_basis.
     """
     gens = [g for g in gens]
     if not gens or all(g.is_zero for g in gens):
@@ -224,14 +232,35 @@ def buchberger(
     return IdealPresentation(ring, list(gens), order, basis)
 
 
-def is_groebner_basis(basis: Sequence[Polynomial], order: TermOrder) -> bool:
-    """Full Buchberger criterion: every s-polynomial reduces to zero."""
+def is_groebner_basis(
+    basis: Sequence[Polynomial], order: TermOrder, limits: Limits = DEFAULT_LIMITS
+) -> bool:
+    """Buchberger criterion on the Gebauer-Moeller pairs.
+
+    The elements enter one at a time through the pair update Buchberger
+    uses, and only the pairs it keeps are reduced, in sorted order, against
+    the whole basis; the answer equals that of reducing every s-polynomial.
+    max_pairs bounds the kept pairs reduced; the timeout is checked before
+    each reduction.
+    """
     basis = list(basis)
     reducer = _Reducer(order, basis)
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            if reducer.reduce(s_polynomial(basis[i], basis[j], order)):
-                return False
+    pairs: set = set()
+    for t in range(len(basis)):
+        pairs = _update_pairs(pairs, reducer.lms, t, order)
+    pairs = sorted(pairs)
+    deadline = None if limits.timeout is None else time.monotonic() + limits.timeout
+    for done, (i, j) in enumerate(pairs):
+        if done >= limits.max_pairs:
+            raise ResourceExhaustedError(
+                f"pair limit {limits.max_pairs} exceeded after {done} of {len(pairs)} pairs"
+            )
+        if deadline is not None and time.monotonic() > deadline:
+            raise ResourceExhaustedError(
+                f"timeout of {limits.timeout}s exceeded after {done} of {len(pairs)} pairs"
+            )
+        if reducer.reduce(s_polynomial(basis[i], basis[j], order)):
+            return False
     return True
 
 

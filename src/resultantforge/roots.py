@@ -53,12 +53,18 @@ class Lcg64:
         return Fraction(num, den)
 
 
+def _check_shape(d: int, n: int) -> None:
+    if d < 1 or n < 1:
+        raise ValueError(f"a coefficient tuple needs d >= 1 and n >= 1, got d={d}, n={n}")
+
+
 class CoefficientTuple:
     """An n x (d+1) grid of exact rationals specializing the a_i_j."""
 
     __slots__ = ("d", "n", "values")
 
     def __init__(self, d: int, n: int, values: Sequence[Sequence]):
+        _check_shape(d, n)
         rows = tuple(tuple(Fraction(v) for v in row) for row in values)
         if len(rows) != n or any(len(row) != d + 1 for row in rows):
             raise ValueError(f"values must form an {n} x {d + 1} grid")
@@ -267,6 +273,7 @@ def sample_planted(d: int, n: int, seed: int) -> CoefficientTuple:
     """A pseudo-random tuple whose polynomials all vanish at a sampled
     rational root r: each f_i = (x - r) * q_i with random q_i of degree
     d-1 and nonzero leading coefficient. Deterministic per seed."""
+    _check_shape(d, n)  # q[0] below needs d >= 1
     rng = Lcg64(seed)
     r = rng.rational()
     rows = []

@@ -3,11 +3,15 @@
 Everything here deliberately avoids the library's expansion and
 enumeration code paths: determinants come from the raw permutation sum and
 covers from exhaustive subset enumeration, so agreement is meaningful.
+The all-pairs Groebner check shares the library's reducer and
+s-polynomial but none of its pair selection.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations
 
+from resultantforge.groebner import s_polynomial
+from resultantforge.orders import _Reducer
 from resultantforge.poly import Monomial, Polynomial, Ring
 
 
@@ -91,3 +95,15 @@ def rank_by_minors(rows) -> int:
                 if leibniz_det(sub):
                     return size
     return 0
+
+
+def all_pairs_groebner(basis, order) -> bool:
+    """Full Buchberger criterion: every one of the m(m-1)/2 s-polynomials
+    reduces to zero. Reference for the pair-pruned certificate."""
+    basis = list(basis)
+    reducer = _Reducer(order, basis)
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            if reducer.reduce(s_polynomial(basis[i], basis[j], order)):
+                return False
+    return True

@@ -152,6 +152,27 @@ class TestVerify:
         code, out = run(capsys, "verify", "elimination", "--d", "1", "--n", "2", "--max-pairs", "100000")
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--max-pairs", "5"], "pair limit 5 exceeded after 5 of 29 pairs"),
+            (["--timeout", "0"], "timeout of 0.0s exceeded after 0 of 29 pairs"),
+        ],
+    )
+    def test_groebner_certificate_is_bounded(self, capsys, flags, message):
+        code = main(["verify", "groebner", "--d", "3", "--n", "3", *flags])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert message in captured.err
+
+    @pytest.mark.parametrize("dn", [("3", "4"), ("4", "3")])
+    def test_groebner_passes_beyond_the_oracle_grid(self, capsys, dn):
+        # the all-pairs check would take minutes here; these sizes extend
+        # the certified grid rather than being compared against it
+        code, out = run(capsys, "verify", "groebner", "--d", dn[0], "--n", dn[1])
+        assert code == 0
+        assert json.loads(out)["status"] == "pass"
+
 
 class TestSampleAndEval:
     def test_planted_round_trip(self, capsys, tmp_path):
@@ -196,6 +217,12 @@ class TestSampleAndEval:
         _, first = run(capsys, "sample", "--d", "2", "--n", "2", "--seed", "3")
         _, second = run(capsys, "sample", "--d", "2", "--n", "2", "--seed", "3")
         assert first == second
+
+    @pytest.mark.parametrize("dn", [("0", "2"), ("2", "0")])
+    @pytest.mark.parametrize("planted", [[], ["--planted"]])
+    def test_sample_rejects_empty_shape(self, capsys, dn, planted):
+        code, out = run(capsys, "sample", "--d", dn[0], "--n", dn[1], "--seed", "1", *planted)
+        assert code == 2 and out == ""
 
     def test_eval_dimension_mismatch_is_usage_error(self, capsys, tmp_path):
         _, out = run(capsys, "sample", "--d", "1", "--n", "2", "--seed", "1")
@@ -303,11 +330,13 @@ class TestMalformedDocuments:
 
 
 class TestDepthFlag:
-    @pytest.mark.parametrize("command", ["gens", "leadterms", "export", "cascade", "walks"])
+    @pytest.mark.parametrize(
+        "command", ["gens", "leadterms", "export", "cascade", "walks", "walks --reduced"]
+    )
     @pytest.mark.parametrize("k", ["0", "-1", "3"])
     def test_out_of_range_is_usage_error(self, capsys, command, k):
         extra = ["--format", "text"] if command == "export" else []
-        code, out = run(capsys, command, "--d", "2", "--n", "3", "--k", k, *extra)
+        code, out = run(capsys, *command.split(), "--d", "2", "--n", "3", "--k", k, *extra)
         assert code == 2 and out == ""
 
     def test_every_depth_in_range_is_accepted(self, capsys):

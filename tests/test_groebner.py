@@ -24,7 +24,7 @@ from resultantforge.orders import BlockOrder, DegRevLexOrder, LexOrder, leading_
 from resultantforge.poly import Polynomial, Ring, ZeroPolynomialError
 
 from conftest import GRID
-from oracles import sylvester_resultant
+from oracles import all_pairs_groebner, sylvester_resultant
 
 
 def xring():
@@ -100,7 +100,7 @@ class TestBuchberger:
         first = buchberger(gens, order)
         second = buchberger(gens, order)
         assert first.certified_basis == second.certified_basis
-        assert is_groebner_basis(first.certified_basis, order)
+        assert all_pairs_groebner(first.certified_basis, order)
 
     def test_certified_basis_generates_the_input_ideal(self):
         ring = Ring(2, 3)
@@ -128,7 +128,7 @@ class TestBuchberger:
         ring = Ring(2, 3)
         order = diagonal_order(build_diagonal_weights(2, 3), ring)
         G = [rec.poly for rec in generators_for_basis(2, 3, ring)]
-        assert is_groebner_basis(G, order)
+        assert all_pairs_groebner(G, order)
         # Buchberger started from G keeps the same initial ideal
         pres = buchberger(G, order)
         lms_g = {leading_term(g, order)[0] for g in G}
@@ -169,6 +169,44 @@ class TestBuchberger:
         for field in ("max_pairs", "max_basis", "max_degree", "timeout"):
             with pytest.raises(ValueError):
                 Limits(**{field: -5})
+
+
+# at (3,3) the 88 minors form a Groebner basis under these two orders, so
+# the oracle reduces all 3,828 pairs: about 45 s each
+ORACLE_SLOW = {((3, 3), "all", "diag"), ((3, 3), "all", "degrevlex")}
+
+
+class TestCertificate:
+    @pytest.mark.parametrize(
+        "dn, family, order",
+        [
+            pytest.param(
+                dn, family, order,
+                id=f"{dn[0]},{dn[1]}-{family}-{order}",
+                marks=[pytest.mark.slow] if (dn, family, order) in ORACLE_SLOW else [],
+            )
+            for dn in GRID
+            for family in ("walks", "all")
+            for order in ("diag", "degrevlex", "lex")
+        ],
+    )
+    def test_matches_all_pairs_oracle(self, dn, family, order, basis_records, all_records, diag_orders):
+        # the reduced-walk minors ("walks") or all minors, plus, when there
+        # are at most 30 of them, every subset with one generator dropped:
+        # those supply most of the non-bases
+        records = basis_records if family == "walks" else all_records
+        gens = [rec.poly for rec in records[dn]]
+        ring = gens[0].ring
+        term_order = {
+            "diag": diag_orders[dn],
+            "degrevlex": DegRevLexOrder(ring.coeff_vars_column_major()),
+            "lex": LexOrder(ring.coeff_vars_column_major()),
+        }[order]
+        cases = [gens]
+        if 1 < len(gens) <= 30:
+            cases += [gens[:i] + gens[i + 1 :] for i in range(len(gens))]
+        want = [all_pairs_groebner(c, term_order) for c in cases]
+        assert [is_groebner_basis(c, term_order) for c in cases] == want
 
 
 class TestEliminateX:
