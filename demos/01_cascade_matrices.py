@@ -9,13 +9,13 @@ rank. This script builds the matrices for the first interesting case
 d = 2, n = 3 and shows how row selections turn into lattice walks.
 """
 
-from resultantforge import build_cascade, rows_to_walk, selection_for_walk
+from resultantforge import CascadeMatrix, rows_to_walk, selection_for_walk
 from resultantforge.minors import all_selections, nonzero_selection
 
 d, n = 2, 3
 
 for k in (1, 2):
-    m = build_cascade(d, n, k)
+    m = CascadeMatrix(d, n, k)
     print(f"M_{k} is {m.nrows} x {m.ncols}:")
     for row in m.name_grid():
         print("   ", "  ".join(cell.rjust(5) for cell in row))

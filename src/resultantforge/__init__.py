@@ -4,7 +4,7 @@ cascade matrices and their maximal minors, the diagonal-selecting term
 order, the reduced-walk Groebner basis, the combinatorial geometry of the
 initial ideal, and exact root certificates."""
 
-from .cascade import CascadeMatrix, RowSelection, build_cascade
+from .cascade import CascadeMatrix, RowSelection
 from .diagonal import (
     DiagonalWeights,
     build_diagonal_weights,

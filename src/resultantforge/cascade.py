@@ -24,7 +24,7 @@ class CascadeMatrix:
     a_j_0 .. a_j_d in columns i .. i+d (1-based) and zeros elsewhere.
     """
 
-    __slots__ = ("d", "n", "k", "ring", "_minor_cache")
+    __slots__ = ("d", "n", "k", "ring")
 
     def __init__(self, d: int, n: int, k: int, ring: Optional[Ring] = None):
         if d < 1:
@@ -39,7 +39,6 @@ class CascadeMatrix:
         self.ring = ring if ring is not None else Ring(d, n)
         if self.ring.d != d or self.ring.n != n:
             raise ValueError(f"ring {self.ring!r} does not match (d={d}, n={n})")
-        self._minor_cache = {}
 
     @property
     def nrows(self) -> int:
@@ -48,16 +47,6 @@ class CascadeMatrix:
     @property
     def ncols(self) -> int:
         return self.d + self.k
-
-    def row_label(self, row: int) -> tuple:
-        """(i, j) label of 1-based flat row index."""
-        if not (1 <= row <= self.nrows):
-            raise IndexError(f"row {row} outside 1..{self.nrows}")
-        return ((row - 1) // self.n + 1, (row - 1) % self.n + 1)
-
-    def row_index(self, i: int, j: int) -> int:
-        self._check_label(i, j)
-        return (i - 1) * self.n + j
 
     def _check_label(self, i: int, j: int) -> None:
         if not (1 <= i <= self.k):
@@ -82,26 +71,15 @@ class CascadeMatrix:
 
     def rows(self) -> list:
         """All row labels in lexicographic order, top to bottom."""
-        return [self.row_label(r) for r in range(1, self.nrows + 1)]
+        return [(i, j) for i in range(1, self.k + 1) for j in range(1, self.n + 1)]
 
     def name_grid(self) -> list:
         """The grid as variable names with "0" for zero entries."""
-        out = []
-        for (i, j) in self.rows():
-            out.append(
-                [
-                    (v.name if v is not None else "0")
-                    for v in (self.entry_variable(i, j, c) for c in range(1, self.ncols + 1))
-                ]
-            )
-        return out
+        cells = [[self.entry_variable(i, j, c) for c in range(1, self.ncols + 1)] for i, j in self.rows()]
+        return [["0" if v is None else v.name for v in row] for row in cells]
 
     def __repr__(self) -> str:
         return f"CascadeMatrix(d={self.d}, n={self.n}, k={self.k})"
-
-
-def build_cascade(d: int, n: int, k: int, ring: Optional[Ring] = None) -> CascadeMatrix:
-    return CascadeMatrix(d, n, k, ring)
 
 
 class RowSelection:
@@ -122,12 +100,6 @@ class RowSelection:
         self.n = n
         self.k = k
         self.pairs = pairs
-
-    def __iter__(self):
-        return iter(self.pairs)
-
-    def __len__(self) -> int:
-        return len(self.pairs)
 
     def __eq__(self, other) -> bool:
         return (

@@ -16,7 +16,7 @@ import sys
 from typing import List, Optional
 
 from . import exports
-from .cascade import build_cascade
+from .cascade import CascadeMatrix
 from .diagonal import build_diagonal_weights, diagonal_order
 from .geometry import SquareFreeMonomialIdeal, chow_degree, dim_and_degree, minimal_primes
 from .groebner import (
@@ -99,7 +99,7 @@ def _cmd_gens(args) -> int:
 
 def _cmd_cascade(args) -> int:
     k = args.d if args.k is None else args.k
-    grid = build_cascade(args.d, args.n, k).name_grid()
+    grid = CascadeMatrix(args.d, args.n, k).name_grid()
     if args.format == "json":
         _emit(args, json.dumps(grid, indent=2) + "\n")
         return 0
@@ -243,6 +243,10 @@ def _cmd_sample(args) -> int:
 
 def _cmd_export(args) -> int:
     if args.input:
+        given = [f"--{name}" for name in ("d", "n", "k") if getattr(args, name) is not None]
+        given += ["--reduced-only"] * args.reduced_only
+        if given:
+            raise UsageError(f"--input does not combine with {', '.join(given)}")
         with open(args.input, "r", encoding="utf-8") as fh:
             ring, polys = exports.from_json_doc(fh.read())
     elif args.d and args.n:

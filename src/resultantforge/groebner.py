@@ -47,8 +47,8 @@ class Limits:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if value is not None and value < 0:
-                raise ValueError(f"limit {f.name} must not be negative, got {value}")
+            if value is not None and not value >= 0:  # NaN fails every comparison
+                raise ValueError(f"limit {f.name} must be a non-negative number, got {value}")
 
     @classmethod
     def parse(cls, text: str) -> "Limits":

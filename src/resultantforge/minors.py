@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional
+from typing import Iterable, List, Optional
 
-from .cascade import CascadeMatrix, RowSelection, build_cascade
+from .cascade import CascadeMatrix, RowSelection
 from .poly import Monomial, Polynomial, Ring
 from .walks import (
     MinorWalk,
@@ -40,35 +40,26 @@ class GeneratorRecord:
     walk: MinorWalk
     poly: Polynomial
 
-    @property
-    def degree(self) -> int:
-        return self.k + self.selection.d
 
+def band_det(rows: tuple, d: int, one, zero, times, memo: dict):
+    """Determinant of the cascade rows (i, j) in lexicographic order against
+    all columns in natural order, with the Leibniz sign convention.
 
-def minor_det(m: CascadeMatrix, sel: RowSelection) -> Polynomial:
-    """Determinant of the selected rows (lexicographic order) against all
-    columns in natural order, with the Leibniz sign convention.
-
-    Expansion proceeds column by column with memoization on the pair
-    (remaining rows, next column); subproblems are shared across the minors
-    of the same matrix. A zero determinant is a valid output.
+    Row (i, j) carries the coefficients of polynomial j in columns i .. i+d,
+    so the expansion runs column by column along that band. The caller
+    picks the ring: times(sub, j, s, odd) is sub times the entry a_j_s,
+    negated when odd. memo maps remaining rows to their minor and may be
+    shared only by minors of the same M_k. A zero determinant is a valid
+    output.
     """
-    if (sel.d, sel.n, sel.k) != (m.d, m.n, m.k):
-        raise ValueError(f"selection {sel!r} does not fit {m!r}")
-    rows = sel.pairs
-    if len(rows) != m.ncols:
-        raise ValueError(f"need {m.ncols} rows for a maximal minor, got {len(rows)}")
-    cache = m._minor_cache
-    ring = m.ring
-    d = m.d
 
-    def expand(rows: tuple, col: int) -> Polynomial:
+    def expand(rows: tuple, col: int):
         if not rows:
-            return Polynomial.constant(ring, 1)
-        got = cache.get((rows, col))
+            return one
+        got = memo.get(rows)
         if got is not None:
             return got
-        out = Polynomial.zero(ring)
+        out = zero
         # row (i, j) is nonzero on columns i .. i+d only
         if rows[0][0] + d >= col:
             for idx, (i, j) in enumerate(rows):
@@ -77,28 +68,48 @@ def minor_det(m: CascadeMatrix, sel: RowSelection) -> Polynomial:
                 if col > i + d:
                     continue
                 sub = expand(rows[:idx] + rows[idx + 1 :], col + 1)
-                if sub.is_zero:
-                    continue
-                out = out + sub.mul_term(Monomial(((ring.coeff(j, col - i), 1),)), _SIGNS[idx % 2])
-        cache[(rows, col)] = out
+                if sub:
+                    out = out + times(sub, j, col - i, idx % 2)
+        memo[rows] = out
         return out
 
     return expand(rows, 1)
 
 
-def _expand(d: int, n: int, walks: List[MinorWalk], ring: Optional[Ring]) -> List[GeneratorRecord]:
-    """One record per walk, expanding its minor in a cascade matrix built
-    once per depth, so the minors of one matrix share its memo."""
-    ring = ring if ring is not None else Ring(d, n)
-    matrices = {}
-    out: List[GeneratorRecord] = []
+def _symbolic(ring: Ring) -> tuple:
+    """one, zero and the band_det entry product for symbolic minors: each
+    a_j_s is built once as a monomial and multiplied in with mul_term."""
+    monos = [[Monomial(((ring.coeff(j, s), 1),)) for s in range(ring.d + 1)] for j in range(1, ring.n + 1)]
+
+    def times(sub: Polynomial, j: int, s: int, odd: int) -> Polynomial:
+        return sub.mul_term(monos[j - 1][s], _SIGNS[odd])
+
+    return Polynomial.constant(ring, 1), Polynomial.zero(ring), times
+
+
+def minor_det(m: CascadeMatrix, sel: RowSelection) -> Polynomial:
+    """The minor of the selected rows of m, expanded by band_det."""
+    if (sel.d, sel.n, sel.k) != (m.d, m.n, m.k):
+        raise ValueError(f"selection {sel!r} does not fit {m!r}")
+    if len(sel.pairs) != m.ncols:
+        raise ValueError(f"need {m.ncols} rows for a maximal minor, got {len(sel.pairs)}")
+    return band_det(sel.pairs, m.d, *_symbolic(m.ring), {})
+
+
+def walk_minors(d: int, n: int, walks: Iterable[MinorWalk], one, zero, times):
+    """(walk, selection, minor) per walk, in order, each minor by band_det
+    with the caller's entry product. The minors of one depth share a memo
+    that lives no longer than this loop."""
+    memos = {}
     for walk in walks:
-        k = len(walk) - d
-        if k not in matrices:
-            matrices[k] = build_cascade(d, n, k, ring)
         sel = selection_for_walk(walk, d, n)
-        out.append(GeneratorRecord(k, sel, walk, minor_det(matrices[k], sel)))
-    return out
+        yield walk, sel, band_det(sel.pairs, d, one, zero, times, memos.setdefault(sel.k, {}))
+
+
+def _expand(d: int, n: int, walks: List[MinorWalk], ring: Optional[Ring]) -> List[GeneratorRecord]:
+    """One record per walk with its minor expanded symbolically."""
+    found = walk_minors(d, n, walks, *_symbolic(ring if ring is not None else Ring(d, n)))
+    return [GeneratorRecord(sel.k, sel, walk, poly) for walk, sel, poly in found]
 
 
 def generator_walks(d: int, n: int) -> List[MinorWalk]:

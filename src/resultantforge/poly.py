@@ -46,11 +46,12 @@ class Variable(NamedTuple):
     def parse(cls, name: str) -> "Variable":
         if name in ("x", "r"):
             return cls(name)
-        kind, sep, rest = name.partition("_")
-        if sep and kind in ("a", "b"):
-            parts = rest.split("_")
-            if len(parts) == 2 and parts[0].isdigit() and parts[1].isdigit():
-                return cls(kind, int(parts[0]), int(parts[1]))
+        kind, _, rest = name.partition("_")
+        i, _, j = rest.partition("_")
+        if kind in ("a", "b") and i.isdigit() and j.isdigit():
+            var = cls(kind, int(i), int(j))
+            if var.name == name:  # no leading zeros or non-ASCII digits
+                return var
         raise ValueError(f"unrecognized variable name {name!r}")
 
     def __str__(self) -> str:

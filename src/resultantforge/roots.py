@@ -2,9 +2,9 @@
 roots: an exact gcd-based root oracle, planted-root substitution, sample
 generators, and evaluation scans.
 
-Evaluation expands no minor: a generator, the minor of d+k rows of M_k,
-vanishes at a tuple exactly when those rows of the specialized M_k are
-rank deficient, which exact_rank decides in Python ints (Bareiss).
+Evaluation expands no minor symbolically: each generator's minor is
+computed at the tuple by the same band recursion that expands it
+(minors.band_det), over Python ints on rows scaled to integers.
 
 Sampling uses a fixed 64-bit linear congruential generator (Knuth's MMIX
 constants: state <- state * 6364136223846793005 + 1442695040888963407
@@ -20,10 +20,9 @@ from fractions import Fraction
 from math import lcm
 from typing import Dict, List, Sequence
 
-from .cascade import CascadeMatrix, RowSelection, build_cascade
-from .minors import enumerate_generators, generator_walks
+from .cascade import RowSelection
+from .minors import enumerate_generators, generator_walks, walk_minors
 from .poly import Polynomial, Ring, Variable, format_rational, json_field, json_value, parse_rational
-from .walks import selection_for_walk
 
 _LCG_MUL = 6364136223846793005
 _LCG_ADD = 1442695040888963407
@@ -195,21 +194,17 @@ def membership_scan(c: CoefficientTuple) -> MembershipReport:
     set-theoretic criterion: the depth-d minors all vanish exactly when
     the polynomials share a root or every leading coefficient is zero.
 
-    Each M_k is specialized once, its rows scaled to integers; a generator
-    vanishes exactly when its d+k selected rows have rank below d+k.
+    Each generator's minor is computed in integers by minors.band_det.
+    Scaling f_j by the lcm of its denominators scales every row (i, j) of
+    M_k by the same nonzero factor, so the minor vanishes exactly when the
+    integer one does.
     """
-    ring = Ring(c.d, c.n)
-    specialized = {}
     selections: List[RowSelection] = []
     vanishing: List[bool] = []
-    for walk in generator_walks(c.d, c.n):
-        sel = selection_for_walk(walk, c.d, c.n)
-        if sel.k not in specialized:
-            matrix = build_cascade(c.d, c.n, sel.k, ring)
-            specialized[sel.k] = (matrix, _integer_rows(specialized_rows(matrix, c)))
-        matrix, grid = specialized[sel.k]
-        vanishing.append(exact_rank([grid[matrix.row_index(i, j) - 1] for i, j in sel]) < len(sel))
+    found = walk_minors(c.d, c.n, generator_walks(c.d, c.n), 1, 0, _integer_times(c.values))
+    for _, sel, det in found:
         selections.append(sel)
+        vanishing.append(det == 0)
     top_all = all(vanish for sel, vanish in zip(selections, vanishing) if sel.k == c.d)
     root = common_root_oracle(c)
     expected = root.has_affine_common_root or root.all_leading_zero
@@ -294,19 +289,6 @@ def sample_random(d: int, n: int, seed: int) -> CoefficientTuple:
     return CoefficientTuple(d, n, [[rng.rational() for _ in range(d + 1)] for _ in range(n)])
 
 
-def specialized_rows(matrix: CascadeMatrix, c: CoefficientTuple) -> List[List[Fraction]]:
-    """The cascade matrix with the tuple's values filled in."""
-    if (matrix.d, matrix.n) != (c.d, c.n):
-        raise ValueError(f"tuple for (d={c.d}, n={c.n}) does not fit {matrix!r}")
-    grid = []
-    for (i, j) in matrix.rows():
-        row = [Fraction(0)] * matrix.ncols
-        for col, var in matrix.row_entries(i, j):
-            row[col - 1] = c.values[var.i - 1][var.j]
-        grid.append(row)
-    return grid
-
-
 def _integer_rows(rows: Sequence[Sequence]) -> List[List[int]]:
     """Each row scaled to integers by the lcm of its denominators."""
     out = []
@@ -316,34 +298,13 @@ def _integer_rows(rows: Sequence[Sequence]) -> List[List[int]]:
     return out
 
 
-def exact_rank(rows: Sequence[Sequence]) -> int:
-    """Rank over the rationals of a grid of ints or Fractions.
+def _integer_times(values: Sequence[Sequence]):
+    """The band_det entry product over Python ints: a_j_s is entry s of
+    row j of values, scaled to integers."""
+    ints = _integer_rows(values)
 
-    Each row is scaled to integers by the lcm of its denominators, which
-    leaves the rank unchanged. Bareiss's fraction-free elimination then
-    keeps every entry, up to sign, a minor of the scaled grid, so each
-    division by the previous pivot is exact.
-    """
-    grid = _integer_rows(rows)
-    if not grid:
-        return 0
-    nrows, ncols = len(grid), len(grid[0])
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, nrows) if grid[r][col]), None)
-        if pivot is None:
-            continue
-        grid[rank], grid[pivot] = grid[pivot], grid[rank]
-        head = grid[rank]
-        p = head[col]
-        for r in range(rank + 1, nrows):
-            row = grid[r]
-            f = row[col]
-            for cc in range(col + 1, ncols):
-                row[cc] = (p * row[cc] - f * head[cc]) // prev
-        prev = p
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+    def times(sub: int, j: int, s: int, odd: int) -> int:
+        v = sub * ints[j - 1][s]
+        return -v if odd else v
+
+    return times

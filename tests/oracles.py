@@ -4,15 +4,20 @@ Everything here deliberately avoids the library's expansion and
 enumeration code paths: determinants come from the raw permutation sum and
 covers from exhaustive subset enumeration, so agreement is meaningful.
 The all-pairs Groebner check shares the library's reducer and
-s-polynomial but none of its pair selection.
+s-polynomial but none of its pair selection. Ranks of specialized cascade
+matrices come from Bareiss elimination, not from the library's band
+recursion.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations
+from typing import List, Sequence
 
+from resultantforge.cascade import CascadeMatrix
 from resultantforge.groebner import s_polynomial
 from resultantforge.orders import _Reducer
 from resultantforge.poly import Monomial, Polynomial, Ring
+from resultantforge.roots import CoefficientTuple, _integer_rows
 
 
 def permutation_det(ring: Ring, grid) -> Polynomial:
@@ -107,3 +112,49 @@ def all_pairs_groebner(basis, order) -> bool:
             if reducer.reduce(s_polynomial(basis[i], basis[j], order)):
                 return False
     return True
+
+
+def specialized_rows(matrix: CascadeMatrix, c: CoefficientTuple) -> List[List[Fraction]]:
+    """The cascade matrix with the tuple's values filled in."""
+    if (matrix.d, matrix.n) != (c.d, c.n):
+        raise ValueError(f"tuple for (d={c.d}, n={c.n}) does not fit {matrix!r}")
+    grid = []
+    for (i, j) in matrix.rows():
+        row = [Fraction(0)] * matrix.ncols
+        for col, var in matrix.row_entries(i, j):
+            row[col - 1] = c.values[var.i - 1][var.j]
+        grid.append(row)
+    return grid
+
+
+def exact_rank(rows: Sequence[Sequence]) -> int:
+    """Rank over the rationals of a grid of ints or Fractions.
+
+    Each row is scaled to integers by the lcm of its denominators, which
+    leaves the rank unchanged. Bareiss's fraction-free elimination then
+    keeps every entry, up to sign, a minor of the scaled grid, so each
+    division by the previous pivot is exact.
+    """
+    grid = _integer_rows(rows)
+    if not grid:
+        return 0
+    nrows, ncols = len(grid), len(grid[0])
+    rank = 0
+    prev = 1
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, nrows) if grid[r][col]), None)
+        if pivot is None:
+            continue
+        grid[rank], grid[pivot] = grid[pivot], grid[rank]
+        head = grid[rank]
+        p = head[col]
+        for r in range(rank + 1, nrows):
+            row = grid[r]
+            f = row[col]
+            for cc in range(col + 1, ncols):
+                row[cc] = (p * row[cc] - f * head[cc]) // prev
+        prev = p
+        rank += 1
+        if rank == nrows:
+            break
+    return rank

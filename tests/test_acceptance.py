@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from resultantforge.cascade import build_cascade
+from resultantforge.cascade import CascadeMatrix
 from resultantforge.diagonal import verify_diagonal_property
 from resultantforge.geometry import SquareFreeMonomialIdeal, chow_degree, dim_and_degree, minimal_primes
 from resultantforge.groebner import (
@@ -26,17 +26,15 @@ from resultantforge.poly import Monomial, Ring
 from resultantforge.roots import (
     CoefficientTuple,
     common_root_oracle,
-    exact_rank,
     membership_scan,
     planted_vanishing,
     sample_planted,
     sample_random,
-    specialized_rows,
 )
 from resultantforge.walks import components, walk_leading_monomial
 
 from conftest import GRID
-from oracles import all_pairs_groebner, sylvester_resultant
+from oracles import all_pairs_groebner, exact_rank, specialized_rows, sylvester_resultant
 
 
 @contextmanager
@@ -199,7 +197,7 @@ def test_11_rank_cascade():
         from resultantforge.roots import Lcg64
 
         for (d, n) in GRID:
-            matrices = {k: build_cascade(d, n, k) for k in range(1, d + 1)}
+            matrices = {k: CascadeMatrix(d, n, k) for k in range(1, d + 1)}
             rng = Lcg64(d * 1000 + n)
             for case in range(200):
                 style = case % 3

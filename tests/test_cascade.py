@@ -5,13 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from resultantforge.cascade import RowSelection, build_cascade
-from resultantforge.roots import sample_planted, specialized_rows
+from resultantforge.cascade import CascadeMatrix, RowSelection
+from resultantforge.roots import sample_planted
+
+from oracles import specialized_rows
 
 
 class TestBuildCascade:
     def test_six_by_four_shape(self):
-        m = build_cascade(2, 3, 2)
+        m = CascadeMatrix(2, 3, 2)
         assert (m.nrows, m.ncols) == (6, 4)
         grid = m.name_grid()
         assert grid[0] == ["a_1_0", "a_1_1", "a_1_2", "0"]
@@ -20,7 +22,7 @@ class TestBuildCascade:
         assert grid[5] == ["0", "a_3_0", "a_3_1", "a_3_2"]
 
     def test_depth_one_square(self):
-        m = build_cascade(2, 3, 1)
+        m = CascadeMatrix(2, 3, 1)
         assert (m.nrows, m.ncols) == (3, 3)
         assert m.name_grid() == [
             ["a_1_0", "a_1_1", "a_1_2"],
@@ -29,7 +31,7 @@ class TestBuildCascade:
         ]
 
     def test_sylvester_shape(self):
-        m = build_cascade(2, 2, 2)
+        m = CascadeMatrix(2, 2, 2)
         assert (m.nrows, m.ncols) == (4, 4)
         assert m.name_grid() == [
             ["a_1_0", "a_1_1", "a_1_2", "0"],
@@ -40,23 +42,23 @@ class TestBuildCascade:
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            build_cascade(0, 2, 1)
+            CascadeMatrix(0, 2, 1)
         with pytest.raises(ValueError):
-            build_cascade(2, 1, 1)
+            CascadeMatrix(2, 1, 1)
         with pytest.raises(ValueError):
-            build_cascade(2, 2, 3)
+            CascadeMatrix(2, 2, 3)
         with pytest.raises(ValueError):
-            build_cascade(2, 2, 0)
+            CascadeMatrix(2, 2, 0)
 
 
 class TestRowEntries:
     def test_examples(self):
-        m = build_cascade(2, 3, 2)
+        m = CascadeMatrix(2, 3, 2)
         ring = m.ring
         assert m.row_entries(2, 1) == [(2, ring.coeff(1, 0)), (3, ring.coeff(1, 1)), (4, ring.coeff(1, 2))]
-        m = build_cascade(1, 2, 1)
+        m = CascadeMatrix(1, 2, 1)
         assert m.row_entries(1, 2) == [(1, m.ring.coeff(2, 0)), (2, m.ring.coeff(2, 1))]
-        m = build_cascade(3, 2, 3)
+        m = CascadeMatrix(3, 2, 3)
         assert m.row_entries(3, 2) == [
             (3, m.ring.coeff(2, 0)),
             (4, m.ring.coeff(2, 1)),
@@ -66,7 +68,7 @@ class TestRowEntries:
 
     def test_every_row_has_d_plus_one_entries(self):
         for (d, n, k) in [(2, 3, 2), (3, 2, 3), (2, 4, 1)]:
-            m = build_cascade(d, n, k)
+            m = CascadeMatrix(d, n, k)
             for (i, j) in m.rows():
                 entries = m.row_entries(i, j)
                 assert len(entries) == d + 1
@@ -75,7 +77,7 @@ class TestRowEntries:
                     assert var == m.ring.coeff(j, col - i)
 
     def test_index_errors(self):
-        m = build_cascade(2, 3, 2)
+        m = CascadeMatrix(2, 3, 2)
         with pytest.raises(IndexError):
             m.row_entries(3, 1)
         with pytest.raises(IndexError):
@@ -100,7 +102,7 @@ class TestTransposedInterpretation:
         # matrix must give the coefficients of sum_i f_i h_i
         rng = random.Random(2024)
         for (d, n, k) in [(1, 2, 1), (2, 3, 2), (3, 2, 2), (2, 4, 2)]:
-            m = build_cascade(d, n, k)
+            m = CascadeMatrix(d, n, k)
             for _ in range(10):
                 values = [
                     [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(d + 1)]
@@ -136,7 +138,7 @@ class TestKernelProperty:
                 assert len(g) == 2  # monic linear gcd: x - root
                 root = -g[1]
                 for k in range(1, d + 1):
-                    m = build_cascade(d, n, k)
+                    m = CascadeMatrix(d, n, k)
                     grid = specialized_rows(m, tup)
                     vec = [root ** (d + k - 1 - idx) for idx in range(d + k)]
                     for row in grid:

@@ -147,6 +147,19 @@ class TestVerify:
         code, _ = run(capsys, "verify", "elimination", "--d", "1", "--n", "2", "--max-pairs", "-5")
         assert code == 2
 
+    def test_nan_timeout_flag_is_usage_error(self, capsys):
+        code = main(["verify", "groebner", "--d", "2", "--n", "2", "--timeout", "nan"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "timeout" in captured.err
+
+    def test_nan_timeout_env_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv(LIMITS_ENV, "timeout=nan")
+        code = main(["verify", "groebner", "--d", "2", "--n", "2"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "timeout" in captured.err
+
     def test_flag_overrides_env(self, capsys, monkeypatch):
         monkeypatch.setenv(LIMITS_ENV, "max_pairs=1")
         code, out = run(capsys, "verify", "elimination", "--d", "1", "--n", "2", "--max-pairs", "100000")
@@ -261,6 +274,16 @@ class TestUsage:
     def test_export_needs_a_source(self, capsys):
         assert main(["export", "--format", "m2"]) == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--k", "7"], ["--k", "1"], ["--d", "2"], ["--n", "3"], ["--reduced-only"]],
+    )
+    def test_export_input_takes_no_generator_flags(self, capsys, tmp_path, flags):
+        blob = tmp_path / "gens.json"
+        assert main(["gens", "--d", "2", "--n", "3", "--format", "json", "-o", str(blob)]) == 0
+        code, out = run(capsys, "export", "--input", str(blob), *flags, "--format", "text")
+        assert code == 2 and out == ""
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "out.json"
         code = main(["degree", "--degrees", "1,1", "-o", str(target)])
@@ -304,10 +327,12 @@ class TestMalformedDocuments:
             {"d": 1, "n": 2, "generators": [[{"c": "1", "m": {"a_1_0": "2"}}]]},
             {"d": 1.0, "n": 2, "generators": [[GOOD_TERM]]},
             [[GOOD_TERM]],
+            {"d": 1, "n": 2, "generators": [[{"c": "1", "m": {"a_01_0": 1, "a_1_0": 1}}]]},
         ],
         ids=[
             "no-generators", "generator-not-list", "term-without-c", "term-without-m",
             "float-exponent", "bool-exponent", "string-exponent", "float-d", "array",
+            "non-canonical-name",
         ],
     )
     def test_export_input_exits_two(self, capsys, tmp_path, doc):

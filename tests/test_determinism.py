@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import resultantforge
+from resultantforge.cli import main
 
 SRC = str(pathlib.Path(resultantforge.__file__).resolve().parents[1])
 
@@ -18,9 +19,13 @@ SRC = str(pathlib.Path(resultantforge.__file__).resolve().parents[1])
         ["gens", "--d", "2", "--n", "3", "--format", "json"],
         ["verify", "groebner", "--d", "2", "--n", "3"],
         ["verify", "elimination", "--d", "2", "--n", "3"],
+        ["eval", "--d", "3", "--n", "3", "--coeffs", "{tuple}"],
     ],
 )
-def test_stdout_identical_across_hash_seeds(argv):
+def test_stdout_identical_across_hash_seeds(argv, tmp_path):
+    tup = tmp_path / "tuple.json"
+    assert main(["sample", "--d", "3", "--n", "3", "--seed", "5", "-o", str(tup)]) == 0
+    argv = [arg.replace("{tuple}", str(tup)) for arg in argv]
     outputs = set()
     for seed in ("0", "1", "2"):
         env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=SRC)

@@ -8,7 +8,7 @@ from resultantforge.diagonal import (
     verify_diagonal_property,
 )
 from resultantforge.orders import GREATER
-from resultantforge.cascade import RowSelection, build_cascade
+from resultantforge.cascade import CascadeMatrix, RowSelection
 from resultantforge.minors import minor_det
 from resultantforge.poly import Monomial, Ring
 
@@ -56,7 +56,7 @@ class TestDiagonalOrder:
         ring = Ring(2, 3)
         dw = build_diagonal_weights(2, 3)
         order = diagonal_order(dw, ring)
-        det = minor_det(build_cascade(2, 3, 1, ring), RowSelection(2, 3, 1, [(1, 1), (1, 2), (1, 3)]))
+        det = minor_det(CascadeMatrix(2, 3, 1, ring), RowSelection(2, 3, 1, [(1, 1), (1, 2), (1, 3)]))
         diag = Monomial({ring.coeff(1, 0): 1, ring.coeff(2, 1): 1, ring.coeff(3, 2): 1})
         assert order.weight(diag) == 17
         for mono in det.terms:
@@ -91,7 +91,7 @@ class TestSwapInequality:
         for (d, n) in [(2, 2), (2, 3), (3, 2)]:
             dw = build_diagonal_weights(d, n)
             for k in range(1, d + 1):
-                m = build_cascade(d, n, k)
+                m = CascadeMatrix(d, n, k)
                 labels = m.rows()
                 for ra in range(len(labels)):
                     for rb in range(ra + 1, len(labels)):

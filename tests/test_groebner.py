@@ -170,6 +170,13 @@ class TestBuchberger:
             with pytest.raises(ValueError):
                 Limits(**{field: -5})
 
+    def test_nan_timeout_rejected(self):
+        # every deadline comparison with NaN is false, so it would switch the bound off
+        with pytest.raises(ValueError, match="timeout"):
+            Limits(timeout=float("nan"))
+        with pytest.raises(ValueError, match="timeout"):
+            Limits.parse("timeout=nan")
+
 
 # at (3,3) the 88 minors form a Groebner basis under these two orders, so
 # the oracle reduces all 3,828 pairs: about 45 s each

@@ -4,20 +4,23 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from resultantforge.cascade import RowSelection, build_cascade
+from resultantforge.cascade import CascadeMatrix, RowSelection
 from resultantforge.minors import (
     all_selections,
+    band_det,
     enumerate_generators,
     minor_det,
     nonzero_selection,
 )
 from resultantforge.poly import Monomial, Polynomial, Ring
-from resultantforge.roots import CoefficientTuple, exact_rank, specialized_rows
+from resultantforge.roots import CoefficientTuple, _integer_times
 from resultantforge.walks import walk_leading_monomial
 
 from conftest import GRID
-from oracles import permutation_det, sylvester_resultant
+from oracles import exact_rank, leibniz_det, permutation_det, specialized_rows, sylvester_resultant
 
 
 def equal_up_to_sign(p, q):
@@ -27,7 +30,7 @@ def equal_up_to_sign(p, q):
 class TestMinorDet:
     def test_two_by_two(self):
         ring = Ring(1, 2)
-        det = minor_det(build_cascade(1, 2, 1, ring), RowSelection(1, 2, 1, [(1, 1), (1, 2)]))
+        det = minor_det(CascadeMatrix(1, 2, 1, ring), RowSelection(1, 2, 1, [(1, 1), (1, 2)]))
         want = Polynomial(
             ring,
             {
@@ -39,13 +42,13 @@ class TestMinorDet:
 
     def test_three_by_three_has_six_terms(self):
         ring = Ring(2, 3)
-        det = minor_det(build_cascade(2, 3, 1, ring), RowSelection(2, 3, 1, [(1, 1), (1, 2), (1, 3)]))
+        det = minor_det(CascadeMatrix(2, 3, 1, ring), RowSelection(2, 3, 1, [(1, 1), (1, 2), (1, 3)]))
         assert len(det.terms) == 6
         assert all(abs(c) == 1 for c in det.terms.values())
 
     def test_agrees_with_permutation_oracle(self):
         for (d, n, k) in [(1, 2, 1), (2, 2, 2), (2, 3, 1), (2, 3, 2), (3, 2, 3)]:
-            m = build_cascade(d, n, k)
+            m = CascadeMatrix(d, n, k)
             for sel in all_selections(d, n, k):
                 grid = [
                     [m.entry_variable(i, j, col) for col in range(1, m.ncols + 1)]
@@ -54,16 +57,40 @@ class TestMinorDet:
                 assert minor_det(m, sel) == permutation_det(m.ring, grid)
 
     def test_zero_selection_expands_to_zero(self):
-        m = build_cascade(3, 3, 3)
+        m = CascadeMatrix(3, 3, 3)
         sel = RowSelection(3, 3, 3, [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)])
         assert not nonzero_selection(sel)
         assert minor_det(m, sel).is_zero
 
     def test_zero_iff_out_of_lattice(self):
         for (d, n, k) in [(2, 3, 2), (3, 3, 2), (3, 3, 3), (2, 4, 2)]:
-            m = build_cascade(d, n, k)
+            m = CascadeMatrix(d, n, k)
             for sel in all_selections(d, n, k):
                 assert nonzero_selection(sel) == (not minor_det(m, sel).is_zero)
+
+
+@st.composite
+def integer_tuples(draw):
+    """A small (d, n, k) and an integer coefficient tuple for it, zeros
+    allowed, so some selected minors vanish at the tuple."""
+    shapes = [(1, 2, 1), (2, 2, 2), (2, 3, 1), (2, 3, 2), (3, 2, 3), (3, 3, 2), (2, 4, 2)]
+    d, n, k = draw(st.sampled_from(shapes))
+    row = st.lists(st.integers(-3, 3), min_size=d + 1, max_size=d + 1)
+    return k, CoefficientTuple(d, n, draw(st.lists(row, min_size=n, max_size=n)))
+
+
+class TestBandDet:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(integer_tuples())
+    def test_integer_recursion_matches_leibniz(self, case):
+        # every selection, zero minors included, through one shared memo
+        k, tup = case
+        d, n = tup.d, tup.n
+        grid = specialized_rows(CascadeMatrix(d, n, k), tup)
+        times, memo = _integer_times(tup.values), {}
+        for sel in all_selections(d, n, k):
+            rows = [grid[(i - 1) * n + j - 1] for i, j in sel.pairs]
+            assert band_det(sel.pairs, d, 1, 0, times, memo) == leibniz_det(rows)
 
 
 class TestEnumerateGenerators:
@@ -132,7 +159,7 @@ class TestSylvesterEquivalence:
         # their two-polynomial resultant
         d, n = 2, 3
         ring = Ring(d, n)
-        m = build_cascade(d, n, d, ring)
+        m = CascadeMatrix(d, n, d, ring)
         for (i, j) in [(1, 2), (1, 3), (2, 3)]:
             pairs = [(copy, poly) for copy in range(1, d + 1) for poly in (i, j)]
             sel = RowSelection(d, n, d, sorted(pairs))
@@ -146,7 +173,7 @@ class TestRankCascade:
 
         rng = random.Random(31)
         for (d, n) in [(2, 2), (2, 3), (3, 2), (3, 3)]:
-            matrices = {k: build_cascade(d, n, k) for k in range(1, d + 1)}
+            matrices = {k: CascadeMatrix(d, n, k) for k in range(1, d + 1)}
             for case in range(30):
                 if case % 3 == 0:
                     tup = sample_planted(d, n, 1000 + case)

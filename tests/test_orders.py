@@ -17,7 +17,7 @@ from resultantforge.orders import (
     leading_term,
     normal_form,
 )
-from resultantforge.cascade import RowSelection, build_cascade
+from resultantforge.cascade import CascadeMatrix, RowSelection
 from resultantforge.minors import minor_det
 from resultantforge.poly import (
     MONOMIAL_ONE,
@@ -114,7 +114,7 @@ class TestLeadingTerm:
 
     def test_three_by_three_minor_rev_and_diag(self):
         ring = Ring(2, 3)
-        det = minor_det(build_cascade(2, 3, 1, ring), RowSelection(2, 3, 1, [(1, 1), (1, 2), (1, 3)]))
+        det = minor_det(CascadeMatrix(2, 3, 1, ring), RowSelection(2, 3, 1, [(1, 1), (1, 2), (1, 3)]))
         # column-letter reading: lead a_3*b_2*c_1 under the column-major degrevlex
         rev = DegRevLexOrder(ring.coeff_vars_column_major())
         assert leading_term(det, rev)[0] == mono(
@@ -142,7 +142,7 @@ class TestNormalForm:
 
     def test_determinant_self_reduction(self):
         ring = Ring(1, 2)
-        det = minor_det(build_cascade(1, 2, 1, ring), RowSelection(1, 2, 1, [(1, 1), (1, 2)]))
+        det = minor_det(CascadeMatrix(1, 2, 1, ring), RowSelection(1, 2, 1, [(1, 1), (1, 2)]))
         order = DegRevLexOrder(ring.coeff_vars_row_major())
         assert normal_form(det, [det], order).is_zero
 

@@ -42,7 +42,8 @@ class TestVariable:
             assert Variable.parse(v.name) == v
 
     def test_parse_rejects_garbage(self):
-        for bad in ("a_1", "c_1_2", "a_x_1", "", "a_1_2_3"):
+        # only the canonical spelling: no leading zeros, no non-ASCII digits
+        for bad in ("a_1", "c_1_2", "a_x_1", "", "a_1_2_3", "a_01_0", "b_1_00", "a_\u0661_0", "a_1_\uff12"):
             with pytest.raises(ValueError):
                 Variable.parse(bad)
 

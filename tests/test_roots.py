@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from resultantforge.cascade import CascadeMatrix
 from resultantforge.minors import enumerate_generators
 from resultantforge.poly import Ring
 from resultantforge.roots import (
     CoefficientTuple,
     Lcg64,
     common_root_oracle,
-    exact_rank,
     membership_scan,
     planted_assignment,
     planted_vanishing,
@@ -22,7 +22,7 @@ from resultantforge.roots import (
 )
 
 from conftest import GRID
-from oracles import rank_by_minors
+from oracles import exact_rank, rank_by_minors, specialized_rows
 
 
 class TestLcg:
@@ -177,6 +177,28 @@ class TestMembershipScan:
                 assert rep.selections == [rec.selection for rec in records]
                 point = tup.assignment(rings[(d, n)])
                 assert rep.vanishing == [rec.poly.evaluate(point) == 0 for rec in records]
+
+    def test_scan_matches_exact_rank_at_3_4(self):
+        # (3,4) lies outside GRID: the Bareiss rank of each generator's rows
+        # is the reference there
+        d, n = 3, 4
+        rng = Lcg64(34)
+        tuples = [sample_planted(d, n, seed) for seed in range(2)]
+        tuples += [sample_random(d, n, 40 + seed) for seed in range(2)]
+        rows = [list(row) for row in sample_random(d, n, 90).values]
+        a, b = rng.rational(), rng.rational()
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+        tuples.append(CoefficientTuple(d, n, rows))
+        matrices = {k: CascadeMatrix(d, n, k) for k in range(1, d + 1)}
+        for tup in tuples:
+            grids = {k: specialized_rows(m, tup) for k, m in matrices.items()}
+            rep = membership_scan(tup)
+            want = [
+                exact_rank([grids[sel.k][(i - 1) * n + j - 1] for i, j in sel.pairs]) < d + sel.k
+                for sel in rep.selections
+            ]
+            assert rep.vanishing == want
+        assert len(set(want)) == 2  # the combination tuple splits the generators
 
     def test_shared_root_kills_the_resultant(self):
         tup = CoefficientTuple(2, 2, [[1, -3, 2], [1, -1, 0]])
