@@ -249,7 +249,7 @@ def _cmd_export(args) -> int:
             raise UsageError(f"--input does not combine with {', '.join(given)}")
         with open(args.input, "r", encoding="utf-8") as fh:
             ring, polys = exports.from_json_doc(fh.read())
-    elif args.d and args.n:
+    elif args.d is not None and args.n is not None:
         ring = Ring(args.d, args.n)
         polys = [rec.poly for rec in _records(args)]
     else:

@@ -5,15 +5,18 @@ Rationals are always printed as num/den strings, output is byte-stable for
 fixed input, and ring declarations list the coefficient variables in
 column-major order (all leading coefficients first). Polynomials are
 rendered by poly.polynomial_text, the same printer as their repr; this
-module only chooses the variable names and the script around them.
+module only chooses the variable names and the script around them. The
+JSON ideal document is the one format written here term by term, with the
+bytes json.dumps would give.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from typing import Optional, Sequence
 
-from .poly import Polynomial, Ring, Variable, json_field, polynomial_text
+from .poly import Polynomial, Ring, Variable, format_rational, json_field, parse_rational, polynomial_text
 
 FORMATS = ("json", "m2", "singular", "text")
 
@@ -33,12 +36,30 @@ def alias_name(var: Variable, d: int) -> str:
 
 
 def to_json_doc(ring: Ring, polys: Sequence[Polynomial]) -> str:
-    doc = {
-        "d": ring.d,
-        "n": ring.n,
-        "generators": [p.to_json() for p in polys],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The ideal document, written directly: the same bytes as
+    json.dumps({"d", "n", "generators": [p.to_json(), ...]}, indent=2,
+    sort_keys=True) + "\n". Names and rational strings need no escaping,
+    and each monomial's "m" block is rendered once per call."""
+    blocks = {}
+
+    def block(m) -> str:
+        got = blocks.get(m)
+        if got is None:
+            # sort_keys orders by name, so a_10_0 comes before a_1_0
+            named = sorted((v.name, e) for v, e in m.exps)
+            body = ",\n".join(f'          "{name}": {e}' for name, e in named)
+            got = blocks[m] = "{\n" + body + "\n        }" if body else "{}"
+        return got
+
+    gens = []
+    for p in polys:
+        terms = [
+            f'      {{\n        "c": "{format_rational(p.terms[m])}",\n        "m": {block(m)}\n      }}'
+            for m in sorted(p.terms, key=p.ring.canonical_key, reverse=True)
+        ]
+        gens.append("    [\n" + ",\n".join(terms) + "\n    ]" if terms else "    []")
+    body = "[\n" + ",\n".join(gens) + "\n  ]" if gens else "[]"
+    return f'{{\n  "d": {ring.d},\n  "generators": {body},\n  "n": {ring.n}\n}}\n'
 
 
 def from_json_doc(text: str):
@@ -46,10 +67,12 @@ def from_json_doc(text: str):
     raises ValueError naming the bad field, e.g. generators[0][1].c."""
     doc = json.loads(text)
     ring = Ring(json_field(doc, "d", int), json_field(doc, "n", int))
+    # one memo per field kind: a name "1" and a "c" of "1" parse differently
+    parse_var, parse_c = functools.cache(Variable.parse), functools.cache(parse_rational)
     polys = []
     for idx, entry in enumerate(json_field(doc, "generators", list)):
         try:
-            polys.append(Polynomial.from_json(ring, entry))
+            polys.append(Polynomial.from_json(ring, entry, parse_var, parse_c))
         except ValueError as exc:
             raise ValueError(f"generators[{idx}]: {exc}") from None
     return ring, polys

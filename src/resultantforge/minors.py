@@ -23,9 +23,6 @@ from .walks import (
     selection_for_walk,
 )
 
-_SIGNS = (Fraction(1), Fraction(-1))
-
-
 @dataclass(frozen=True)
 class GeneratorRecord:
     """One nonzero maximal minor: its depth, rows, walk, and expansion.
@@ -76,15 +73,80 @@ def band_det(rows: tuple, d: int, one, zero, times, memo: dict):
     return expand(rows, 1)
 
 
+class _Packed(dict):
+    """A polynomial as {packed exponent vector: int coefficient}; + is the
+    only operation band_det needs besides the entry product."""
+
+    __slots__ = ()
+
+    def __add__(self, other: "_Packed") -> "_Packed":
+        out = _Packed(self)
+        for key, c in other.items():
+            s = out.get(key)
+            s = c if s is None else s + c
+            if s:
+                out[key] = s
+            elif key in out:
+                del out[key]
+        return out
+
+
 def _symbolic(ring: Ring) -> tuple:
-    """one, zero and the band_det entry product for symbolic minors: each
-    a_j_s is built once as a monomial and multiplied in with mul_term."""
-    monos = [[Monomial(((ring.coeff(j, s), 1),)) for s in range(ring.d + 1)] for j in range(1, ring.n + 1)]
+    """one, zero, the band_det entry product and a decoder for symbolic
+    minors over packed exponent vectors (Monagan & Pearce, CASC 2007).
 
-    def times(sub: Polynomial, j: int, s: int, odd: int) -> Polynomial:
-        return sub.mul_term(monos[j - 1][s], _SIGNS[odd])
+    Variable a_j_s owns a bit field of (d+1).bit_length() bits; its
+    exponent in a minor of M_k is at most k <= d, so fields never carry
+    and multiplying by a_j_s adds its unit step to every key. decode turns
+    a finished minor into a Polynomial with Fraction coefficients; it
+    builds each distinct monomial and coefficient once, and its memos live
+    as long as the returned functions.
+    """
+    d, width = ring.d, (ring.d + 1).bit_length()
+    span = width * (d + 1)  # the fields of one polynomial's coefficients
+    field_mask, span_mask = (1 << width) - 1, (1 << span) - 1
+    steps = [[1 << (span * (j - 1) + width * s) for s in range(d + 1)] for j in range(1, ring.n + 1)]
 
-    return Polynomial.constant(ring, 1), Polynomial.zero(ring), times
+    def times(sub: _Packed, j: int, s: int, odd: int) -> _Packed:
+        step = steps[j - 1][s]
+        if odd:
+            return _Packed({key + step: -c for key, c in sub.items()})
+        return _Packed({key + step: c for key, c in sub.items()})
+
+    monos, coeffs = {}, {}
+    spans = [{} for _ in range(ring.n)]  # per polynomial j: its fields -> their (a_j_s, e) pairs
+
+    def pairs(j: int, fields: int) -> tuple:
+        exps = ((ring.coeff(j, s), (fields >> (width * s)) & field_mask) for s in range(d + 1))
+        return tuple((v, e) for v, e in exps if e)
+
+    def monomial(key: int) -> Monomial:
+        # spans run in Variable order, so the pairs come out sorted
+        exps, j = (), 0
+        while key:
+            j += 1
+            fields = key & span_mask
+            if fields:
+                got = spans[j - 1].get(fields)
+                if got is None:
+                    got = spans[j - 1][fields] = pairs(j, fields)
+                exps += got
+            key >>= span
+        return Monomial._make(exps)
+
+    def decode(packed: _Packed) -> Polynomial:
+        terms = {}
+        for key, c in packed.items():
+            m = monos.get(key)
+            if m is None:
+                m = monos[key] = monomial(key)
+            f = coeffs.get(c)
+            if f is None:
+                f = coeffs[c] = Fraction(c)
+            terms[m] = f
+        return Polynomial(ring, terms, _trusted=True)
+
+    return _Packed({0: 1}), _Packed(), times, decode
 
 
 def minor_det(m: CascadeMatrix, sel: RowSelection) -> Polynomial:
@@ -93,7 +155,8 @@ def minor_det(m: CascadeMatrix, sel: RowSelection) -> Polynomial:
         raise ValueError(f"selection {sel!r} does not fit {m!r}")
     if len(sel.pairs) != m.ncols:
         raise ValueError(f"need {m.ncols} rows for a maximal minor, got {len(sel.pairs)}")
-    return band_det(sel.pairs, m.d, *_symbolic(m.ring), {})
+    one, zero, times, decode = _symbolic(m.ring)
+    return decode(band_det(sel.pairs, m.d, one, zero, times, {}))
 
 
 def walk_minors(d: int, n: int, walks: Iterable[MinorWalk], one, zero, times):
@@ -108,8 +171,9 @@ def walk_minors(d: int, n: int, walks: Iterable[MinorWalk], one, zero, times):
 
 def _expand(d: int, n: int, walks: List[MinorWalk], ring: Optional[Ring]) -> List[GeneratorRecord]:
     """One record per walk with its minor expanded symbolically."""
-    found = walk_minors(d, n, walks, *_symbolic(ring if ring is not None else Ring(d, n)))
-    return [GeneratorRecord(sel.k, sel, walk, poly) for walk, sel, poly in found]
+    one, zero, times, decode = _symbolic(ring if ring is not None else Ring(d, n))
+    found = walk_minors(d, n, walks, one, zero, times)
+    return [GeneratorRecord(sel.k, sel, walk, decode(minor)) for walk, sel, minor in found]
 
 
 def generator_walks(d: int, n: int) -> List[MinorWalk]:

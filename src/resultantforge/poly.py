@@ -251,7 +251,8 @@ MONOMIAL_ONE = Monomial()
 
 
 def format_rational(c: Rational) -> str:
-    c = Fraction(c)
+    if type(c) is not Fraction:
+        c = Fraction(c)
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
@@ -323,14 +324,18 @@ class Polynomial:
         clean = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for m, c in items:
-            c = Fraction(c)
+            if type(c) is not Fraction:
+                c = Fraction(c)
             if not c:
                 continue
             for v, _ in m.exps:
                 if v not in ring:
                     raise RingMismatchError(f"variable {v.name} not in {ring!r}")
-            clean[m] = clean.get(m, Fraction(0)) + c
-            if not clean[m]:
+            s = clean.get(m)
+            s = c if s is None else s + c
+            if s:
+                clean[m] = s
+            elif m in clean:
                 del clean[m]
         self.terms = clean
 
@@ -535,15 +540,18 @@ class Polynomial:
         return out
 
     @classmethod
-    def from_json(cls, ring: Ring, data: list) -> "Polynomial":
+    def from_json(
+        cls, ring: Ring, data: list, parse_var=Variable.parse, parse_c=parse_rational
+    ) -> "Polynomial":
         """Inverse of to_json; errors name the bad field by its path, such
-        as [2].m.a_1_0, relative to the term list."""
+        as [2].m.a_1_0, relative to the term list. A reader of many
+        polynomials may pass memoized parsers for names and "c" strings."""
         terms = []
         for idx, entry in enumerate(json_value(data, list, "polynomial")):
             at = f"[{idx}]"
             exps = json_field(entry, "m", dict, at).items()
-            mono = Monomial((Variable.parse(v), json_value(e, int, f"{at}.m.{v}")) for v, e in exps)
-            terms.append((mono, parse_rational(json_field(entry, "c", str, at))))
+            mono = Monomial((parse_var(v), json_value(e, int, f"{at}.m.{v}")) for v, e in exps)
+            terms.append((mono, parse_c(json_field(entry, "c", str, at))))
         return cls(ring, terms)
 
     def __repr__(self) -> str:

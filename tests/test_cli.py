@@ -23,6 +23,11 @@ class TestGens:
         assert code == 0
         assert out == (GOLDEN / "gens_d2_n3.m2").read_text()
 
+    def test_json_matches_golden(self, capsys):
+        code, out = run(capsys, "gens", "--d", "2", "--n", "3", "--format", "json")
+        assert code == 0
+        assert out == (GOLDEN / "gens_d2_n3.json").read_text()
+
     def test_text_matches_golden(self, capsys):
         code, out = run(capsys, "gens", "--d", "2", "--n", "3", "--format", "text")
         assert code == 0
@@ -52,6 +57,18 @@ class TestGens:
         code, out2 = run(capsys, "export", "--input", str(blob), "--format", "json")
         assert code == 0
         assert out2 == out
+
+    def test_zero_polynomial_and_constant_term_round_trip(self, capsys, tmp_path):
+        doc = {"d": 1, "n": 2, "generators": [[], [{"c": "-3/2", "m": {}}, {"c": "1", "m": {"a_1_0": 2}}]]}
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        blob = tmp_path / "ideal.json"
+        blob.write_text(text)
+        code, out = run(capsys, "export", "--input", str(blob), "--format", "json")
+        assert code == 0
+        assert json.loads(out)["generators"] == [[], [{"c": "1", "m": {"a_1_0": 2}}, {"c": "-3/2", "m": {}}]]
+        blob.write_text(out)
+        code, again = run(capsys, "export", "--input", str(blob), "--format", "json")
+        assert code == 0 and again == out
 
 
 class TestCascade:
@@ -275,6 +292,15 @@ class TestUsage:
         assert main(["export", "--format", "m2"]) == 2
 
     @pytest.mark.parametrize(
+        "d, n, message",
+        [("0", "3", "degree d must be >= 1, got 0"), ("2", "0", "system size n must be >= 1, got 0")],
+    )
+    def test_export_names_a_zero_size(self, capsys, d, n, message):
+        assert main(["export", "--d", d, "--n", n, "--format", "text"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
         "flags",
         [["--k", "7"], ["--k", "1"], ["--d", "2"], ["--n", "3"], ["--reduced-only"]],
     )
@@ -328,11 +354,12 @@ class TestMalformedDocuments:
             {"d": 1.0, "n": 2, "generators": [[GOOD_TERM]]},
             [[GOOD_TERM]],
             {"d": 1, "n": 2, "generators": [[{"c": "1", "m": {"a_01_0": 1, "a_1_0": 1}}]]},
+            {"d": 1, "n": 2, "generators": [[{"c": "1", "m": {"a_1_0": 1}}, {"c": "1", "m": {"1": 1}}]]},
         ],
         ids=[
             "no-generators", "generator-not-list", "term-without-c", "term-without-m",
             "float-exponent", "bool-exponent", "string-exponent", "float-d", "array",
-            "non-canonical-name",
+            "non-canonical-name", "name-equal-to-a-coefficient",
         ],
     )
     def test_export_input_exits_two(self, capsys, tmp_path, doc):
@@ -346,6 +373,14 @@ class TestMalformedDocuments:
         blob.write_text(json.dumps({"d": 1, "n": 2, "generators": [[GOOD_TERM, {"m": {}}]]}))
         assert main(["export", "--input", str(blob), "--format", "text"]) == 2
         assert capsys.readouterr().err == "error: generators[0]: [1].c is missing\n"
+
+    def test_name_is_not_read_as_a_coefficient(self, capsys, tmp_path):
+        # "1" is first read as a "c", then met as a variable name
+        terms = [{"c": "1", "m": {"a_1_0": 1}}, {"c": "1", "m": {"1": 1}}]
+        blob = tmp_path / "ideal.json"
+        blob.write_text(json.dumps({"d": 1, "n": 2, "generators": [terms]}))
+        assert main(["export", "--input", str(blob), "--format", "text"]) == 2
+        assert capsys.readouterr().err == "error: generators[0]: unrecognized variable name '1'\n"
 
     def test_integer_exponent_still_accepted(self, capsys, tmp_path):
         blob = tmp_path / "ideal.json"

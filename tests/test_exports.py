@@ -1,8 +1,10 @@
 """Exporters: JSON round trip, the committed m2 golden file, and a
 grammar-level check of the Singular output (no CAS is ever invoked)."""
 
+import json
 import pathlib
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -16,7 +18,9 @@ from resultantforge.exports import (
     to_text,
 )
 from resultantforge.minors import enumerate_generators
-from resultantforge.poly import Ring, Variable
+from resultantforge.poly import Monomial, Polynomial, Ring, Variable
+
+from conftest import GRID
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -24,6 +28,36 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 def gens23():
     ring = Ring(2, 3)
     return ring, [rec.poly for rec in enumerate_generators(2, 3, ring)]
+
+
+def dumped(ring, polys):
+    """The ideal document as json.dumps writes it, for the direct writer."""
+    doc = {"d": ring.d, "n": ring.n, "generators": [p.to_json() for p in polys]}
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+class TestJsonWriter:
+    def test_golden_file(self):
+        ring, polys = gens23()
+        assert to_json_doc(ring, polys) == (GOLDEN / "gens_d2_n3.json").read_text()
+
+    # at n >= 10 the name order (a_10_0 < a_1_0) differs from the variable
+    # order; at (2, 1) the ideal is empty
+    @pytest.mark.parametrize("dn", GRID + [(1, 10), (1, 11), (2, 1)])
+    def test_matches_json_dumps(self, dn):
+        ring = Ring(*dn)
+        polys = [rec.poly for rec in enumerate_generators(*dn, ring)]
+        assert to_json_doc(ring, polys) == dumped(ring, polys)
+
+    def test_zero_polynomial_and_constant_term(self):
+        ring = Ring(2, 3)
+        polys = [
+            Polynomial.zero(ring),
+            Polynomial(ring, {Monomial(): Fraction(-7, 3), Monomial({ring.coeff(1, 0): 2}): 5}),
+        ]
+        text = to_json_doc(ring, polys)
+        assert text == dumped(ring, polys)
+        assert '"generators": [\n    [],' in text and '"m": {}' in text
 
 
 class TestJsonRoundTrip:

@@ -47,7 +47,8 @@ class TestMinorDet:
         assert all(abs(c) == 1 for c in det.terms.values())
 
     def test_agrees_with_permutation_oracle(self):
-        for (d, n, k) in [(1, 2, 1), (2, 2, 2), (2, 3, 1), (2, 3, 2), (3, 2, 3)]:
+        # at (4, 2, 4) an exponent reaches k = d = 4, the bound the packed fields rely on
+        for (d, n, k) in [(1, 2, 1), (2, 2, 2), (2, 3, 1), (2, 3, 2), (3, 2, 3), (4, 2, 4)]:
             m = CascadeMatrix(d, n, k)
             for sel in all_selections(d, n, k):
                 grid = [
@@ -55,6 +56,14 @@ class TestMinorDet:
                     for (i, j) in sel.pairs
                 ]
                 assert minor_det(m, sel) == permutation_det(m.ring, grid)
+
+    def test_coefficients_are_fractions(self, all_records):
+        for d, n in GRID:
+            m = CascadeMatrix(d, n, d)
+            for sel in all_selections(d, n, d):
+                assert all(type(c) is Fraction for c in minor_det(m, sel).terms.values())
+            for rec in all_records[(d, n)]:
+                assert all(type(c) is Fraction for c in rec.poly.terms.values())
 
     def test_zero_selection_expands_to_zero(self):
         m = CascadeMatrix(3, 3, 3)
