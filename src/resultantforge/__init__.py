@@ -39,9 +39,6 @@ from .minors import (
     top_minor_records,
 )
 from .orders import (
-    EQUAL,
-    GREATER,
-    LESS,
     BlockOrder,
     DegRevLexOrder,
     LexOrder,

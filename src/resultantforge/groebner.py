@@ -9,6 +9,11 @@ certificate is_groebner_basis reduces only the pairs the same
 Gebauer-Moeller update keeps for a given basis (Gebauer & Moeller, JSC
 1988). Resource limits are explicit; exceeding one raises instead of
 truncating.
+
+Both run on the packed, fraction-free kernel of orders.py: the basis,
+s-polynomials, pair lcms (a fieldwise max) and their keys (computed once
+per pair) stay packed, and Polynomial values are decoded only for the
+returned basis. No order key is memoized.
 """
 
 from __future__ import annotations
@@ -16,19 +21,22 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from math import gcd
 from typing import List, Optional, Sequence
 
 from .minors import enumerate_generators, top_minor_records
-from .orders import (
+from .orders import (  # leading_term and normal_form stay bound here for perfbench/tracing.py
     BlockOrder,
     DegRevLexOrder,
     LexOrder,
     TermOrder,
+    _Packing,
+    _primitive,
     _Reducer,
     leading_term,
     normal_form,
 )
-from .poly import Monomial, Polynomial, Ring, RingMismatchError, ZeroPolynomialError
+from .poly import Polynomial, Ring, RingMismatchError, ZeroPolynomialError
 
 
 class ResourceExhaustedError(RuntimeError):
@@ -95,49 +103,59 @@ def s_polynomial(p: Polynomial, q: Polynomial, order: TermOrder) -> Polynomial:
     return p.mul_term(lcm.div(lmp), 1 / lcp) + q.mul_term(lcm.div(lmq), -1 / lcq)
 
 
-def _update_pairs(pairs: set, lms: Sequence[Monomial], t: int, order: TermOrder) -> set:
-    """Gebauer-Moeller update of the index pairs over lms[:t] when lms[t]
-    joins (Gebauer & Moeller, JSC 1988).
+def _update_pairs(pairs: dict, leads: Sequence[int], t: int, packing: _Packing) -> dict:
+    """Gebauer-Moeller update of the index pairs over leads[:t] when
+    leads[t] joins (Gebauer & Moeller, JSC 1988).
 
+    pairs maps (i, j) to (key, i, j, exps) of lcm(leads[i], leads[j]),
+    packed, so the smallest entry is the next pair Buchberger selects.
     Pairs are dropped by the chain and product criteria. After inserting
     every element of a basis this way, the basis is a Groebner basis if the
     s-polynomial of each kept pair reduces to zero against it.
     """
-    lmf = lms[t]
+    lmf, guard = leads[t], packing.guard
+    lcms = [packing.lcm(lead, lmf) for lead in leads[:t]]
     # chain criterion applied to the old pairs against lm(f)
-    kept = set()
-    for (i, j) in pairs:
-        lij = lms[i].lcm(lms[j])
-        if not lmf.divides(lij) or lms[i].lcm(lmf) == lij or lms[j].lcm(lmf) == lij:
-            kept.add((i, j))
+    kept = {}
+    for (i, j), entry in pairs.items():
+        lij = entry[3]
+        if ((lij | guard) - lmf) & guard != guard or lcms[i] == lij or lcms[j] == lij:
+            kept[(i, j)] = entry
 
     # group candidate new pairs by their lcm and keep one representative
-    # of every divisibility-minimal group
+    # of every divisibility-minimal group; a proper divisor of a packed
+    # monomial is a smaller int, so ascending ints meet divisors first
     by_lcm: dict = {}
-    for i in range(t):
-        by_lcm.setdefault(lms[i].lcm(lmf), []).append(i)
+    for i, lij in enumerate(lcms):
+        by_lcm.setdefault(lij, []).append(i)
     minimal = []
-    for lcm in sorted(by_lcm, key=order.key):
-        if not any(other.divides(lcm) for other in minimal):
-            minimal.append(lcm)
-    for lcm in minimal:
-        group = by_lcm[lcm]
+    for lij in sorted(by_lcm):
+        probe = lij | guard
+        if not any((probe - other) & guard == guard for other in minimal):
+            minimal.append(lij)
+    for lij in minimal:
+        group = by_lcm[lij]
         # product criterion: a coprime pair in the group kills the group
-        if any(lms[i].mul(lmf) == lcm for i in group):
+        if any(leads[i] + lmf == lij for i in group):
             continue
-        kept.add((min(group), t))
+        kept[(group[0], t)] = _pair(packing, group[0], t, lij)
     return kept
 
 
-class _Run:
-    """State of one Buchberger execution."""
+def _pair(packing: _Packing, i: int, j: int, lij: int) -> tuple:
+    """The pairs entry of (i, j) with packed lcm lij: smallest lcm in the
+    term order first, then the first index pair."""
+    return packing.pack(packing.fields(lij))[0], i, j, lij
+
+
+class _Run(_Reducer):
+    """Packed basis and pair set of one Buchberger execution or
+    certificate; the basis is the divisor list."""
 
     def __init__(self, order: TermOrder, limits: Limits):
-        self.order = order
+        super().__init__(order)
         self.limits = limits
-        self.G: List[Polynomial] = []
-        self.reducer = _Reducer(order)
-        self.pairs: set = set()
+        self.pairs: dict = {}
         self.pairs_processed = 0
         self.deadline = None if limits.timeout is None else time.monotonic() + limits.timeout
 
@@ -147,58 +165,80 @@ class _Run:
                 f"timeout of {self.limits.timeout}s exceeded after {self.pairs_processed} pairs"
             )
 
-    def add(self, f: Polynomial) -> None:
-        """Append f to the basis and update the pair set."""
-        t = len(self.G)
-        if t + 1 > self.limits.max_basis:
-            raise ResourceExhaustedError(f"basis size limit {self.limits.max_basis} exceeded")
-        self.G.append(f)
-        self.reducer.add(f)
-        lmf = self.reducer.lms[t]
-        if self.limits.max_degree is not None and lmf.degree > self.limits.max_degree:
-            raise ResourceExhaustedError(
-                f"degree limit {self.limits.max_degree} exceeded by a basis element of degree {lmf.degree}"
-            )
-        self.pairs = _update_pairs(self.pairs, self.reducer.lms, t, self.order)
+    def insert(self, f: list) -> None:
+        """Append the packed polynomial f to the basis and update the pairs."""
+        self.add(f)
+        self.pairs = _update_pairs(self.pairs, self.leads, len(self.polys) - 1, self.packing)
 
-    def select(self) -> tuple:
-        order, lms = self.order, self.reducer.lms
-        return min(
-            self.pairs, key=lambda p: (order.key(lms[p[0]].lcm(lms[p[1]])), p[0], p[1])
-        )
+    def grow(self, f: list) -> None:
+        """insert, within the basis size and degree limits."""
+        if len(self.polys) + 1 > self.limits.max_basis:
+            raise ResourceExhaustedError(f"basis size limit {self.limits.max_basis} exceeded")
+        degree = sum(e for _, e in self.packing.fields(f[0][1]))
+        if self.limits.max_degree is not None and degree > self.limits.max_degree:
+            raise ResourceExhaustedError(
+                f"degree limit {self.limits.max_degree} exceeded by a basis element of degree {degree}"
+            )
+        self.insert(f)
+
+    def widen(self) -> None:
+        """Repack the basis and every pending lcm at twice the field width."""
+        super().widen()
+        packing, leads = self.packing, self.leads
+        for (i, j) in self.pairs:
+            self.pairs[(i, j)] = _pair(packing, i, j, packing.lcm(leads[i], leads[j]))
+
+    def pair_remainder(self, i: int, j: int, stop: bool = False):
+        """divide() on the s-polynomial of the pending pair (i, j), built
+        from the tails: the leading terms cancel."""
+        key, _, _, lij = self.pairs[(i, j)]
+        (pk, pe, pc), (qk, qe, qc) = self.polys[i][0], self.polys[j][0]
+        g, work, heap = gcd(pc, qc), {}, []
+        self.subtract(work, heap, i, lij - pe, key - pk, -qc // g)
+        self.subtract(work, heap, j, lij - qe, key - qk, pc // g)
+        return self.divide(work, stop, heap)
 
     def loop(self) -> None:
         while self.pairs:
             self._check_time()
             if self.pairs_processed >= self.limits.max_pairs:
                 raise ResourceExhaustedError(f"pair limit {self.limits.max_pairs} exceeded")
-            i, j = self.select()
-            self.pairs.remove((i, j))
+            _, i, j, _ = min(self.pairs.values())
             self.pairs_processed += 1
-            s = s_polynomial(self.G[i], self.G[j], self.order)
-            r = self.reducer.reduce(s)
-            if not r.is_zero:
-                self.add(r.content_normalize(self.order))
+            r = self.retrying(lambda: _rescaled(*self.pair_remainder(i, j)))
+            del self.pairs[(i, j)]
+            if r:
+                self.grow(r)
+
+    def interreduce(self) -> None:
+        """Shrink the finished basis to the minimal one (no leading monomial
+        divides another) with every tail fully reduced and each element
+        primitive; canonical for the order."""
+        guard, found = self.packing.guard, sorted(self.polys)  # ascending leads
+        self._reset(self.packing)
+        for f in found:
+            probe = f[0][1] | guard
+            if not any((probe - lead) & guard == guard for lead in self.leads):
+                self.add(f)
+        # one pass suffices: whether a term is reducible depends only on the
+        # leading monomials, and reducing the tails of a minimal basis
+        # changes none of them; for the same reason the basis stays in
+        # ascending lead order. A lead never divides a smaller term, so each
+        # tail may be reduced against the whole basis, its own lead included.
+
+        def tail_reduced(idx: int) -> list:
+            f = self.polys[idx]
+            rem, scale = self.divide({key: [exps, c] for key, exps, c in f[1:]})
+            return _rescaled([(*f[0], 1), *rem], scale)
+
+        for idx in range(len(self.polys)):
+            self.replace(idx, self.retrying(lambda: tail_reduced(idx)))
 
 
-def _interreduce(basis: List[Polynomial], order: TermOrder) -> List[Polynomial]:
-    """Minimal basis (no leading monomial divides another) with every tail
-    fully reduced; canonical up to the content normalization applied."""
-    leads = sorted(((leading_term(g, order)[0], g) for g in basis), key=lambda e: order.key(e[0]))
-    minimal: List[Polynomial] = []
-    kept_lms = []
-    for lm, g in leads:
-        if not any(h.divides(lm) for h in kept_lms):
-            kept_lms.append(lm)
-            minimal.append(g)
-    # one pass suffices: whether a term is reducible depends only on the
-    # leading monomials, and reducing the tails of a minimal basis changes
-    # none of them; for the same reason minimal stays in ascending lead order
-    for idx in range(len(minimal)):
-        r = normal_form(minimal[idx], minimal[:idx] + minimal[idx + 1 :], order)
-        if r.terms != minimal[idx].terms:
-            minimal[idx] = r.content_normalize(order)
-    return minimal
+def _rescaled(rem: list, scale: int) -> list:
+    """A remainder from _Reducer.divide brought to its final scale and made
+    primitive; [] when it is zero."""
+    return _primitive([(key, exps, c * (scale // s)) for key, exps, c, s in rem]) if rem else []
 
 
 def buchberger(
@@ -222,11 +262,16 @@ def buchberger(
     for g in gens:
         if g.is_zero:
             continue
-        r = run.reducer.reduce(g)
-        if not r.is_zero:
-            run.add(r.content_normalize(order))
+        r = run.retrying(lambda: _rescaled(*run.divide(run.packing.work(g)[0])))
+        if r:
+            run.grow(r)
     run.loop()
-    basis = _interreduce(run.G, order)
+    run.interreduce()
+    monomial = run.packing.monomial
+    basis = [
+        Polynomial(ring, {monomial(exps): Fraction(c) for _, exps, c in f}, _trusted=True)
+        for f in run.polys
+    ]
     if self_check and not is_groebner_basis(basis, order):
         raise AssertionError("internal error: output failed the Buchberger criterion")
     return IdealPresentation(ring, list(gens), order, basis)
@@ -240,15 +285,14 @@ def is_groebner_basis(
     The elements enter one at a time through the pair update Buchberger
     uses, and only the pairs it keeps are reduced, in sorted order, against
     the whole basis; the answer equals that of reducing every s-polynomial.
-    max_pairs bounds the kept pairs reduced; the timeout is checked before
-    each reduction.
+    A reduction stops at its first irreducible term. max_pairs bounds the
+    kept pairs reduced; the timeout is checked before each reduction.
     """
     basis = list(basis)
-    reducer = _Reducer(order, basis)
-    pairs: set = set()
-    for t in range(len(basis)):
-        pairs = _update_pairs(pairs, reducer.lms, t, order)
-    pairs = sorted(pairs)
+    run = _Run(order, limits)
+    for b in basis:
+        run.retrying(lambda: run.insert(run.encode(b)))
+    pairs = sorted(run.pairs)
     deadline = None if limits.timeout is None else time.monotonic() + limits.timeout
     for done, (i, j) in enumerate(pairs):
         if done >= limits.max_pairs:
@@ -259,7 +303,7 @@ def is_groebner_basis(
             raise ResourceExhaustedError(
                 f"timeout of {limits.timeout}s exceeded after {done} of {len(pairs)} pairs"
             )
-        if reducer.reduce(s_polynomial(basis[i], basis[j], order)):
+        if run.retrying(lambda: run.pair_remainder(i, j, stop=True)) is None:
             return False
     return True
 
@@ -267,7 +311,7 @@ def is_groebner_basis(
 def reduces_to_zero(polys: Sequence[Polynomial], basis: Sequence[Polynomial], order: TermOrder) -> bool:
     """True when every polynomial reduces to zero against the basis."""
     reducer = _Reducer(order, basis)
-    return all(reducer.reduce(p).is_zero for p in polys)
+    return all(reducer.reduces_to_zero(p) for p in polys)
 
 
 def elimination_order(ring: Ring) -> TermOrder:

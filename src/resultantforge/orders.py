@@ -1,13 +1,23 @@
-"""Term orders and order-dependent operations: comparison, leading terms,
-and multivariate polynomial division (normal forms).
+"""Term orders and order-dependent operations: leading terms and
+multivariate polynomial division (normal forms).
 
-Every order is defined through a sortable integer-tuple key, so comparison
-is automatically a total multiplicative order with 1 minimal, and leading
-terms are plain max() calls. Keys are memoized per order instance.
+Every order is a matrix order (Robbiano, EUROCAL 1985): it ranks a tuple
+of variables and compares monomials by the rows of a nonnegative integer
+matrix, first row first. So the order is a total multiplicative order with
+1 minimal, and a key is linear in the exponents. key() packs the row
+values of one monomial into one int; nothing is memoized on the order.
+
+Division runs on a packed representation (_Packing, _Reducer): exponent
+vectors and keys are Python ints, coefficients are integers, and the next
+term comes from a heap (Monagan & Pearce, JSC 2011). Polynomial values are
+decoded only at the boundary.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .poly import (
@@ -18,98 +28,93 @@ from .poly import (
     ZeroPolynomialError,
 )
 
-LESS, EQUAL, GREATER = -1, 0, 1
+
+def _key_columns(rows: tuple, emax: int) -> list:
+    """Per variable, its column of the matrix as one int: each row gets a
+    bit field that holds the row's value for any exponents up to emax, the
+    first row in the most significant field. A key is then the sum of
+    exponent times column, and comparing keys compares row by row."""
+    columns, shift = [0] * (len(rows[0]) if rows else 0), 0
+    for row in reversed(rows):
+        for idx, w in enumerate(row):
+            columns[idx] += w << shift
+        shift += (emax * sum(row)).bit_length()
+    return columns
+
+
+_KEY_EMAX = (1 << 64) - 1
 
 
 class TermOrder:
-    """Base class; subclasses implement _key(monomial) -> tuple of ints."""
+    """A matrix order. Subclasses call _set_matrix once: `variables` are the
+    ranked variables and `rows[r][idx]` the weight of variables[idx] in
+    row r. A monomial in an unranked variable has no key."""
 
-    __slots__ = ("_cache",)
+    __slots__ = ("variables", "rows", "_columns")
 
-    def __init__(self):
-        self._cache = {}
+    def _set_matrix(self, variables: Sequence[Variable], rows: Iterable[Sequence[int]]) -> None:
+        self.variables = tuple(variables)
+        if len(set(self.variables)) != len(self.variables):
+            raise ValueError("ranking lists a variable twice")
+        self.rows = tuple(tuple(row) for row in rows)
+        self._columns = dict(zip(self.variables, _key_columns(self.rows, _KEY_EMAX)))
 
-    def key(self, m: Monomial) -> tuple:
-        got = self._cache.get(m)
-        if got is None:
-            got = self._key(m)
-            self._cache[m] = got
-        return got
+    def key(self, m: Monomial) -> int:
+        """The row values of m, each in its own bit field, first row most
+        significant: comparing keys compares monomials. Exponents must stay
+        below 2**64."""
+        columns, key = self._columns, 0
+        for v, e in m.exps:
+            col = columns.get(v)
+            if col is None:
+                raise RingMismatchError(f"variable {v.name} not ranked by this order")
+            if e > _KEY_EMAX:
+                raise ValueError(f"exponent {e} of {v.name} is too large to order")
+            key += e * col
+        return key
 
-    def _key(self, m: Monomial) -> tuple:
-        raise NotImplementedError
-
-    def compare(self, u: Monomial, v: Monomial) -> int:
-        ku, kv = self.key(u), self.key(v)
-        if ku < kv:
-            return LESS
-        if ku > kv:
-            return GREATER
-        return EQUAL
-
-
-def _rank_map(ranking: Sequence[Variable]) -> dict:
-    ranks = {v: idx for idx, v in enumerate(ranking)}
-    if len(ranks) != len(ranking):
-        raise ValueError("ranking lists a variable twice")
-    return ranks
+    def _restricted(self, keep) -> tuple:
+        """(variables, rows) of this matrix on the ranked variables in keep."""
+        cols = [idx for idx, v in enumerate(self.variables) if v in keep]
+        return [self.variables[idx] for idx in cols], [[row[idx] for idx in cols] for row in self.rows]
 
 
 class LexOrder(TermOrder):
     """Lexicographic order for the given ranking (first variable largest)."""
 
-    __slots__ = ("ranking", "_ranks")
+    __slots__ = ()
 
     def __init__(self, ranking: Sequence[Variable]):
-        super().__init__()
-        self.ranking = tuple(ranking)
-        self._ranks = _rank_map(self.ranking)
-
-    def _key(self, m: Monomial) -> tuple:
-        vec = [0] * len(self.ranking)
-        for v, e in m.exps:
-            idx = self._ranks.get(v)
-            if idx is None:
-                raise RingMismatchError(f"variable {v.name} not ranked by this order")
-            vec[idx] = e
-        return tuple(vec)
+        size = len(ranking)
+        self._set_matrix(ranking, ([int(r == c) for c in range(size)] for r in range(size)))
 
 
 class DegRevLexOrder(TermOrder):
-    """Degree reverse lexicographic order for the given ranking."""
+    """Degree reverse lexicographic order for the given ranking.
 
-    __slots__ = ("ranking", "_ranks")
+    Row r sums the first size - r variables: the degree, then, among equal
+    degrees, less of the last variable wins, then less of the one before.
+    """
+
+    __slots__ = ()
 
     def __init__(self, ranking: Sequence[Variable]):
-        super().__init__()
-        self.ranking = tuple(ranking)
-        self._ranks = _rank_map(self.ranking)
-
-    def _key(self, m: Monomial) -> tuple:
-        vec = [0] * len(self.ranking)
-        deg = 0
-        for v, e in m.exps:
-            idx = self._ranks.get(v)
-            if idx is None:
-                raise RingMismatchError(f"variable {v.name} not ranked by this order")
-            vec[idx] = e
-            deg += e
-        # ties break on which monomial involves less of the lowest variables
-        return (deg,) + tuple(-e for e in reversed(vec))
+        size = len(ranking)
+        self._set_matrix(ranking, ([int(c < size - r) for c in range(size)] for r in range(size)))
 
 
 class WeightedOrder(TermOrder):
     """Total weight first, then an arbitrary tiebreak order."""
 
-    __slots__ = ("weights", "tiebreak")
+    __slots__ = ("weights",)
 
     def __init__(self, weights: dict, tiebreak: TermOrder):
-        super().__init__()
         for v, w in weights.items():
-            if w <= 0:
-                raise ValueError(f"weight of {v.name} must be positive, got {w}")
+            if not isinstance(w, int) or w <= 0:
+                raise ValueError(f"weight of {v.name} must be a positive integer, got {w}")
         self.weights = dict(weights)
-        self.tiebreak = tiebreak
+        variables, rows = tiebreak._restricted(self.weights)
+        self._set_matrix(variables, [[self.weights[v] for v in variables], *rows])
 
     def weight(self, m: Monomial) -> int:
         total = 0
@@ -120,9 +125,6 @@ class WeightedOrder(TermOrder):
             total += w * e
         return total
 
-    def _key(self, m: Monomial) -> tuple:
-        return (self.weight(m), self.tiebreak.key(m))
-
 
 class BlockOrder(TermOrder):
     """Compare the sub-monomial on the first block, then the rest.
@@ -131,19 +133,15 @@ class BlockOrder(TermOrder):
     elimination order.
     """
 
-    __slots__ = ("first_vars", "first", "second")
+    __slots__ = ()
 
     def __init__(self, first_vars: Iterable[Variable], first: TermOrder, second: TermOrder):
-        super().__init__()
-        self.first_vars = frozenset(first_vars)
-        self.first = first
-        self.second = second
-
-    def _key(self, m: Monomial) -> tuple:
-        head = [p for p in m.exps if p[0] in self.first_vars]
-        tail = [p for p in m.exps if p[0] not in self.first_vars]
-        return (self.first.key(Monomial._make(tuple(head))),
-                self.second.key(Monomial._make(tuple(tail))))
+        first_vars = frozenset(first_vars)
+        head, head_rows = first._restricted(first_vars)
+        tail, tail_rows = second._restricted(set(second.variables) - first_vars)
+        pad_head, pad_tail = [0] * len(tail), [0] * len(head)
+        rows = [row + pad_head for row in head_rows] + [pad_tail + row for row in tail_rows]
+        self._set_matrix(head + tail, rows)
 
 
 def leading_term(p: Polynomial, order: TermOrder):
@@ -154,61 +152,233 @@ def leading_term(p: Polynomial, order: TermOrder):
     return m, p.terms[m]
 
 
-class _Reducer:
-    """Divisor list for repeated normal-form computations.
+class _Overflow(Exception):
+    """A packed exponent outgrew its field: repack wider and redo the work."""
 
-    It starts empty or from a basis and grows through add(); each divisor's
-    leading term is computed once, when it is added.
+
+class _Packing:
+    """Exponent ints and one-int keys for one order at one field width
+    (Monagan & Pearce, CASC 2007).
+
+    Ranked variable idx owns `bits` value bits at offset idx * (bits + 1),
+    with a guard bit above them. For in-range a and b, a divides b exactly
+    when ((b | guard) - a) & guard == guard, and a + b is the product, with
+    a guard bit set if some field overflowed. Each matrix row owns a key
+    field wide enough for every in-range monomial, so comparing keys as
+    ints is the order, and key(a * b) = key(a) + key(b) whenever a * b is
+    in range. A key is never used before its exponents are checked.
     """
 
-    __slots__ = ("lms", "lcs", "tails", "order")
+    __slots__ = ("order", "bits", "step", "guard", "emax", "index", "columns", "memo")
+
+    def __init__(self, order: TermOrder, bits: int):
+        self.order, self.bits, self.step = order, bits, bits + 1
+        self.emax = (1 << bits) - 1
+        count = len(order.variables)
+        self.guard = sum(1 << (self.step * idx + bits) for idx in range(count))
+        self.index = {v: idx for idx, v in enumerate(order.variables)}
+        self.columns = _key_columns(order.rows, self.emax)
+        self.memo = {}  # Monomial -> (key, exps) at this width
+
+    def term(self, m: Monomial) -> tuple:
+        """(key, exps) of a monomial; _Overflow when an exponent does not fit."""
+        got = self.memo.get(m)
+        if got is None:
+            index = self.index
+            try:
+                got = self.memo[m] = self.pack([(index[v], e) for v, e in m.exps])
+            except KeyError as exc:
+                raise RingMismatchError(f"variable {exc.args[0].name} not ranked by this order") from None
+        return got
+
+    def pack(self, fields) -> tuple:
+        """(key, exps) from (variable index, exponent) pairs."""
+        key = exps = 0
+        for idx, e in fields:
+            if e > self.emax:
+                raise _Overflow
+            exps += e << (self.step * idx)
+            key += e * self.columns[idx]
+        return key, exps
+
+    def fields(self, exps: int) -> list:
+        """(variable index, exponent) for every nonzero field."""
+        out, idx, mask = [], 0, self.emax
+        while exps:
+            if exps & mask:
+                out.append((idx, exps & mask))
+            exps >>= self.step
+            idx += 1
+        return out
+
+    def work(self, p: Polynomial) -> tuple:
+        """p scaled to integer coefficients by the lcm of its denominators:
+        ({key: [exps, coef]}, that lcm)."""
+        den = lcm(*(c.denominator for c in p.terms.values()))
+        work = {}
+        for m, c in p.terms.items():
+            key, exps = self.term(m)
+            work[key] = [exps, c.numerator * (den // c.denominator)]
+        return work, den
+
+    def lcm(self, a: int, b: int) -> int:
+        """Fieldwise maximum of two in-range exponent ints."""
+        ge = ((a | self.guard) - b) & self.guard  # guard bit of each field where a >= b
+        pick = ge - (ge >> self.bits)  # those fields' value bits
+        return (a & pick) | (b & ~pick)
+
+    def monomial(self, exps: int) -> Monomial:
+        variables = self.order.variables
+        return Monomial._make(tuple(sorted((variables[idx], e) for idx, e in self.fields(exps))))
+
+
+def _primitive(terms: list) -> list:
+    """Integer terms divided by their content, leading coefficient positive."""
+    g = gcd(*(c for _, _, c in terms))
+    if terms[0][2] < 0:
+        g = -g
+    return [(key, exps, c // g) for key, exps, c in terms]
+
+
+# Exponents up to 15 fit before the first repack; no verify run up to
+# (4,4) and no eliminate_x up to (2,4) needs one.
+_FIRST_BITS = 4
+
+
+class _Reducer:
+    """Packed divisor list for repeated normal-form computations.
+
+    Each divisor is a primitive integer polynomial with a positive leading
+    coefficient: a list of (key, exps, coef) terms in descending key order,
+    its leading term first. The list grows through add(). Work that raises
+    _Overflow runs through retrying(), which repacks every divisor at twice
+    the field width and runs it again.
+    """
 
     def __init__(self, order: TermOrder, basis: Sequence[Polynomial] = ()):
-        self.order = order
-        self.lms, self.lcs, self.tails = [], [], []
+        self._reset(_Packing(order, _FIRST_BITS))
         for b in basis:
-            self.add(b)
+            self.retrying(lambda: self.add(self.encode(b)))
 
-    def add(self, b: Polynomial) -> None:
-        if b.is_zero:
+    def _reset(self, packing: _Packing) -> None:
+        self.packing = packing
+        self.polys, self.lead_keys, self.leads, self.lcs, self.tails = [], [], [], [], []
+
+    def widen(self) -> None:
+        old, wide = self.packing, _Packing(self.packing.order, 2 * self.packing.bits)
+        polys = [[(*wide.pack(old.fields(exps)), c) for _, exps, c in p] for p in self.polys]
+        self._reset(wide)
+        for p in polys:
+            self.add(p)
+
+    def retrying(self, work):
+        """work(), run again after a repack for as long as it overflows."""
+        while True:
+            try:
+                return work()
+            except _Overflow:
+                self.widen()
+
+    def encode(self, p: Polynomial) -> list:
+        """p as a primitive packed divisor."""
+        if p.is_zero:
             raise ZeroPolynomialError("division by a basis containing zero")
-        lm, lc = leading_term(b, self.order)
-        self.lms.append(lm)
-        self.lcs.append(lc)
-        self.tails.append([(m, c) for m, c in b.terms.items() if m != lm])
+        work, _ = self.packing.work(p)
+        return _primitive(sorted(((key, e, c) for key, (e, c) in work.items()), reverse=True))
 
-    def reduce(self, p: Polynomial) -> Polynomial:
-        """Full remainder of p against the divisor list.
+    def add(self, poly: list) -> None:
+        self.polys.append(poly)
+        key, exps, c = poly[0]
+        self.lead_keys.append(key)
+        self.leads.append(exps)
+        self.lcs.append(c)
+        self.tails.append(poly[1:])
 
-        The order-largest reducible term is rewritten first, scanning
-        divisors in list order, so the result is deterministic.
+    def replace(self, idx: int, poly: list) -> None:
+        """Swap divisor idx for poly, which has the same leading monomial."""
+        self.polys[idx] = poly
+        self.lcs[idx] = poly[0][2]
+        self.tails[idx] = poly[1:]
+
+    def divide(self, work: dict, stop: bool = False, heap: list = None):
+        """Reduce work, {key: [exps, coef]}, fraction-free, consuming it.
+
+        The largest remaining term comes off a heap with lazy deletion (the
+        caller may pass one over work's keys) and is rewritten by the first
+        divisor whose lead divides it. Before subtracting c/lc times a
+        divisor, the whole work is multiplied by lc/gcd(c, lc), so it stays
+        integral: the work is always `scale` times the work of exact
+        division. Returns the remainder as (key, exps, coef, scale at the
+        time) terms in descending key order, and the final scale. With
+        stop, returns None at the first term that does not reduce: no later
+        term can cancel it, so the remainder is nonzero.
         """
-        key = self.order.key
-        lms = self.lms
-        work = dict(p.terms)
-        remainder = {}
-        while work:
-            m = max(work, key=key)
-            c = work.pop(m)
-            hit = -1
-            for idx, lm in enumerate(lms):
-                if lm.divides(m):
-                    hit = idx
+        guard, leads, lcs = self.packing.guard, self.leads, self.lcs
+        if heap is None:
+            heap = [-key for key in work]
+            heapify(heap)
+        rem, scale = [], 1
+        while heap:
+            key = -heappop(heap)
+            entry = work.pop(key, None)
+            if entry is None:
+                continue  # cancelled after it was pushed
+            exps, c = entry
+            probe = exps | guard
+            for idx, lead in enumerate(leads):
+                if (probe - lead) & guard == guard:
                     break
-            if hit < 0:
-                remainder[m] = c
+            else:
+                if stop:
+                    return None
+                rem.append((key, exps, c, scale))
                 continue
-            q = m.div(lms[hit])
-            factor = c / self.lcs[hit]
-            for bm, bc in self.tails[hit]:
-                mm = bm.mul(q)
-                prev = work.get(mm)
-                nc = -factor * bc if prev is None else prev - factor * bc
-                if nc:
-                    work[mm] = nc
-                elif prev is not None:
-                    del work[mm]
-        return Polynomial(p.ring, remainder, _trusted=True)
+            lc = lcs[idx]
+            if lc != 1:
+                g = gcd(c, lc)
+                if g != lc:
+                    up = lc // g
+                    scale *= up
+                    for other in work.values():
+                        other[1] *= up
+                c //= g
+            self.subtract(work, heap, idx, exps - lead, key - self.lead_keys[idx], c)
+        return rem, scale
+
+    def subtract(self, work: dict, heap: list, idx: int, qexps: int, qkey: int, f: int) -> None:
+        """work -= f * q * tail of divisor idx, for the monomial q with
+        exponents qexps and key qkey; new terms go on the heap."""
+        guard = self.packing.guard
+        for bkey, bexps, bc in self.tails[idx]:
+            nexps = bexps + qexps
+            if nexps & guard:
+                raise _Overflow
+            nkey = bkey + qkey
+            other = work.get(nkey)
+            if other is None:
+                work[nkey] = [nexps, -f * bc]
+                heappush(heap, -nkey)
+            else:
+                s = other[1] - f * bc
+                if s:
+                    other[1] = s
+                else:
+                    del work[nkey]
+
+    def reduces_to_zero(self, p: Polynomial) -> bool:
+        return self.retrying(lambda: self.divide(self.packing.work(p)[0], stop=True) is not None)
+
+    def normal_form(self, p: Polynomial) -> Polynomial:
+        """The exact remainder of p, with Fraction coefficients."""
+
+        def run():
+            work, den = self.packing.work(p)
+            return self.divide(work)[0], den
+
+        rem, den = self.retrying(run)
+        monomial = self.packing.monomial
+        terms = {monomial(exps): Fraction(c, den * s) for _, exps, c, s in rem}
+        return Polynomial(p.ring, terms, _trusted=True)
 
 
 def normal_form(p: Polynomial, basis: Sequence[Polynomial], order: TermOrder) -> Polynomial:
@@ -218,4 +388,4 @@ def normal_form(p: Polynomial, basis: Sequence[Polynomial], order: TermOrder) ->
     for b in basis:
         if b.ring != p.ring:
             raise RingMismatchError("division across different rings")
-    return _Reducer(order, basis).reduce(p)
+    return _Reducer(order, basis).normal_form(p)

@@ -14,7 +14,6 @@ of polynomials and monomials: reprs, the text format and the CAS scripts.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Iterable, Mapping, NamedTuple, Union
 
 Rational = Union[int, Fraction]
@@ -257,11 +256,19 @@ def format_rational(c: Rational) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    """A rational from its "num/den" (or integer) string; any other type,
-    a JSON float in particular, is rejected rather than coerced."""
-    if not isinstance(text, str):
-        raise ValueError(f'rational must be a "num/den" string, got {text!r}')
-    return Fraction(text)
+    """A rational from its ASCII "num/den" or integer string with a nonzero
+    denominator, the form str(Fraction) writes. Anything else, a JSON
+    float, "1.5e1", " 2 " or "1/0" among them, is rejected, never coerced;
+    callers prefix the error with the field's path."""
+    if isinstance(text, str):
+        num, slash, den = text.partition("/")
+        if _digits(num[1:] if num[:1] == "-" else num) and (not slash or _digits(den) and int(den)):
+            return Fraction(int(num), int(den) if slash else 1)
+    raise ValueError(f'must be a "num/den" string with a nonzero denominator, got {text!r:.40}')
+
+
+def _digits(text: str) -> bool:
+    return text.isascii() and text.isdigit()
 
 
 _JSON_KINDS = {int: "an integer", str: "a string", list: "an array", dict: "an object"}
@@ -497,37 +504,6 @@ class Polynomial:
             total += v
         return total
 
-    # -- normal forms ------------------------------------------------------
-
-    def canonical_lead_monomial(self) -> Monomial:
-        """Order-free deterministic lead: lex over the sorted variable list."""
-        if not self.terms:
-            raise ZeroPolynomialError("zero polynomial has no lead monomial")
-        return max(self.terms, key=self.ring.canonical_key)
-
-    def content_normalize(self, order=None) -> "Polynomial":
-        """Scale to coprime integer coefficients with positive lead coefficient.
-
-        The lead is taken in the given term order when provided, otherwise in
-        the canonical order-free sense. Ideal membership is unaffected.
-        """
-        if not self.terms:
-            raise ZeroPolynomialError("cannot normalize the zero polynomial")
-        den = 1
-        for c in self.terms.values():
-            den = lcm(den, c.denominator)
-        num = 0
-        for c in self.terms.values():
-            num = gcd(num, c.numerator * (den // c.denominator))
-        factor = Fraction(den, num)
-        if order is not None:
-            lead = max(self.terms, key=order.key)
-        else:
-            lead = self.canonical_lead_monomial()
-        if self.terms[lead] < 0:
-            factor = -factor
-        return self.scale(factor)
-
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> list:
@@ -551,7 +527,11 @@ class Polynomial:
             at = f"[{idx}]"
             exps = json_field(entry, "m", dict, at).items()
             mono = Monomial((parse_var(v), json_value(e, int, f"{at}.m.{v}")) for v, e in exps)
-            terms.append((mono, parse_c(json_field(entry, "c", str, at))))
+            text = json_field(entry, "c", str, at)
+            try:
+                terms.append((mono, parse_c(text)))
+            except ValueError as exc:
+                raise ValueError(f"{at}.c {exc}") from None
         return cls(ring, terms)
 
     def __repr__(self) -> str:

@@ -92,8 +92,14 @@ class CoefficientTuple:
     @classmethod
     def from_json(cls, data: dict) -> "CoefficientTuple":
         """Inverse of to_json; errors name the bad field, e.g. values[1]."""
-        rows = enumerate(json_field(data, "values", list))
-        values = [[parse_rational(v) for v in json_value(row, list, f"values[{i}]")] for i, row in rows]
+        values = []
+        for i, row in enumerate(json_field(data, "values", list)):
+            values.append([])
+            for j, text in enumerate(json_value(row, list, f"values[{i}]")):
+                try:
+                    values[i].append(parse_rational(text))
+                except ValueError as exc:
+                    raise ValueError(f"values[{i}][{j}] {exc}") from None
         return cls(json_field(data, "d", int), json_field(data, "n", int), values)
 
     def __eq__(self, other) -> bool:

@@ -3,20 +3,24 @@
 Everything here deliberately avoids the library's expansion and
 enumeration code paths: determinants come from the raw permutation sum and
 covers from exhaustive subset enumeration, so agreement is meaningful.
-The all-pairs Groebner check shares the library's reducer and
-s-polynomial but none of its pair selection. Ranks of specialized cascade
-matrices come from Bareiss elimination, not from the library's band
-recursion.
+_Reducer is the reference division: Fraction coefficients, Monomial
+arithmetic and a max() rescan of the work for every step, against the
+library's packed, fraction-free, heap-driven reducer. The all-pairs
+Groebner check reduces with it and shares only the library's
+Polynomial-level s-polynomial, none of its pair selection. Ranks of
+specialized cascade matrices come from Bareiss elimination, not from the
+library's band recursion.
 """
 
+import functools
 from fractions import Fraction
 from itertools import combinations, permutations
 from typing import List, Sequence
 
 from resultantforge.cascade import CascadeMatrix
 from resultantforge.groebner import s_polynomial
-from resultantforge.orders import _Reducer
-from resultantforge.poly import Monomial, Polynomial, Ring
+from resultantforge.orders import TermOrder, leading_term
+from resultantforge.poly import Monomial, Polynomial, Ring, ZeroPolynomialError
 from resultantforge.roots import CoefficientTuple, _integer_rows
 
 
@@ -102,9 +106,68 @@ def rank_by_minors(rows) -> int:
     return 0
 
 
+class _Reducer:
+    """Divisor list for repeated normal-form computations.
+
+    It starts empty or from a basis and grows through add(); each divisor's
+    leading term is computed once, when it is added.
+    """
+
+    __slots__ = ("lms", "lcs", "tails", "order", "key")
+
+    def __init__(self, order: TermOrder, basis: Sequence[Polynomial] = ()):
+        self.order = order
+        self.key = functools.cache(order.key)  # order keys are not memoized
+        self.lms, self.lcs, self.tails = [], [], []
+        for b in basis:
+            self.add(b)
+
+    def add(self, b: Polynomial) -> None:
+        if b.is_zero:
+            raise ZeroPolynomialError("division by a basis containing zero")
+        lm, lc = leading_term(b, self.order)
+        self.lms.append(lm)
+        self.lcs.append(lc)
+        self.tails.append([(m, c) for m, c in b.terms.items() if m != lm])
+
+    def reduce(self, p: Polynomial) -> Polynomial:
+        """Full remainder of p against the divisor list.
+
+        The order-largest reducible term is rewritten first, scanning
+        divisors in list order, so the result is deterministic.
+        """
+        key = self.key
+        lms = self.lms
+        work = dict(p.terms)
+        remainder = {}
+        while work:
+            m = max(work, key=key)
+            c = work.pop(m)
+            hit = -1
+            for idx, lm in enumerate(lms):
+                if lm.divides(m):
+                    hit = idx
+                    break
+            if hit < 0:
+                remainder[m] = c
+                continue
+            q = m.div(lms[hit])
+            factor = c / self.lcs[hit]
+            for bm, bc in self.tails[hit]:
+                mm = bm.mul(q)
+                prev = work.get(mm)
+                nc = -factor * bc if prev is None else prev - factor * bc
+                if nc:
+                    work[mm] = nc
+                elif prev is not None:
+                    del work[mm]
+        return Polynomial(p.ring, remainder, _trusted=True)
+
+
 def all_pairs_groebner(basis, order) -> bool:
     """Full Buchberger criterion: every one of the m(m-1)/2 s-polynomials
-    reduces to zero. Reference for the pair-pruned certificate."""
+    reduces to zero under the reference _Reducer. Reference for the
+    pair-pruned certificate."""
     basis = list(basis)
     reducer = _Reducer(order, basis)
     for i in range(len(basis)):

@@ -332,8 +332,15 @@ class TestMalformedDocuments:
             dict(GOOD_TUPLE, d=1.9),
             dict(GOOD_TUPLE, d="1"),
             dict(GOOD_TUPLE, d=True),
+            {"d": 1, "n": 2, "values": [["1", "2"], ["3", "1/0"]]},
+            {"d": 1, "n": 2, "values": [["1", "1.5e1"], ["3", "4"]]},
+            {"d": 1, "n": 2, "values": [[" 2 ", "2"], ["3", "4"]]},
+            {"d": 1, "n": 2, "values": [["1", "2"], ["3/-4", "4"]]},
         ],
-        ids=["no-values", "values-not-list", "row-not-list", "array", "float-d", "string-d", "bool-d"],
+        ids=[
+            "no-values", "values-not-list", "row-not-list", "array", "float-d", "string-d", "bool-d",
+            "zero-denominator", "exponent-notation", "padded", "negative-denominator",
+        ],
     )
     def test_eval_exits_two(self, capsys, tmp_path, doc):
         blob = tmp_path / "tuple.json"
@@ -355,11 +362,16 @@ class TestMalformedDocuments:
             [[GOOD_TERM]],
             {"d": 1, "n": 2, "generators": [[{"c": "1", "m": {"a_01_0": 1, "a_1_0": 1}}]]},
             {"d": 1, "n": 2, "generators": [[{"c": "1", "m": {"a_1_0": 1}}, {"c": "1", "m": {"1": 1}}]]},
+            {"d": 1, "n": 2, "generators": [[{"c": "1/0", "m": {"a_1_0": 1}}]]},
+            {"d": 1, "n": 2, "generators": [[{"c": "1.5e1", "m": {"a_1_0": 1}}]]},
+            {"d": 1, "n": 2, "generators": [[{"c": " 2 ", "m": {"a_1_0": 1}}]]},
+            {"d": 1, "n": 2, "generators": [[{"c": "1.5", "m": {"a_1_0": 1}}]]},
         ],
         ids=[
             "no-generators", "generator-not-list", "term-without-c", "term-without-m",
             "float-exponent", "bool-exponent", "string-exponent", "float-d", "array",
-            "non-canonical-name", "name-equal-to-a-coefficient",
+            "non-canonical-name", "name-equal-to-a-coefficient", "zero-denominator",
+            "exponent-notation", "padded", "decimal-point",
         ],
     )
     def test_export_input_exits_two(self, capsys, tmp_path, doc):
@@ -373,6 +385,32 @@ class TestMalformedDocuments:
         blob.write_text(json.dumps({"d": 1, "n": 2, "generators": [[GOOD_TERM, {"m": {}}]]}))
         assert main(["export", "--input", str(blob), "--format", "text"]) == 2
         assert capsys.readouterr().err == "error: generators[0]: [1].c is missing\n"
+
+    @pytest.mark.parametrize("c", ["1/0", "1.5e1", " 2 "])
+    def test_bad_rational_names_the_field(self, capsys, tmp_path, c):
+        blob = tmp_path / "ideal.json"
+        blob.write_text(json.dumps({"d": 1, "n": 2, "generators": [[GOOD_TERM, {"c": c, "m": {}}]]}))
+        assert main(["export", "--input", str(blob), "--format", "text"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f'error: generators[0]: [1].c must be a "num/den" string with a nonzero denominator, got {c!r}\n'
+        )
+
+    def test_bad_tuple_entry_names_the_field(self, capsys, tmp_path):
+        blob = tmp_path / "tuple.json"
+        blob.write_text(json.dumps({"d": 1, "n": 2, "values": [["1", "2"], ["3", "1/0"]]}))
+        assert main(["eval", "--d", "1", "--n", "2", "--coeffs", str(blob)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: values[1][1] must be")
+
+    def test_fraction_strings_still_parse(self, capsys, tmp_path):
+        # str(Fraction) output, as sample and the benchmark write it
+        terms = [{"c": "-12/7", "m": {"a_1_0": 1}}, {"c": "5", "m": {"a_2_1": 1}}, {"c": "007/2", "m": {}}]
+        blob = tmp_path / "ideal.json"
+        blob.write_text(json.dumps({"d": 1, "n": 2, "generators": [terms]}))
+        code, out = run(capsys, "export", "--input", str(blob), "--format", "text")
+        assert code == 0 and out == "-12/7*a_1_0 + 5*a_2_1 + 7/2\n"
 
     def test_name_is_not_read_as_a_coefficient(self, capsys, tmp_path):
         # "1" is first read as a "c", then met as a variable name

@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from resultantforge import groebner
 from resultantforge.diagonal import build_diagonal_weights, diagonal_order
 from resultantforge.groebner import (
     IdealPresentation,
@@ -21,7 +22,7 @@ from resultantforge.groebner import (
 )
 from resultantforge.minors import enumerate_generators
 from resultantforge.orders import BlockOrder, DegRevLexOrder, LexOrder, leading_term, normal_form
-from resultantforge.poly import Polynomial, Ring, ZeroPolynomialError
+from resultantforge.poly import Monomial, Polynomial, Ring, ZeroPolynomialError
 
 from conftest import GRID
 from oracles import all_pairs_groebner, sylvester_resultant
@@ -139,15 +140,45 @@ class TestBuchberger:
         ring = Ring(2, 3)
         order = DegRevLexOrder(ring.coeff_vars_column_major())
         gens = [rec.poly for rec in enumerate_generators(2, 3, ring)]
-        with pytest.raises(ResourceExhaustedError):
+        with pytest.raises(ResourceExhaustedError, match=r"^pair limit 1 exceeded$"):
             buchberger(gens, order, Limits(max_pairs=1))
 
     def test_basis_size_limit_raises(self):
         ring = Ring(2, 3)
         order = DegRevLexOrder(ring.coeff_vars_column_major())
         gens = [rec.poly for rec in enumerate_generators(2, 3, ring)]
-        with pytest.raises(ResourceExhaustedError):
+        with pytest.raises(ResourceExhaustedError, match=r"^basis size limit 3 exceeded$"):
             buchberger(gens, order, Limits(max_basis=3))
+
+    def test_degree_limit_raises(self):
+        # the first basis element, a_1_0 x^2 + ..., has degree 3
+        ring = Ring(2, 2, with_x=True)
+        with pytest.raises(
+            ResourceExhaustedError, match=r"^degree limit 2 exceeded by a basis element of degree 3$"
+        ):
+            buchberger(system_polynomials(ring), elimination_order(ring), Limits(max_degree=2))
+
+    def test_repacks_mid_run_and_certifies(self, monkeypatch):
+        # lex x > y: the pair of x^3 - y and x - y^10 reduces through
+        # x y^20 to y^30 - y, past the first field width of 15
+        ring, x, y, order = xy_setup()
+        y10 = Polynomial.term(ring, Monomial({ring.coeff(1, 1): 10}), 1)
+        y30 = Polynomial.term(ring, Monomial({ring.coeff(1, 1): 30}), 1)
+        repacked_at = []
+        widen = groebner._Run.widen
+
+        def spy(run):
+            repacked_at.append(len(run.polys))
+            widen(run)
+
+        monkeypatch.setattr(groebner._Run, "widen", spy)
+        pres = buchberger([x * x * x - y, x - y10], order)
+        # mid-run, with both generators in; then the self-check's fresh
+        # certificate repacks before y^30 fits
+        assert repacked_at == [2, 0]
+        assert pres.certified_basis == [y30 - y, x - y10]
+        assert is_groebner_basis(pres.certified_basis, order)
+        assert all_pairs_groebner(pres.certified_basis, order)
 
     def test_timeout_raises(self):
         ring = Ring(2, 3, with_x=True)
@@ -302,3 +333,16 @@ class TestReducedBasis:
         assert_reduced(buchberger(system_polynomials(ring_x), order).certified_basis, order)
         elim = eliminate_x(*dn)
         assert_reduced(elim.certified_basis, elim.order)
+
+
+@pytest.mark.slow
+def test_verify_groebner_four_four(capsys):
+    from resultantforge.cli import main
+
+    assert main(["verify", "groebner", "--d", "4", "--n", "4"]) == 0
+    assert '"status": "pass"' in capsys.readouterr().out
+
+
+@pytest.mark.slow
+def test_eliminate_two_four():
+    assert len(eliminate_x(2, 4).generators) == 24

@@ -4,16 +4,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from resultantforge.diagonal import build_diagonal_weights, diagonal_order
+from resultantforge.groebner import elimination_order
 from resultantforge.orders import (
-    EQUAL,
-    GREATER,
-    LESS,
     BlockOrder,
     DegRevLexOrder,
     LexOrder,
     WeightedOrder,
+    _FIRST_BITS,
+    _Reducer,
     leading_term,
     normal_form,
 )
@@ -27,6 +29,8 @@ from resultantforge.poly import (
     RingMismatchError,
     ZeroPolynomialError,
 )
+
+from oracles import _Reducer as ReferenceReducer
 
 
 def mono(*pairs):
@@ -43,14 +47,14 @@ class TestCompare:
         order = DegRevLexOrder(ring.coeff_vars_row_major())
         u = mono((ring.coeff(1, 0), 2))
         v = mono((ring.coeff(1, 0), 1), (ring.coeff(1, 1), 1))
-        assert order.compare(u, v) == GREATER
+        assert order.key(u) > order.key(v)
 
     def test_equal_iff_same_monomial(self):
         ring = Ring(2, 3)
         for order in (LexOrder(ring.coeff_vars_row_major()), DegRevLexOrder(ring.coeff_vars_row_major())):
             m = mono((ring.coeff(2, 1), 1))
-            assert order.compare(m, m) == EQUAL
-            assert order.compare(m, mono((ring.coeff(2, 1), 2))) != EQUAL
+            assert order.key(m) == order.key(mono((ring.coeff(2, 1), 1)))
+            assert order.key(m) != order.key(mono((ring.coeff(2, 1), 2)))
 
     def test_weighted_diagonal_weights(self):
         ring = Ring(2, 3)
@@ -60,7 +64,17 @@ class TestCompare:
         assert isinstance(order, WeightedOrder)
         assert order.weight(u) == 17
         assert order.weight(v) == 13
-        assert order.compare(u, v) == GREATER
+        assert order.key(u) > order.key(v)
+
+    def test_exponents_below_two_to_the_64_are_ordered(self):
+        ring = Ring(2, 3)
+        a, b = ring.coeff(1, 0), ring.coeff(1, 1)
+        for order in (LexOrder(ring.coeff_vars_row_major()), DegRevLexOrder(ring.coeff_vars_row_major())):
+            top = 2**64 - 1
+            assert order.key(mono((a, top))) > order.key(mono((a, top - 1), (b, 1)))
+            assert order.key(mono((a, 1), (b, top - 1))) > order.key(mono((b, top)))
+            with pytest.raises(ValueError, match="too large"):
+                order.key(mono((a, 2**64)))
 
     def test_unknown_variable_rejected(self):
         ring = Ring(2, 3)
@@ -94,13 +108,13 @@ class TestOrderAxioms:
             pool = list(pool)[:6]
             for _ in range(120):
                 u, v, w = (rand_monomial(rng, pool) for _ in range(3))
+                ku, kv = order.key(u), order.key(v)
                 if not u.is_one:
-                    assert order.compare(MONOMIAL_ONE, u) == LESS
-                cuv = order.compare(u, v)
-                assert cuv == -order.compare(v, u)
-                assert (cuv == EQUAL) == (u == v)
-                if cuv == LESS:
-                    assert order.compare(u.mul(w), v.mul(w)) == LESS
+                    assert order.key(MONOMIAL_ONE) < ku
+                assert (ku < kv) == (kv > ku)
+                assert (ku == kv) == (u == v)
+                if ku < kv:
+                    assert order.key(u.mul(w)) < order.key(v.mul(w))
 
 
 class TestLeadingTerm:
@@ -173,3 +187,52 @@ class TestNormalForm:
                 assert not any(lm.divides(m) for lm in lms)
             # the subtracted part must itself reduce to zero
             assert normal_form(target - rem, basis, order).is_zero
+
+
+RING = Ring(2, 2)
+RING_X = Ring(2, 2, with_x=True)
+# each order with the ring it runs in and a pool of five variables
+DIFFERENTIAL_ORDERS = {
+    "lex": (LexOrder(RING.coeff_vars_row_major()), RING),
+    "degrevlex": (DegRevLexOrder(RING.coeff_vars_column_major()), RING),
+    "diagonal": (diagonal_order(build_diagonal_weights(2, 2), RING), RING),
+    "elimination": (elimination_order(RING_X), RING_X),
+}
+COEFFS = st.fractions(min_value=-9, max_value=9, max_denominator=6).filter(bool)
+
+
+def polynomials(ring, max_terms):
+    pool = [v for v in ring.variables if v.kind == "x"] + list(ring.coeff_vars_row_major())[:5 - ring.with_x]
+    monos = st.lists(st.integers(0, 3), min_size=len(pool), max_size=len(pool)).map(
+        lambda exps: Monomial(zip(pool, exps))
+    )
+    return st.dictionaries(monos, COEFFS, min_size=1, max_size=max_terms).map(lambda t: Polynomial(ring, t))
+
+
+class TestPackedReducer:
+    @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_ORDERS))
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_matches_reference_reducer(self, name, data):
+        # remainder and every coefficient, exactly; a non-unit leading
+        # coefficient makes the fraction-free reducer scale its work
+        order, ring = DIFFERENTIAL_ORDERS[name]
+        basis = data.draw(st.lists(polynomials(ring, 4), min_size=1, max_size=3))
+        assume(any(abs(leading_term(b, order)[1]) != 1 for b in basis))
+        p = data.draw(polynomials(ring, 8))
+        assert normal_form(p, basis, order) == ReferenceReducer(order, basis).reduce(p)
+
+    @pytest.mark.parametrize("power", [10, 40])
+    def test_exponents_outgrow_the_first_field_width(self, power):
+        # lex x > y: x^3 rewrites to y^(3*power), beyond the first width
+        # either while reducing (10) or already when y^40 is packed (40)
+        order = LexOrder(RING.coeff_vars_row_major())
+        x, y = (Polynomial.variable(RING, RING.coeff(1, j)) for j in (0, 1))
+        divisor = x - Polynomial.term(RING, mono((RING.coeff(1, 1), power)), 1)
+        target = x * x * x + y.scale(Fraction(2, 3))
+        reducer = _Reducer(order, [divisor])
+        got = reducer.normal_form(target)
+        assert (1 << _FIRST_BITS) <= 3 * power <= reducer.packing.emax
+        assert got == ReferenceReducer(order, [divisor]).reduce(target)
+        assert got == Polynomial.term(RING, mono((RING.coeff(1, 1), 3 * power)), 1) + y.scale(Fraction(2, 3))
+        assert normal_form(target, [divisor], order) == got

@@ -13,7 +13,6 @@ from resultantforge.poly import (
     Ring,
     RingMismatchError,
     Variable,
-    ZeroPolynomialError,
 )
 
 
@@ -214,24 +213,6 @@ class TestEvaluate:
         p = x * x - Polynomial.constant(ring, 1)
         assert p.evaluate({ring.x: Fraction(3, 2)}) == Fraction(5, 4)
         assert p.evaluate({ring.x: 1}) == 0
-
-
-class TestContentNormalize:
-    def test_examples(self):
-        ring = Ring(1, 2, with_x=True)
-        x = Polynomial.variable(ring, ring.x)
-        one = Polynomial.constant(ring, 1)
-        p = x.scale(Fraction(1, 2)) - one
-        assert p.content_normalize() == x - one.scale(2)
-        q = x.scale(-2) + one.scale(4)
-        assert q.content_normalize() == x - one.scale(2)
-        a10 = Polynomial.variable(ring, ring.coeff(1, 0))
-        a11 = Polynomial.variable(ring, ring.coeff(1, 1))
-        assert (a10.scale(6) - a11.scale(9)).content_normalize() == a10.scale(2) - a11.scale(3)
-
-    def test_zero_rejected(self):
-        with pytest.raises(ZeroPolynomialError):
-            Polynomial.zero(Ring(1, 2)).content_normalize()
 
 
 class TestJson:
