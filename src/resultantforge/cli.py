@@ -9,6 +9,7 @@ default Buchberger limits for every subcommand.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -29,7 +30,7 @@ from .groebner import (
     ideal_equal,
     is_groebner_basis,
 )
-from .minors import enumerate_generators, generators_for_basis
+from .minors import enumerate_generators, expand_walks, generator_walks, generators_for_basis, packed_minors
 from .orders import DegRevLexOrder, LexOrder, leading_term
 from .poly import Ring
 from .roots import CoefficientTuple, membership_scan, sample_planted, sample_random
@@ -55,12 +56,18 @@ def _limits(args) -> Limits:
     return dataclasses.replace(base, **overrides)
 
 
-def _emit(args, text: str) -> None:
+@contextlib.contextmanager
+def _output(args):
     if getattr(args, "output", None):
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
+
+
+def _emit(args, text: str) -> None:
+    with _output(args) as out:
+        out.write(text)
 
 
 def _check_k(args) -> None:
@@ -68,16 +75,24 @@ def _check_k(args) -> None:
         raise UsageError(f"--k must lie in 1..{args.d}, got {args.k}")
 
 
-def _records(args):
+def _walks(args) -> list:
+    """The walks of the requested generators in output order, --k picking
+    one depth before any minor is expanded."""
     _check_k(args)
-    k = args.k
-    if args.reduced_only:
-        records = generators_for_basis(args.d, args.n)
-    else:
-        records = enumerate_generators(args.d, args.n)
-    if k is not None:
-        records = [rec for rec in records if rec.k == k]
-    return records
+    walks = enumerate_reduced(args.d, args.n) if args.reduced_only else generator_walks(args.d, args.n)
+    if args.k is not None:
+        walks = [w for w in walks if len(w) == args.d + args.k]
+    return walks
+
+
+def _write_generators(args) -> None:
+    """Stream the requested generators: each minor is printed as it is
+    expanded and written before the next one is."""
+    ring = Ring(args.d, args.n)
+    packing, minors = packed_minors(ring, _walks(args))
+    pieces = exports.ideal_pieces(ring, packing, minors, args.format, args.alias)
+    with _output(args) as out:
+        out.writelines(pieces)
 
 
 def _named_order(name: str, ring: Ring):
@@ -91,9 +106,7 @@ def _named_order(name: str, ring: Ring):
 
 
 def _cmd_gens(args) -> int:
-    ring = Ring(args.d, args.n)
-    polys = [rec.poly for rec in _records(args)]
-    _emit(args, exports.export_ideal(ring, polys, args.format, args.alias))
+    _write_generators(args)
     return 0
 
 
@@ -130,7 +143,8 @@ def _cmd_walks(args) -> int:
 def _cmd_leadterms(args) -> int:
     ring = Ring(args.d, args.n)
     order = _named_order(args.order, ring)
-    doc = [repr(leading_term(rec.poly, order)[0]) for rec in _records(args)]
+    records = expand_walks(args.d, args.n, _walks(args), ring)
+    doc = [repr(leading_term(rec.poly, order)[0]) for rec in records]
     _emit(args, json.dumps(doc, indent=2) + "\n")
     return 0
 
@@ -217,21 +231,35 @@ def _cmd_eval(args) -> int:
             f"coefficient file is for (d={tup.d}, n={tup.n}), flags say (d={args.d}, n={args.n})"
         )
     report = membership_scan(tup)
-    doc = {
-        "root_report": {
-            "has_affine_common_root": report.root.has_affine_common_root,
-            "all_leading_zero": report.root.all_leading_zero,
-            "gcd_degree": report.root.gcd_degree,
-        },
-        "generators": [
-            {"k": sel.k, "rows": [list(p) for p in sel.pairs], "vanishes": v}
-            for sel, v in zip(report.selections, report.vanishing)
-        ],
-        "top_minors_all_vanish": report.top_minors_all_vanish,
-        "biconditional_ok": report.biconditional_ok,
-    }
-    _emit(args, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _emit(args, _eval_doc(report))
     return 0 if report.biconditional_ok else 1
+
+
+def _eval_doc(report) -> str:
+    """The eval report, written directly: the bytes of json.dumps(indent=2,
+    sort_keys=True) + "\n" for {"biconditional_ok", "generators": [{"k",
+    "rows", "vanishes"}, ...], "root_report", "top_minors_all_vanish"}. Each
+    [i, j] row block is rendered once."""
+    rows, gens = {}, []
+    for sel, vanishes in zip(report.selections, report.vanishing):
+        for pair in sel.pairs:
+            if pair not in rows:
+                rows[pair] = f"        [\n          {pair[0]},\n          {pair[1]}\n        ]"
+        block = ",\n".join(rows[pair] for pair in sel.pairs)
+        gens.append(f'    {{\n      "k": {sel.k},\n      "rows": [\n{block}\n      ],\n      "vanishes": {_json_bool(vanishes)}\n    }}')
+    body = "[\n" + ",\n".join(gens) + "\n  ]" if gens else "[]"
+    root = report.root
+    return (
+        f'{{\n  "biconditional_ok": {_json_bool(report.biconditional_ok)},\n  "generators": {body},\n'
+        f'  "root_report": {{\n    "all_leading_zero": {_json_bool(root.all_leading_zero)},\n'
+        f'    "gcd_degree": {root.gcd_degree},\n'
+        f'    "has_affine_common_root": {_json_bool(root.has_affine_common_root)}\n  }},\n'
+        f'  "top_minors_all_vanish": {_json_bool(report.top_minors_all_vanish)}\n}}\n'
+    )
+
+
+def _json_bool(flag: bool) -> str:
+    return "true" if flag else "false"
 
 
 def _cmd_sample(args) -> int:
@@ -249,12 +277,11 @@ def _cmd_export(args) -> int:
             raise UsageError(f"--input does not combine with {', '.join(given)}")
         with open(args.input, "r", encoding="utf-8") as fh:
             ring, polys = exports.from_json_doc(fh.read())
+        _emit(args, exports.export_ideal(ring, polys, args.format, args.alias))
     elif args.d is not None and args.n is not None:
-        ring = Ring(args.d, args.n)
-        polys = [rec.poly for rec in _records(args)]
+        _write_generators(args)
     else:
         raise UsageError("export needs --input or both --d and --n")
-    _emit(args, exports.export_ideal(ring, polys, args.format, args.alias))
     return 0
 
 

@@ -1,22 +1,24 @@
-"""Exporters to external computer-algebra script formats.
+"""Exporters to external computer-algebra script formats and the JSON
+ideal document.
 
 External systems are export targets only, never runtime dependencies.
 Rationals are always printed as num/den strings, output is byte-stable for
 fixed input, and ring declarations list the coefficient variables in
-column-major order (all leading coefficients first). Polynomials are
-rendered by poly.polynomial_text, the same printer as their repr; this
-module only chooses the variable names and the script around them. The
-JSON ideal document is the one format written here term by term, with the
-bytes json.dumps would give.
+column-major order (all leading coefficients first). Every format is
+printed from packed terms by poly.Packing, the one printer of terms, which
+also backs reprs; this module only chooses the variable names and the
+script around them. ideal_pieces writes a document generator by
+generator, so `gens` streams each minor from its expansion to the output;
+export_ideal packs Polynomials and joins the same pieces.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .poly import Polynomial, Ring, Variable, format_rational, json_field, parse_rational, polynomial_text
+from .poly import Packing, Polynomial, Ring, Variable, json_field, parse_rational
 
 FORMATS = ("json", "m2", "singular", "text")
 
@@ -35,33 +37,6 @@ def alias_name(var: Variable, d: int) -> str:
     return f"{_LETTERS[var.j]}_{var.i}"
 
 
-def to_json_doc(ring: Ring, polys: Sequence[Polynomial]) -> str:
-    """The ideal document, written directly: the same bytes as
-    json.dumps({"d", "n", "generators": [p.to_json(), ...]}, indent=2,
-    sort_keys=True) + "\n". Names and rational strings need no escaping,
-    and each monomial's "m" block is rendered once per call."""
-    blocks = {}
-
-    def block(m) -> str:
-        got = blocks.get(m)
-        if got is None:
-            # sort_keys orders by name, so a_10_0 comes before a_1_0
-            named = sorted((v.name, e) for v, e in m.exps)
-            body = ",\n".join(f'          "{name}": {e}' for name, e in named)
-            got = blocks[m] = "{\n" + body + "\n        }" if body else "{}"
-        return got
-
-    gens = []
-    for p in polys:
-        terms = [
-            f'      {{\n        "c": "{format_rational(p.terms[m])}",\n        "m": {block(m)}\n      }}'
-            for m in sorted(p.terms, key=p.ring.canonical_key, reverse=True)
-        ]
-        gens.append("    [\n" + ",\n".join(terms) + "\n    ]" if terms else "    []")
-    body = "[\n" + ",\n".join(gens) + "\n  ]" if gens else "[]"
-    return f'{{\n  "d": {ring.d},\n  "generators": {body},\n  "n": {ring.n}\n}}\n'
-
-
 def from_json_doc(text: str):
     """The ring and generators of an ideal document; a malformed document
     raises ValueError naming the bad field, e.g. generators[0][1].c."""
@@ -78,51 +53,53 @@ def from_json_doc(text: str):
     return ring, polys
 
 
-def to_m2(ring: Ring, polys: Sequence[Polynomial], alias: Optional[bool] = None) -> str:
-    """A Macaulay2 script declaring the coefficient ring and the ideal.
+def ideal_pieces(ring: Ring, packing: Packing, minors: Iterable[dict], fmt: str, alias: Optional[bool] = None) -> Iterator[str]:
+    """The ideal document of packed minors in fmt, one generator per piece
+    after the first, which also carries the head; the last piece is the
+    tail. Nothing is held beyond the generator being written. The format
+    and the m2 names are checked before the first piece is made.
 
-    Aliased column-letter names are used by default whenever they exist;
-    otherwise variables are declared as indexed symbols a_(i,j).
+    m2 uses the column-letter aliases by default whenever they exist and
+    indexed symbols a_(i,j) otherwise; singular uses a(i)(j). The JSON
+    document has the bytes of json.dumps({"d", "n", "generators": [p.to_json(),
+    ...]}, indent=2, sort_keys=True) + "\n"; names and rational strings
+    need no escaping.
     """
-    if alias is None:
-        alias = ring.d + 1 <= len(_LETTERS)
-    if alias:
-        namer = lambda v: alias_name(v, ring.d)
-        decl = ",".join(
-            f"{_LETTERS[j]}_1..{_LETTERS[j]}_{ring.n}" for j in range(ring.d + 1)
-        )
-    else:
-        namer = lambda v: f"a_({v.i},{v.j})"
-        decl = ",".join(namer(v) for v in ring.coeff_vars_column_major())
-    lines = [f"R = QQ[{decl}];", "I = ideal("]
-    body = [f"  {polynomial_text(p, namer)}" for p in polys]
-    lines.append(",\n".join(body))
-    lines.append(");")
-    return "\n".join(lines) + "\n"
+    if fmt == "json":
+        head, foot = f'{{\n  "d": {ring.d},\n  "generators": [', f'],\n  "n": {ring.n}\n}}\n'
+        return _pieces(head + "\n", ",\n", "\n  " + foot, head + foot, packing.json_terms, minors)
+    if fmt == "m2":
+        if alias is None:
+            alias = ring.d + 1 <= len(_LETTERS)
+        if alias:
+            namer = lambda v: alias_name(v, ring.d)
+            cols = (namer(ring.coeff(1, j)) + ".." + namer(ring.coeff(ring.n, j)) for j in range(ring.d + 1))
+        else:
+            namer = lambda v: f"a_({v.i},{v.j})"
+            cols = map(namer, ring.coeff_vars_column_major())
+        head = f"R = QQ[{','.join(cols)}];\nI = ideal(\n"
+        return _pieces(head + "  ", ",\n  ", "\n);\n", head + "\n);\n", lambda t: packing.text(t, namer), minors)
+    if fmt == "singular":
+        namer = lambda v: f"a({v.i})({v.j})"
+        head = f"ring r = 0, ({','.join(map(namer, ring.coeff_vars_column_major()))}), dp;\nideal I = "
+        return _pieces(head, ",\n  ", ";\n", head + ";\n", lambda t: packing.text(t, namer), minors)
+    if fmt == "text":
+        return _pieces("", "\n", "\n", "\n", packing.text, minors)
+    raise ValueError(f"unsupported format {fmt!r}; choose from {FORMATS}")
 
 
-def to_singular(ring: Ring, polys: Sequence[Polynomial]) -> str:
-    """A Singular script with paren-indexed variables a(i)(j)."""
-    namer = lambda v: f"a({v.i})({v.j})"
-    decl = ",".join(namer(v) for v in ring.coeff_vars_column_major())
-    lines = [
-        f"ring r = 0, ({decl}), dp;",
-        "ideal I = " + ",\n  ".join(polynomial_text(p, namer) for p in polys) + ";",
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def to_text(ring: Ring, polys: Sequence[Polynomial]) -> str:
-    return "\n".join(polynomial_text(p) for p in polys) + "\n"
+def _pieces(head: str, sep: str, tail: str, empty: str, render, minors: Iterable[dict]) -> Iterator[str]:
+    """head + sep.join(map(render, minors)) + tail in pieces, or empty
+    when there are no minors."""
+    first = True
+    for terms in minors:
+        yield (head if first else sep) + render(terms)
+        first = False
+    yield empty if first else tail
 
 
 def export_ideal(ring: Ring, polys: Sequence[Polynomial], fmt: str, alias: Optional[bool] = None) -> str:
-    if fmt == "json":
-        return to_json_doc(ring, polys)
-    if fmt == "m2":
-        return to_m2(ring, polys, alias)
-    if fmt == "singular":
-        return to_singular(ring, polys)
-    if fmt == "text":
-        return to_text(ring, polys)
-    raise ValueError(f"unsupported format {fmt!r}; choose from {FORMATS}")
+    """The ideal document of Polynomials in fmt, packed and printed as
+    ideal_pieces does for minors."""
+    packing = Packing.over(m for p in polys for m in p.terms)
+    return "".join(ideal_pieces(ring, packing, [packing.pack(p.terms) for p in polys], fmt, alias))

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Iterable, List, Optional
 
 from .cascade import CascadeMatrix, RowSelection
-from .poly import Monomial, Polynomial, Ring
+from .poly import Packing, Polynomial, Ring
 from .walks import (
     MinorWalk,
     ZeroMinorError,
@@ -46,8 +46,8 @@ def band_det(rows: tuple, d: int, one, zero, times, memo: dict):
     so the expansion runs column by column along that band. The caller
     picks the ring: times(sub, j, s, odd) is sub times the entry a_j_s,
     negated when odd. memo maps remaining rows to their minor and may be
-    shared only by minors of the same M_k. A zero determinant is a valid
-    output.
+    shared only by minors of the same M_k; it keeps the sub-minors, not the
+    result. A zero determinant is a valid output.
     """
 
     def expand(rows: tuple, col: int):
@@ -70,7 +70,9 @@ def band_det(rows: tuple, d: int, one, zero, times, memo: dict):
         memo[rows] = out
         return out
 
-    return expand(rows, 1)
+    out = expand(rows, 1)
+    memo.pop(rows, None)  # later minors of this M_k only read smaller row sets
+    return out
 
 
 class _Packed(dict):
@@ -92,20 +94,19 @@ class _Packed(dict):
 
 
 def _symbolic(ring: Ring) -> tuple:
-    """one, zero, the band_det entry product and a decoder for symbolic
-    minors over packed exponent vectors (Monagan & Pearce, CASC 2007).
+    """one, zero, the band_det entry product, the Packing of the keys and a
+    decoder for symbolic minors over packed exponent ints (Monagan &
+    Pearce, CASC 2007).
 
-    Variable a_j_s owns a bit field of (d+1).bit_length() bits; its
-    exponent in a minor of M_k is at most k <= d, so fields never carry
-    and multiplying by a_j_s adds its unit step to every key. decode turns
-    a finished minor into a Polynomial with Fraction coefficients; it
-    builds each distinct monomial and coefficient once, and its memos live
-    as long as the returned functions.
+    Variable a_j_s owns a bit field of (d+1).bit_length() bits, a_1_0 the
+    most significant; its exponent in a minor of M_k is at most k <= d, so
+    fields never carry, multiplying by a_j_s adds its unit step to every
+    key, and keys sort in canonical order. decode turns a finished minor
+    into a Polynomial with Fraction coefficients; it builds each distinct
+    monomial and coefficient once, and its memos live as long as it does.
     """
-    d, width = ring.d, (ring.d + 1).bit_length()
-    span = width * (d + 1)  # the fields of one polynomial's coefficients
-    field_mask, span_mask = (1 << width) - 1, (1 << span) - 1
-    steps = [[1 << (span * (j - 1) + width * s) for s in range(d + 1)] for j in range(1, ring.n + 1)]
+    packing = Packing(ring.coeff_vars_row_major(), (ring.d + 1).bit_length())
+    steps = [[1 << packing.shifts[ring.coeff(j, s)] for s in range(ring.d + 1)] for j in range(1, ring.n + 1)]
 
     def times(sub: _Packed, j: int, s: int, odd: int) -> _Packed:
         step = steps[j - 1][s]
@@ -114,39 +115,20 @@ def _symbolic(ring: Ring) -> tuple:
         return _Packed({key + step: c for key, c in sub.items()})
 
     monos, coeffs = {}, {}
-    spans = [{} for _ in range(ring.n)]  # per polynomial j: its fields -> their (a_j_s, e) pairs
-
-    def pairs(j: int, fields: int) -> tuple:
-        exps = ((ring.coeff(j, s), (fields >> (width * s)) & field_mask) for s in range(d + 1))
-        return tuple((v, e) for v, e in exps if e)
-
-    def monomial(key: int) -> Monomial:
-        # spans run in Variable order, so the pairs come out sorted
-        exps, j = (), 0
-        while key:
-            j += 1
-            fields = key & span_mask
-            if fields:
-                got = spans[j - 1].get(fields)
-                if got is None:
-                    got = spans[j - 1][fields] = pairs(j, fields)
-                exps += got
-            key >>= span
-        return Monomial._make(exps)
 
     def decode(packed: _Packed) -> Polynomial:
         terms = {}
         for key, c in packed.items():
             m = monos.get(key)
             if m is None:
-                m = monos[key] = monomial(key)
+                m = monos[key] = packing.monomial(key)
             f = coeffs.get(c)
             if f is None:
                 f = coeffs[c] = Fraction(c)
             terms[m] = f
         return Polynomial(ring, terms, _trusted=True)
 
-    return _Packed({0: 1}), _Packed(), times, decode
+    return _Packed({0: 1}), _Packed(), times, packing, decode
 
 
 def minor_det(m: CascadeMatrix, sel: RowSelection) -> Polynomial:
@@ -155,7 +137,7 @@ def minor_det(m: CascadeMatrix, sel: RowSelection) -> Polynomial:
         raise ValueError(f"selection {sel!r} does not fit {m!r}")
     if len(sel.pairs) != m.ncols:
         raise ValueError(f"need {m.ncols} rows for a maximal minor, got {len(sel.pairs)}")
-    one, zero, times, decode = _symbolic(m.ring)
+    one, zero, times, _, decode = _symbolic(m.ring)
     return decode(band_det(sel.pairs, m.d, one, zero, times, {}))
 
 
@@ -169,9 +151,17 @@ def walk_minors(d: int, n: int, walks: Iterable[MinorWalk], one, zero, times):
         yield walk, sel, band_det(sel.pairs, d, one, zero, times, memos.setdefault(sel.k, {}))
 
 
-def _expand(d: int, n: int, walks: List[MinorWalk], ring: Optional[Ring]) -> List[GeneratorRecord]:
+def packed_minors(ring: Ring, walks: Iterable[MinorWalk]) -> tuple:
+    """The Packing of ring's coefficient variables and an iterator over the
+    minor of each walk as {packed key: int coefficient}. Each minor is
+    expanded as the iterator reaches it and is never decoded."""
+    one, zero, times, packing, _ = _symbolic(ring)
+    return packing, (minor for _, _, minor in walk_minors(ring.d, ring.n, walks, one, zero, times))
+
+
+def expand_walks(d: int, n: int, walks: Iterable[MinorWalk], ring: Optional[Ring] = None) -> List[GeneratorRecord]:
     """One record per walk with its minor expanded symbolically."""
-    one, zero, times, decode = _symbolic(ring if ring is not None else Ring(d, n))
+    one, zero, times, _, decode = _symbolic(ring if ring is not None else Ring(d, n))
     found = walk_minors(d, n, walks, one, zero, times)
     return [GeneratorRecord(sel.k, sel, walk, decode(minor)) for walk, sel, minor in found]
 
@@ -188,18 +178,18 @@ def enumerate_generators(d: int, n: int, ring: Optional[Ring] = None) -> List[Ge
     Selections with an identically zero minor never appear: the walk
     enumeration only produces in-lattice selections.
     """
-    return _expand(d, n, generator_walks(d, n), ring)
+    return expand_walks(d, n, generator_walks(d, n), ring)
 
 
 def generators_for_basis(d: int, n: int, ring: Optional[Ring] = None) -> List[GeneratorRecord]:
     """The records of reduced walks only: the distinguished basis G."""
-    return _expand(d, n, enumerate_reduced(d, n), ring)
+    return expand_walks(d, n, enumerate_reduced(d, n), ring)
 
 
 def top_minor_records(d: int, n: int, ring: Optional[Ring] = None) -> List[GeneratorRecord]:
     """The 2d x 2d minors of M_d alone; their common zero locus is already
     the common-root variety set-theoretically."""
-    return _expand(d, n, enumerate_walks(d, n, d), ring)
+    return expand_walks(d, n, enumerate_walks(d, n, d), ring)
 
 
 def all_selections(d: int, n: int, k: int):

@@ -7,14 +7,15 @@ the substitution symbols r and b_i_j used by planted-root checks.
 
 Coefficients are arbitrary-precision Fractions and monomials are sparse
 exponent maps; neither changes after construction, so polynomials can be
-shared freely between threads. polynomial_text, here, is the one printer
-of polynomials and monomials: reprs, the text format and the CAS scripts.
+shared freely between threads. Packing, here, packs monomials into ints
+that sort in the canonical term order and is the one printer of terms:
+reprs, the text format, the CAS scripts and the JSON ideal document.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Union
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 Rational = Union[int, Fraction]
 
@@ -243,13 +244,16 @@ class Monomial:
         return self._hash
 
     def __repr__(self) -> str:
-        return _term_text(self, 1, str)
+        packing = Packing.over((self,))
+        return packing.text({packing.key(self): 1})
 
 
 MONOMIAL_ONE = Monomial()
 
 
 def format_rational(c: Rational) -> str:
+    if type(c) is int:
+        return str(c)
     if type(c) is not Fraction:
         c = Fraction(c)
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
@@ -292,30 +296,127 @@ def json_field(doc, key: str, kind: type, path: str = ""):
     return json_value(doc[key], kind, where)
 
 
-def _term_text(mono: "Monomial", coeff: Rational, namer) -> str:
-    body = "*".join(namer(v) if e == 1 else f"{namer(v)}^{e}" for v, e in mono.exps)
-    c = format_rational(coeff)
-    if not body:
-        return c
-    if c == "1":
-        return body
-    if c == "-1":
-        return f"-{body}"
-    return f"{c}*{body}"
+class Packing:
+    """Monomials as ints, and the one printer of terms.
+
+    Each variable owns a field of width bits, the first of variables (given
+    in canonical order) in the most significant one. While every exponent
+    fits its field, a larger int is a larger Ring.canonical_key, so
+    sorted(keys, reverse=True) is the canonical term order with nothing
+    decoded. text renders a polynomial for reprs and the text, m2 and
+    singular formats; json_terms renders its term list in the JSON ideal
+    document. Both build a monomial from its groups, the variables sharing
+    a kind and index (a_j_0 .. a_j_d for polynomial j): each distinct field
+    value of a group is rendered once per packing and style.
+    """
+
+    __slots__ = ("shifts", "_groups", "_mask", "_styles")
+
+    def __init__(self, variables: Sequence[Variable], width: int):
+        top = width * len(variables)
+        self.shifts = {v: top - width * (idx + 1) for idx, v in enumerate(variables)}
+        groups: dict = {}
+        for v in variables:
+            groups.setdefault((v.kind, v.i), []).append(v)
+        self._groups = []  # (group name prefix, low shift, field mask, (variable, offset) pairs)
+        for (kind, i), vs in groups.items():
+            low = self.shifts[vs[-1]]
+            prefix = f"{kind}_{i}_" if kind in ("a", "b") else kind
+            spec = tuple((v, self.shifts[v] - low) for v in vs)
+            self._groups.append((prefix, low, (1 << width * len(vs)) - 1, spec))
+        self._mask = (1 << width) - 1
+        self._styles: dict = {}
+
+    @classmethod
+    def over(cls, monomials: Iterable["Monomial"]) -> "Packing":
+        """The narrowest packing of the variables the monomials use."""
+        support, top = set(), 1
+        for m in monomials:
+            for v, e in m.exps:
+                support.add(v)
+                if e > top:
+                    top = e
+        return cls(sorted(support), top.bit_length())
+
+    def key(self, m: "Monomial") -> int:
+        shifts, key = self.shifts, 0
+        for v, e in m.exps:
+            key += e << shifts[v]
+        return key
+
+    def pack(self, terms: Mapping["Monomial", Rational]) -> dict:
+        """Packed terms; integral coefficients become ints, which print faster."""
+        return {self.key(m): c.numerator if c.denominator == 1 else c for m, c in terms.items()}
+
+    def _parts(self, style, render, by_name: bool = False):
+        """key -> the rendered nonempty groups of the key, most significant
+        first or, by_name, in the name order of json.dumps(sort_keys=True),
+        where a_10_* comes before a_1_*. render maps a group's (variable,
+        exponent) pairs, in canonical order, to its fragment."""
+        parts = self._styles.get(style)
+        if parts is not None:
+            return parts
+        mask = self._mask
+        groups = sorted(self._groups) if by_name else self._groups
+        table = [(low, fields, {}, spec) for _, low, fields, spec in groups]
+
+        def parts(key: int) -> list:
+            out = []
+            for low, fields, memo, spec in table:
+                f = (key >> low) & fields
+                if f:
+                    got = memo.get(f)
+                    if got is None:
+                        exps = ((v, (f >> off) & mask) for v, off in spec)
+                        got = memo[f] = render(tuple((v, e) for v, e in exps if e))
+                    out.append(got)
+            return out
+
+        self._styles[style] = parts
+        return parts
+
+    def monomial(self, key: int) -> "Monomial":
+        return Monomial._make(sum(self._parts("pairs", tuple)(key), ()))
+
+    def text(self, terms: Mapping[int, Rational], namer=str) -> str:
+        """Deterministic human/CAS-readable rendering of packed terms;
+        namer maps a Variable to its printed name."""
+        if not terms:
+            return "0"
+        parts = self._parts(namer, lambda pairs: "*".join(
+            namer(v) if e == 1 else f"{namer(v)}^{e}" for v, e in pairs))
+        out = []
+        for key in sorted(terms, reverse=True):
+            c = terms[key]
+            if out:
+                out.append(" - " if c < 0 else " + ")
+                c = abs(c)
+            c, body = format_rational(c), "*".join(parts(key))
+            if body:
+                c = c[:-1] if c in ("1", "-1") else c + "*"  # a unit coefficient prints as its sign
+            out.append(c + body)
+        return "".join(out)
+
+    def json_terms(self, terms: Mapping[int, Rational]) -> str:
+        """The term list [{"c": "num/den", "m": {name: exp}}, ...] of one
+        generator of the JSON ideal document, in canonical order: the bytes
+        json.dumps(indent=2, sort_keys=True) writes for it at depth 2."""
+        if not terms:
+            return "    []"
+        parts = self._parts("json", lambda pairs: ",\n".join(
+            f'          "{name}": {e}' for name, e in sorted((v.name, e) for v, e in pairs)), True)
+        out = []
+        for key in sorted(terms, reverse=True):
+            m = parts(key)
+            m = "{\n" + ",\n".join(m) + "\n        }" if m else "{}"
+            out.append(f'      {{\n        "c": "{format_rational(terms[key])}",\n        "m": {m}\n      }}')
+        return "    [\n" + ",\n".join(out) + "\n    ]"
 
 
-def polynomial_text(p: "Polynomial", namer=str) -> str:
-    """Deterministic human/CAS-readable rendering of one polynomial; namer
-    maps a Variable to its printed name."""
-    if p.is_zero:
-        return "0"
-    monos = sorted(p.terms, key=p.ring.canonical_key, reverse=True)
-    text = _term_text(monos[0], p.terms[monos[0]], namer)
-    for m in monos[1:]:
-        c = p.terms[m]
-        piece = _term_text(m, abs(c), namer)
-        text += f" - {piece}" if c < 0 else f" + {piece}"
-    return text
+def polynomial_text(p: "Polynomial") -> str:
+    """The rendering of Packing.text, for one polynomial: its repr."""
+    packing = Packing.over(p.terms)
+    return packing.text(packing.pack(p.terms))
 
 
 class Polynomial:

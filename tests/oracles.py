@@ -9,10 +9,14 @@ library's packed, fraction-free, heap-driven reducer. The all-pairs
 Groebner check reduces with it and shares only the library's
 Polynomial-level s-polynomial, none of its pair selection. Ranks of
 specialized cascade matrices come from Bareiss elimination, not from the
-library's band recursion.
+library's band recursion. polynomial_text and reference_export print by
+walking each Monomial's sorted exponents in canonical_key order, against
+the library's packed printer; the JSON reference is json.dumps of
+Polynomial.to_json.
 """
 
 import functools
+import json
 from fractions import Fraction
 from itertools import combinations, permutations
 from typing import List, Sequence
@@ -20,7 +24,7 @@ from typing import List, Sequence
 from resultantforge.cascade import CascadeMatrix
 from resultantforge.groebner import s_polynomial
 from resultantforge.orders import TermOrder, leading_term
-from resultantforge.poly import Monomial, Polynomial, Ring, ZeroPolynomialError
+from resultantforge.poly import Monomial, Polynomial, Ring, ZeroPolynomialError, format_rational
 from resultantforge.roots import CoefficientTuple, _integer_rows
 
 
@@ -221,3 +225,56 @@ def exact_rank(rows: Sequence[Sequence]) -> int:
         if rank == nrows:
             break
     return rank
+
+
+def _term_text(mono: Monomial, coeff, namer) -> str:
+    body = "*".join(namer(v) if e == 1 else f"{namer(v)}^{e}" for v, e in mono.exps)
+    c = format_rational(coeff)
+    if not body:
+        return c
+    if c == "1":
+        return body
+    if c == "-1":
+        return f"-{body}"
+    return f"{c}*{body}"
+
+
+def polynomial_text(p: Polynomial, namer=str) -> str:
+    """Terms in descending canonical_key order, each rendered variable by
+    variable from the Monomial."""
+    if p.is_zero:
+        return "0"
+    monos = sorted(p.terms, key=p.ring.canonical_key, reverse=True)
+    text = _term_text(monos[0], p.terms[monos[0]], namer)
+    for m in monos[1:]:
+        c = p.terms[m]
+        piece = _term_text(m, abs(c), namer)
+        text += f" - {piece}" if c < 0 else f" + {piece}"
+    return text
+
+
+def reference_export(ring: Ring, polys: Sequence[Polynomial], fmt: str, alias=None) -> str:
+    """The ideal document in fmt, each format assembled whole."""
+    if fmt == "json":
+        doc = {"d": ring.d, "n": ring.n, "generators": [p.to_json() for p in polys]}
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    if fmt == "text":
+        return "\n".join(polynomial_text(p) for p in polys) + "\n"
+    columns = ring.coeff_vars_column_major()
+    if fmt == "singular":
+        namer = lambda v: f"a({v.i})({v.j})"
+        decl = ",".join(namer(v) for v in columns)
+        body = ",\n  ".join(polynomial_text(p, namer) for p in polys)
+        return f"ring r = 0, ({decl}), dp;\nideal I = {body};\n"
+    assert fmt == "m2"
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    if alias is None:
+        alias = ring.d + 1 <= len(letters)
+    if alias:
+        namer = lambda v: f"{letters[v.j]}_{v.i}"
+        decl = ",".join(f"{letters[j]}_1..{letters[j]}_{ring.n}" for j in range(ring.d + 1))
+    else:
+        namer = lambda v: f"a_({v.i},{v.j})"
+        decl = ",".join(namer(v) for v in columns)
+    body = ",\n".join(f"  {polynomial_text(p, namer)}" for p in polys)
+    return f"R = QQ[{decl}];\nI = ideal(\n{body}\n);\n"

@@ -5,8 +5,15 @@ import pathlib
 
 import pytest
 
+from resultantforge import cli
 from resultantforge.cli import LIMITS_ENV, main
-from resultantforge.roots import sample_planted
+from resultantforge.exports import export_ideal
+from resultantforge.minors import enumerate_generators, generators_for_basis
+from resultantforge.poly import Ring
+from resultantforge.roots import CoefficientTuple, membership_scan, sample_planted, sample_random
+
+from conftest import GRID
+from oracles import reference_export
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -69,6 +76,32 @@ class TestGens:
         blob.write_text(out)
         code, again = run(capsys, "export", "--input", str(blob), "--format", "json")
         assert code == 0 and again == out
+
+
+class TestPrinterBytes:
+    """Every format of gens and export --d/--n against the reference
+    printer, with each combination of --alias, --k and --reduced-only. At
+    (1, 11) the JSON name order puts a_10_* and a_11_* before a_1_*."""
+
+    @pytest.mark.parametrize("command", ["gens", "export"])
+    @pytest.mark.parametrize("dn", [(2, 3), (1, 11)])
+    @pytest.mark.parametrize(
+        "fmt, alias", [("json", None), ("text", None), ("singular", None), ("m2", None), ("m2", True), ("m2", False)]
+    )
+    @pytest.mark.parametrize("reduced", [False, True])
+    def test_matches_reference(self, capsys, command, dn, fmt, alias, reduced):
+        d, n = dn
+        ring = Ring(d, n)
+        records = (generators_for_basis if reduced else enumerate_generators)(d, n, ring)
+        flags = ["--format", fmt] + {None: [], True: ["--alias"], False: ["--no-alias"]}[alias]
+        flags += ["--reduced-only"] * reduced
+        for k in [None, *range(1, d + 1)]:
+            polys = [rec.poly for rec in records if k is None or rec.k == k]
+            depth = [] if k is None else ["--k", str(k)]
+            code, out = run(capsys, command, "--d", str(d), "--n", str(n), *flags, *depth)
+            assert code == 0 and out == reference_export(ring, polys, fmt, alias)
+            if fmt == "json" and n > 9 and polys:  # the minor a_1_0*a_10_1 - a_1_1*a_10_0
+                assert '"a_10_1": 1,\n          "a_1_0": 1\n' in out
 
 
 class TestCascade:
@@ -243,6 +276,26 @@ class TestSampleAndEval:
         assert code == 0
         assert out == (GOLDEN / golden).read_text()
 
+    @pytest.mark.parametrize("dn", GRID + [(2, 1)])
+    def test_eval_writer_matches_json_dumps(self, dn):
+        for seed in range(3):
+            for tup in (sample_planted(*dn, seed), sample_random(*dn, seed)):
+                report = membership_scan(tup)
+                doc = {
+                    "root_report": {
+                        "has_affine_common_root": report.root.has_affine_common_root,
+                        "all_leading_zero": report.root.all_leading_zero,
+                        "gcd_degree": report.root.gcd_degree,
+                    },
+                    "generators": [
+                        {"k": sel.k, "rows": [list(p) for p in sel.pairs], "vanishes": v}
+                        for sel, v in zip(report.selections, report.vanishing)
+                    ],
+                    "top_minors_all_vanish": report.top_minors_all_vanish,
+                    "biconditional_ok": report.biconditional_ok,
+                }
+                assert cli._eval_doc(report) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
     def test_sample_deterministic(self, capsys):
         _, first = run(capsys, "sample", "--d", "2", "--n", "2", "--seed", "3")
         _, second = run(capsys, "sample", "--d", "2", "--n", "2", "--seed", "3")
@@ -287,6 +340,14 @@ class TestUsage:
 
     def test_missing_required_flag(self, capsys):
         assert main(["gens", "--d", "2"]) == 2
+
+    @pytest.mark.parametrize("command", ["gens", "export"])
+    def test_alias_past_the_alphabet_is_usage_error(self, capsys, tmp_path, command):
+        target = tmp_path / "out.m2"
+        code = main([command, "--d", "26", "--n", "1", "--format", "m2", "--alias", "-o", str(target)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.err == "error: alias naming needs d + 1 <= 26, got d = 26\n"
+        assert not target.exists()
 
     def test_export_needs_a_source(self, capsys):
         assert main(["export", "--format", "m2"]) == 2
@@ -436,6 +497,30 @@ class TestDepthFlag:
         extra = ["--format", "text"] if command == "export" else []
         code, out = run(capsys, *command.split(), "--d", "2", "--n", "3", "--k", k, *extra)
         assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("dn", GRID)
+    @pytest.mark.parametrize("reduced", [False, True])
+    def test_depth_equals_filtered_full_output(self, capsys, all_records, basis_records, dn, reduced):
+        d, n = dn
+        records = (basis_records if reduced else all_records)[dn]
+        flags = ["--reduced-only"] * reduced
+        for k in range(1, d + 1):
+            code, out = run(capsys, "gens", "--d", str(d), "--n", str(n), "--k", str(k), "--format", "json", *flags)
+            assert code == 0
+            assert out == export_ideal(Ring(d, n), [rec.poly for rec in records if rec.k == k], "json")
+
+    @pytest.mark.parametrize("reduced", [[], ["--reduced-only"]])
+    def test_only_the_requested_depth_is_expanded(self, capsys, monkeypatch, reduced):
+        lengths = []
+
+        def recording(ring, walks):
+            lengths.extend(len(w) for w in walks)
+            return expand(ring, walks)
+
+        expand = cli.packed_minors
+        monkeypatch.setattr(cli, "packed_minors", recording)
+        code, out = run(capsys, "gens", "--d", "3", "--n", "3", "--k", "2", *reduced)
+        assert code == 0 and out and lengths and set(lengths) == {5}
 
     def test_every_depth_in_range_is_accepted(self, capsys):
         for k in ("1", "2"):

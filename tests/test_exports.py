@@ -1,5 +1,7 @@
-"""Exporters: JSON round trip, the committed m2 golden file, and a
-grammar-level check of the Singular output (no CAS is ever invoked)."""
+"""Exporters: JSON round trip, the committed m2 golden file, a
+grammar-level check of the Singular output (no CAS is ever invoked), and
+the packed printer's order and bytes against the reference printer in
+tests/oracles.py."""
 
 import json
 import pathlib
@@ -7,20 +9,15 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from resultantforge.exports import (
-    alias_name,
-    export_ideal,
-    from_json_doc,
-    to_json_doc,
-    to_m2,
-    to_singular,
-    to_text,
-)
-from resultantforge.minors import enumerate_generators
-from resultantforge.poly import Monomial, Polynomial, Ring, Variable
+from resultantforge.exports import FORMATS, alias_name, export_ideal, from_json_doc, ideal_pieces
+from resultantforge.minors import _symbolic, enumerate_generators, generator_walks, packed_minors
+from resultantforge.poly import Monomial, Packing, Polynomial, Ring, Variable
 
 from conftest import GRID
+from oracles import polynomial_text, reference_export
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -39,7 +36,7 @@ def dumped(ring, polys):
 class TestJsonWriter:
     def test_golden_file(self):
         ring, polys = gens23()
-        assert to_json_doc(ring, polys) == (GOLDEN / "gens_d2_n3.json").read_text()
+        assert export_ideal(ring, polys, "json") == (GOLDEN / "gens_d2_n3.json").read_text()
 
     # at n >= 10 the name order (a_10_0 < a_1_0) differs from the variable
     # order; at (2, 1) the ideal is empty
@@ -47,7 +44,7 @@ class TestJsonWriter:
     def test_matches_json_dumps(self, dn):
         ring = Ring(*dn)
         polys = [rec.poly for rec in enumerate_generators(*dn, ring)]
-        assert to_json_doc(ring, polys) == dumped(ring, polys)
+        assert export_ideal(ring, polys, "json") == dumped(ring, polys)
 
     def test_zero_polynomial_and_constant_term(self):
         ring = Ring(2, 3)
@@ -55,7 +52,7 @@ class TestJsonWriter:
             Polynomial.zero(ring),
             Polynomial(ring, {Monomial(): Fraction(-7, 3), Monomial({ring.coeff(1, 0): 2}): 5}),
         ]
-        text = to_json_doc(ring, polys)
+        text = export_ideal(ring, polys, "json")
         assert text == dumped(ring, polys)
         assert '"generators": [\n    [],' in text and '"m": {}' in text
 
@@ -63,20 +60,20 @@ class TestJsonWriter:
 class TestJsonRoundTrip:
     def test_structural_identity(self):
         ring, polys = gens23()
-        text = to_json_doc(ring, polys)
+        text = export_ideal(ring, polys, "json")
         ring2, polys2 = from_json_doc(text)
         assert ring2 == ring
         assert polys2 == polys
 
     def test_byte_stable(self):
         ring, polys = gens23()
-        assert to_json_doc(ring, polys) == to_json_doc(ring, polys)
+        assert export_ideal(ring, polys, "json") == export_ideal(ring, polys, "json")
 
 
 class TestM2:
     def test_golden_file(self):
         ring, polys = gens23()
-        got = to_m2(ring, polys)
+        got = export_ideal(ring, polys, "m2")
         want = (GOLDEN / "gens_d2_n3.m2").read_text()
         assert got == want
 
@@ -89,7 +86,7 @@ class TestM2:
 
     def test_plain_naming_when_alias_off(self):
         ring, polys = gens23()
-        text = to_m2(ring, polys, alias=False)
+        text = export_ideal(ring, polys, "m2", alias=False)
         assert "a_(1,0)" in text.splitlines()[0]
         assert "b_1" not in text
 
@@ -135,12 +132,12 @@ class _SingularLinter:
 class TestSingular:
     def test_lints_clean(self):
         ring, polys = gens23()
-        errors = _SingularLinter().lint(to_singular(ring, polys))
+        errors = _SingularLinter().lint(export_ideal(ring, polys, "singular"))
         assert errors == []
 
     def test_linter_catches_breakage(self):
         ring, polys = gens23()
-        good = to_singular(ring, polys)
+        good = export_ideal(ring, polys, "singular")
         assert _SingularLinter().lint(good.replace("dp", "xx")) != []
         assert _SingularLinter().lint(good.replace("a(1)(0)", "zz", 1)) != []
 
@@ -148,7 +145,7 @@ class TestSingular:
 class TestTextAndDispatch:
     def test_text_format_lists_one_per_line(self):
         ring, polys = gens23()
-        lines = to_text(ring, polys).strip().split("\n")
+        lines = export_ideal(ring, polys, "text").strip().split("\n")
         assert len(lines) == len(polys)
 
     def test_dispatch_and_unknown_format(self):
@@ -157,3 +154,88 @@ class TestTextAndDispatch:
             assert export_ideal(ring, polys, fmt)
         with pytest.raises(ValueError):
             export_ideal(ring, polys, "maple")
+
+
+@st.composite
+def ring_and_monomials(draw, max_exp=None, extended=False):
+    """A ring with up to 12 polynomials of degree up to 12, so that names
+    like a_10_0 and a_1_10 occur, and monomials over its variables."""
+    d, n = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    flags = draw(st.sampled_from([{}, {"with_x": True}, {"with_aux": True}])) if extended else {}
+    ring = Ring(d, n, **flags)
+    variables = ring.variables
+    top = d if max_exp is None else max_exp
+    exps = st.dictionaries(st.sampled_from(variables), st.integers(1, top), max_size=6)
+    return ring, [Monomial(e) for e in draw(st.lists(exps, min_size=1, max_size=12))]
+
+
+class TestPackedOrder:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(ring_and_monomials())
+    def test_minor_keys_sort_in_canonical_order(self, case):
+        ring, monos = case
+        packing = _symbolic(ring)[3]
+        want = sorted(monos, key=ring.canonical_key, reverse=True)
+        assert sorted(monos, key=packing.key, reverse=True) == want
+        assert [packing.monomial(packing.key(m)) for m in monos] == monos
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(ring_and_monomials(max_exp=300, extended=True))
+    def test_narrowest_packing_sorts_in_canonical_order(self, case):
+        ring, monos = case
+        packing = Packing.over(monos)
+        want = sorted(monos, key=ring.canonical_key, reverse=True)
+        assert sorted(monos, key=packing.key, reverse=True) == want
+
+
+coefficients = st.fractions(min_value=-40, max_value=40, max_denominator=12) | st.sampled_from([1, -1])
+
+
+class TestPrinter:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(ring_and_monomials(max_exp=20, extended=True), st.data())
+    def test_matches_the_monomial_walking_printer(self, case, data):
+        ring, monos = case
+        p = Polynomial(ring, [(m, data.draw(coefficients)) for m in monos])
+        assert repr(p) == polynomial_text(p)
+        for m in monos:
+            assert repr(m) == polynomial_text(Polynomial(ring, {m: 1}))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(ring_and_monomials(max_exp=5), st.data())
+    def test_export_matches_reference(self, case, data):
+        ring, monos = case
+        size = len(monos)
+        cut = data.draw(st.integers(0, size))
+        coeffs = [data.draw(coefficients) for _ in monos]
+        polys = [Polynomial(ring, zip(monos[:cut], coeffs)), Polynomial(ring, zip(monos[cut:], coeffs[cut:])),
+                 Polynomial.zero(ring)]
+        for fmt in FORMATS:
+            assert export_ideal(ring, polys, fmt) == reference_export(ring, polys, fmt)
+        assert export_ideal(ring, polys, "m2", False) == reference_export(ring, polys, "m2", False)
+
+
+class TestStreaming:
+    def test_one_minor_per_piece(self):
+        ring = Ring(2, 3)
+        packing, minors = packed_minors(ring, generator_walks(2, 3))
+        taken = []
+
+        def tracked():
+            for minor in minors:
+                taken.append(minor)
+                yield minor
+
+        pieces = ideal_pieces(ring, packing, tracked(), "json")
+        assert not taken
+        first = next(pieces)
+        assert len(taken) == 1 and first.startswith('{\n  "d": 2,\n  "generators": [\n    [')
+        rest = list(pieces)
+        assert len(taken) == 16 and len(rest) == 16
+        polys = [rec.poly for rec in enumerate_generators(2, 3, ring)]
+        assert first + "".join(rest) == export_ideal(ring, polys, "json")
+
+    def test_bad_alias_raises_before_any_piece(self):
+        ring = Ring(26, 1)
+        with pytest.raises(ValueError, match="alias naming needs d"):
+            ideal_pieces(ring, Packing((), 1), iter(()), "m2", True)

@@ -100,6 +100,7 @@ class TestBandDet:
         for sel in all_selections(d, n, k):
             rows = [grid[(i - 1) * n + j - 1] for i, j in sel.pairs]
             assert band_det(sel.pairs, d, 1, 0, times, memo) == leibniz_det(rows)
+            assert sel.pairs not in memo  # the memo keeps sub-minors only
 
 
 class TestEnumerateGenerators:
