@@ -19,7 +19,7 @@ from typing import List, Optional
 from . import exports
 from .cascade import CascadeMatrix
 from .diagonal import build_diagonal_weights, diagonal_order
-from .geometry import SquareFreeMonomialIdeal, chow_degree, dim_and_degree, minimal_primes
+from .geometry import DimDegree, SquareFreeMonomialIdeal, chow_degree, minimal_primes
 from .groebner import (
     DEFAULT_LIMITS,
     IdealPresentation,
@@ -32,7 +32,7 @@ from .groebner import (
 )
 from .minors import enumerate_generators, expand_walks, generator_walks, generators_for_basis, packed_minors
 from .orders import DegRevLexOrder, LexOrder, leading_term
-from .poly import Ring
+from .poly import Ring, parse_number
 from .roots import CoefficientTuple, membership_scan, sample_planted, sample_random
 from .walks import enumerate_reduced, enumerate_walks, walk_leading_monomial
 
@@ -155,8 +155,7 @@ def _cmd_components(args) -> int:
         walk_leading_monomial(w, ring) for w in enumerate_reduced(args.d, args.n)
     )
     comps = minimal_primes(lead)
-    ambient = args.n * (args.d + 1)
-    dd = dim_and_degree(lead, ambient)
+    dd = DimDegree.of(comps, args.n * (args.d + 1))
     doc = {
         "components": [sorted(v.name for v in comp) for comp in comps],
         "dim": dd.dim,
@@ -167,7 +166,7 @@ def _cmd_components(args) -> int:
 
 
 def _cmd_degree(args) -> int:
-    degrees = [int(part) for part in args.degrees.split(",") if part.strip()]
+    degrees = [parse_number(part, int, "--degrees entry") for part in args.degrees.split(",") if part.strip()]
     doc = {"degrees": degrees, "D": chow_degree(degrees)}
     _emit(args, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0

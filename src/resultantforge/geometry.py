@@ -87,26 +87,28 @@ class DimDegree(NamedTuple):
     degree: int
     equidimensional: bool
 
+    @classmethod
+    def of(cls, comps: Sequence[frozenset], ambient: int) -> "DimDegree":
+        """Projective dimension and degree of the union of the coordinate
+        subspaces cut out by comps, in projective space on `ambient`
+        coordinates. A component cut out by s variables has projective
+        dimension ambient - 1 - s and degree one; the locus takes the largest
+        component dimension and counts the top-dimensional components, and
+        mixed sizes are flagged as non-equidimensional."""
+        if not comps:
+            raise ValueError("the ideal contains a unit; its locus is empty")
+        sizes = [len(c) for c in comps]
+        smallest = min(sizes)
+        return cls(
+            dim=ambient - 1 - smallest,
+            degree=sum(1 for s in sizes if s == smallest),
+            equidimensional=all(s == smallest for s in sizes),
+        )
+
 
 def dim_and_degree(ideal: SquareFreeMonomialIdeal, ambient: int) -> DimDegree:
-    """Projective dimension and degree of the vanishing locus inside
-    projective space on `ambient` coordinates.
-
-    A component cut out by s variables has projective dimension
-    ambient - 1 - s and degree one; the locus takes the largest component
-    dimension and counts the top-dimensional components. Inputs whose
-    components have mixed sizes are flagged as non-equidimensional.
-    """
-    comps = minimal_primes(ideal)
-    if not comps:
-        raise ValueError("the ideal contains a unit; its locus is empty")
-    sizes = [len(c) for c in comps]
-    smallest = min(sizes)
-    return DimDegree(
-        dim=ambient - 1 - smallest,
-        degree=sum(1 for s in sizes if s == smallest),
-        equidimensional=all(s == smallest for s in sizes),
-    )
+    """DimDegree.of the vanishing locus of the ideal: its minimal primes."""
+    return DimDegree.of(minimal_primes(ideal), ambient)
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,9 @@ Gebauer-Moeller update keeps for a given basis (Gebauer & Moeller, JSC
 truncating.
 
 Both run on the packed, fraction-free kernel of orders.py: the basis,
-s-polynomials, pair lcms (a fieldwise max) and their keys (computed once
-per pair) stay packed, and Polynomial values are decoded only for the
-returned basis. No order key is memoized.
+s-polynomials, pair lcms (poly.Packing.lcm, a fieldwise max) and their
+order keys (computed once per pair) stay packed, and Polynomial values are
+decoded only for the returned basis.
 """
 
 from __future__ import annotations
@@ -30,13 +30,12 @@ from .orders import (  # leading_term and normal_form stay bound here for perfbe
     DegRevLexOrder,
     LexOrder,
     TermOrder,
-    _Packing,
     _primitive,
     _Reducer,
     leading_term,
     normal_form,
 )
-from .poly import Polynomial, Ring, RingMismatchError, ZeroPolynomialError
+from .poly import Monomial, Polynomial, Ring, RingMismatchError, ZeroPolynomialError, parse_number
 
 
 class ResourceExhaustedError(RuntimeError):
@@ -70,7 +69,7 @@ class Limits:
             key = key.strip()
             if key not in ("max_pairs", "max_basis", "max_degree", "timeout"):
                 raise ValueError(f"unknown limit {key!r}")
-            kwargs[key] = float(value) if key == "timeout" else int(value)
+            kwargs[key] = parse_number(value, float if key == "timeout" else int, f"limit {key}")
         return cls(**kwargs)
 
 
@@ -103,21 +102,22 @@ def s_polynomial(p: Polynomial, q: Polynomial, order: TermOrder) -> Polynomial:
     return p.mul_term(lcm.div(lmp), 1 / lcp) + q.mul_term(lcm.div(lmq), -1 / lcq)
 
 
-def _update_pairs(pairs: dict, leads: Sequence[int], t: int, packing: _Packing) -> dict:
-    """Gebauer-Moeller update of the index pairs over leads[:t] when
-    leads[t] joins (Gebauer & Moeller, JSC 1988).
+def _update_pairs(run: "_Run", t: int) -> dict:
+    """Gebauer-Moeller update of the index pairs over run.leads[:t] when
+    run.leads[t] joins (Gebauer & Moeller, JSC 1988).
 
-    pairs maps (i, j) to (key, i, j, exps) of lcm(leads[i], leads[j]),
-    packed, so the smallest entry is the next pair Buchberger selects.
-    Pairs are dropped by the chain and product criteria. After inserting
-    every element of a basis this way, the basis is a Groebner basis if the
+    run.pairs maps (i, j) to run.pair(i, j, lcm(leads[i], leads[j])), so
+    the smallest entry is the next pair Buchberger selects. Pairs are
+    dropped by the chain and product criteria. After inserting every
+    element of a basis this way, the basis is a Groebner basis if the
     s-polynomial of each kept pair reduces to zero against it.
     """
+    leads, packing = run.leads, run.packing
     lmf, guard = leads[t], packing.guard
     lcms = [packing.lcm(lead, lmf) for lead in leads[:t]]
     # chain criterion applied to the old pairs against lm(f)
     kept = {}
-    for (i, j), entry in pairs.items():
+    for (i, j), entry in run.pairs.items():
         lij = entry[3]
         if ((lij | guard) - lmf) & guard != guard or lcms[i] == lij or lcms[j] == lij:
             kept[(i, j)] = entry
@@ -138,14 +138,8 @@ def _update_pairs(pairs: dict, leads: Sequence[int], t: int, packing: _Packing) 
         # product criterion: a coprime pair in the group kills the group
         if any(leads[i] + lmf == lij for i in group):
             continue
-        kept[(group[0], t)] = _pair(packing, group[0], t, lij)
+        kept[(group[0], t)] = run.pair(group[0], t, lij)
     return kept
-
-
-def _pair(packing: _Packing, i: int, j: int, lij: int) -> tuple:
-    """The pairs entry of (i, j) with packed lcm lij: smallest lcm in the
-    term order first, then the first index pair."""
-    return packing.pack(packing.fields(lij))[0], i, j, lij
 
 
 class _Run(_Reducer):
@@ -168,25 +162,30 @@ class _Run(_Reducer):
     def insert(self, f: list) -> None:
         """Append the packed polynomial f to the basis and update the pairs."""
         self.add(f)
-        self.pairs = _update_pairs(self.pairs, self.leads, len(self.polys) - 1, self.packing)
+        self.pairs = _update_pairs(self, len(self.polys) - 1)
 
     def grow(self, f: list) -> None:
         """insert, within the basis size and degree limits."""
         if len(self.polys) + 1 > self.limits.max_basis:
             raise ResourceExhaustedError(f"basis size limit {self.limits.max_basis} exceeded")
-        degree = sum(e for _, e in self.packing.fields(f[0][1]))
+        degree = sum(e for _, e in self.packing.pairs(f[0][1]))
         if self.limits.max_degree is not None and degree > self.limits.max_degree:
             raise ResourceExhaustedError(
                 f"degree limit {self.limits.max_degree} exceeded by a basis element of degree {degree}"
             )
         self.insert(f)
 
+    def pair(self, i: int, j: int, lij: int) -> tuple:
+        """The pairs entry of (i, j) with packed lcm lij: smallest lcm in the
+        term order first, then the first index pair."""
+        return self.order_key(self.packing.pairs(lij)), i, j, lij
+
     def widen(self) -> None:
         """Repack the basis and every pending lcm at twice the field width."""
         super().widen()
-        packing, leads = self.packing, self.leads
+        lcm, leads = self.packing.lcm, self.leads
         for (i, j) in self.pairs:
-            self.pairs[(i, j)] = _pair(packing, i, j, packing.lcm(leads[i], leads[j]))
+            self.pairs[(i, j)] = self.pair(i, j, lcm(leads[i], leads[j]))
 
     def pair_remainder(self, i: int, j: int, stop: bool = False):
         """divide() on the s-polynomial of the pending pair (i, j), built
@@ -262,7 +261,7 @@ def buchberger(
     for g in gens:
         if g.is_zero:
             continue
-        r = run.retrying(lambda: _rescaled(*run.divide(run.packing.work(g)[0])))
+        r = run.retrying(lambda: _rescaled(*run.divide(run.work(g)[0])))
         if r:
             run.grow(r)
     run.loop()
@@ -324,8 +323,6 @@ def elimination_order(ring: Ring) -> TermOrder:
 
 def system_polynomials(ring: Ring) -> List[Polynomial]:
     """f_i = a_i_0 x^d + a_i_1 x^(d-1) + ... + a_i_d for i = 1..n."""
-    from .poly import Monomial
-
     x = ring.x
     out = []
     for i in range(1, ring.n + 1):

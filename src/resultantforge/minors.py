@@ -98,12 +98,13 @@ def _symbolic(ring: Ring) -> tuple:
     decoder for symbolic minors over packed exponent ints (Monagan &
     Pearce, CASC 2007).
 
-    Variable a_j_s owns a bit field of (d+1).bit_length() bits, a_1_0 the
-    most significant; its exponent in a minor of M_k is at most k <= d, so
-    fields never carry, multiplying by a_j_s adds its unit step to every
-    key, and keys sort in canonical order. decode turns a finished minor
-    into a Polynomial with Fraction coefficients; it builds each distinct
-    monomial and coefficient once, and its memos live as long as it does.
+    Variable a_j_s owns a field of (d+1).bit_length() bits in the one
+    layout of poly.Packing, a_1_0 the most significant; its exponent in a
+    minor of M_k is at most k <= d, so fields never carry, multiplying by
+    a_j_s adds its unit step to every key, and keys sort in canonical
+    order. decode turns a finished minor into a Polynomial with Fraction
+    coefficients; it builds each distinct monomial and coefficient once,
+    and its memos live as long as it does.
     """
     packing = Packing(ring.coeff_vars_row_major(), (ring.d + 1).bit_length())
     steps = [[1 << packing.shifts[ring.coeff(j, s)] for s in range(ring.d + 1)] for j in range(1, ring.n + 1)]

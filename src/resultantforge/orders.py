@@ -7,10 +7,10 @@ matrix, first row first. So the order is a total multiplicative order with
 1 minimal, and a key is linear in the exponents. key() packs the row
 values of one monomial into one int; nothing is memoized on the order.
 
-Division runs on a packed representation (_Packing, _Reducer): exponent
-vectors and keys are Python ints, coefficients are integers, and the next
-term comes from a heap (Monagan & Pearce, JSC 2011). Polynomial values are
-decoded only at the boundary.
+Division runs on a packed representation (_Reducer): exponent vectors are
+poly.Packing ints, order keys are Python ints, coefficients are integers,
+and the next term comes from a heap (Monagan & Pearce, JSC 2011).
+Polynomial values are decoded only at the boundary.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from typing import Iterable, Sequence
 
 from .poly import (
     Monomial,
+    Packing,
     Polynomial,
     RingMismatchError,
     Variable,
@@ -152,86 +153,6 @@ def leading_term(p: Polynomial, order: TermOrder):
     return m, p.terms[m]
 
 
-class _Overflow(Exception):
-    """A packed exponent outgrew its field: repack wider and redo the work."""
-
-
-class _Packing:
-    """Exponent ints and one-int keys for one order at one field width
-    (Monagan & Pearce, CASC 2007).
-
-    Ranked variable idx owns `bits` value bits at offset idx * (bits + 1),
-    with a guard bit above them. For in-range a and b, a divides b exactly
-    when ((b | guard) - a) & guard == guard, and a + b is the product, with
-    a guard bit set if some field overflowed. Each matrix row owns a key
-    field wide enough for every in-range monomial, so comparing keys as
-    ints is the order, and key(a * b) = key(a) + key(b) whenever a * b is
-    in range. A key is never used before its exponents are checked.
-    """
-
-    __slots__ = ("order", "bits", "step", "guard", "emax", "index", "columns", "memo")
-
-    def __init__(self, order: TermOrder, bits: int):
-        self.order, self.bits, self.step = order, bits, bits + 1
-        self.emax = (1 << bits) - 1
-        count = len(order.variables)
-        self.guard = sum(1 << (self.step * idx + bits) for idx in range(count))
-        self.index = {v: idx for idx, v in enumerate(order.variables)}
-        self.columns = _key_columns(order.rows, self.emax)
-        self.memo = {}  # Monomial -> (key, exps) at this width
-
-    def term(self, m: Monomial) -> tuple:
-        """(key, exps) of a monomial; _Overflow when an exponent does not fit."""
-        got = self.memo.get(m)
-        if got is None:
-            index = self.index
-            try:
-                got = self.memo[m] = self.pack([(index[v], e) for v, e in m.exps])
-            except KeyError as exc:
-                raise RingMismatchError(f"variable {exc.args[0].name} not ranked by this order") from None
-        return got
-
-    def pack(self, fields) -> tuple:
-        """(key, exps) from (variable index, exponent) pairs."""
-        key = exps = 0
-        for idx, e in fields:
-            if e > self.emax:
-                raise _Overflow
-            exps += e << (self.step * idx)
-            key += e * self.columns[idx]
-        return key, exps
-
-    def fields(self, exps: int) -> list:
-        """(variable index, exponent) for every nonzero field."""
-        out, idx, mask = [], 0, self.emax
-        while exps:
-            if exps & mask:
-                out.append((idx, exps & mask))
-            exps >>= self.step
-            idx += 1
-        return out
-
-    def work(self, p: Polynomial) -> tuple:
-        """p scaled to integer coefficients by the lcm of its denominators:
-        ({key: [exps, coef]}, that lcm)."""
-        den = lcm(*(c.denominator for c in p.terms.values()))
-        work = {}
-        for m, c in p.terms.items():
-            key, exps = self.term(m)
-            work[key] = [exps, c.numerator * (den // c.denominator)]
-        return work, den
-
-    def lcm(self, a: int, b: int) -> int:
-        """Fieldwise maximum of two in-range exponent ints."""
-        ge = ((a | self.guard) - b) & self.guard  # guard bit of each field where a >= b
-        pick = ge - (ge >> self.bits)  # those fields' value bits
-        return (a & pick) | (b & ~pick)
-
-    def monomial(self, exps: int) -> Monomial:
-        variables = self.order.variables
-        return Monomial._make(tuple(sorted((variables[idx], e) for idx, e in self.fields(exps))))
-
-
 def _primitive(terms: list) -> list:
     """Integer terms divided by their content, leading coefficient positive."""
     g = gcd(*(c for _, _, c in terms))
@@ -248,42 +169,73 @@ _FIRST_BITS = 4
 class _Reducer:
     """Packed divisor list for repeated normal-form computations.
 
-    Each divisor is a primitive integer polynomial with a positive leading
+    Monomials are poly.Packing ints over the order's variables, each with a
+    one-int order key from the key columns at the packing's width. Each
+    divisor is a primitive integer polynomial with a positive leading
     coefficient: a list of (key, exps, coef) terms in descending key order,
     its leading term first. The list grows through add(). Work that raises
-    _Overflow runs through retrying(), which repacks every divisor at twice
-    the field width and runs it again.
+    OverflowError runs through retrying(), which repacks every divisor at
+    twice the field width and runs it again.
     """
 
     def __init__(self, order: TermOrder, basis: Sequence[Polynomial] = ()):
-        self._reset(_Packing(order, _FIRST_BITS))
+        self.order = order
+        self._reset(Packing(order.variables, _FIRST_BITS))
         for b in basis:
             self.retrying(lambda: self.add(self.encode(b)))
 
-    def _reset(self, packing: _Packing) -> None:
+    def _reset(self, packing: Packing) -> None:
         self.packing = packing
+        self.columns = dict(zip(self.order.variables, _key_columns(self.order.rows, packing.emax)))
+        self.memo = {}  # Monomial -> (key, exps) at this width
         self.polys, self.lead_keys, self.leads, self.lcs, self.tails = [], [], [], [], []
 
     def widen(self) -> None:
-        old, wide = self.packing, _Packing(self.packing.order, 2 * self.packing.bits)
-        polys = [[(*wide.pack(old.fields(exps)), c) for _, exps, c in p] for p in self.polys]
-        self._reset(wide)
+        old, polys = self.packing, self.polys
+        self._reset(Packing(old.variables, 2 * old.width))
         for p in polys:
-            self.add(p)
+            self.add([(*self.term(old.monomial(exps)), c) for _, exps, c in p])
 
     def retrying(self, work):
         """work(), run again after a repack for as long as it overflows."""
         while True:
             try:
                 return work()
-            except _Overflow:
+            except OverflowError:
                 self.widen()
+
+    def order_key(self, pairs: Iterable) -> int:
+        """The order key of the monomial with these (variable, exponent) pairs."""
+        columns, key = self.columns, 0
+        for v, e in pairs:
+            key += e * columns[v]
+        return key
+
+    def term(self, m: Monomial) -> tuple:
+        """(key, exps) of a monomial; OverflowError when an exponent does not fit."""
+        got = self.memo.get(m)
+        if got is None:
+            try:
+                got = self.memo[m] = self.order_key(m.exps), self.packing.key(m)
+            except KeyError as exc:
+                raise RingMismatchError(f"variable {exc.args[0].name} not ranked by this order") from None
+        return got
+
+    def work(self, p: Polynomial) -> tuple:
+        """p scaled to integer coefficients by the lcm of its denominators:
+        ({key: [exps, coef]}, that lcm)."""
+        den = lcm(*(c.denominator for c in p.terms.values()))
+        work = {}
+        for m, c in p.terms.items():
+            key, exps = self.term(m)
+            work[key] = [exps, c.numerator * (den // c.denominator)]
+        return work, den
 
     def encode(self, p: Polynomial) -> list:
         """p as a primitive packed divisor."""
         if p.is_zero:
             raise ZeroPolynomialError("division by a basis containing zero")
-        work, _ = self.packing.work(p)
+        work, _ = self.work(p)
         return _primitive(sorted(((key, e, c) for key, (e, c) in work.items()), reverse=True))
 
     def add(self, poly: list) -> None:
@@ -352,7 +304,7 @@ class _Reducer:
         for bkey, bexps, bc in self.tails[idx]:
             nexps = bexps + qexps
             if nexps & guard:
-                raise _Overflow
+                raise OverflowError
             nkey = bkey + qkey
             other = work.get(nkey)
             if other is None:
@@ -366,13 +318,13 @@ class _Reducer:
                     del work[nkey]
 
     def reduces_to_zero(self, p: Polynomial) -> bool:
-        return self.retrying(lambda: self.divide(self.packing.work(p)[0], stop=True) is not None)
+        return self.retrying(lambda: self.divide(self.work(p)[0], stop=True) is not None)
 
     def normal_form(self, p: Polynomial) -> Polynomial:
         """The exact remainder of p, with Fraction coefficients."""
 
         def run():
-            work, den = self.packing.work(p)
+            work, den = self.work(p)
             return self.divide(work)[0], den
 
         rem, den = self.retrying(run)

@@ -7,15 +7,16 @@ the substitution symbols r and b_i_j used by planted-root checks.
 
 Coefficients are arbitrary-precision Fractions and monomials are sparse
 exponent maps; neither changes after construction, so polynomials can be
-shared freely between threads. Packing, here, packs monomials into ints
-that sort in the canonical term order and is the one printer of terms:
-reprs, the text format, the CAS scripts and the JSON ideal document.
+shared freely between threads. Packing, here, is the one int layout of a
+monomial, which minor expansion, term-order keys and division share, and
+the one printer of terms: reprs, the text format, the CAS scripts and the
+JSON ideal document.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Union
 
 Rational = Union[int, Fraction]
 
@@ -244,8 +245,7 @@ class Monomial:
         return self._hash
 
     def __repr__(self) -> str:
-        packing = Packing.over((self,))
-        return packing.text({packing.key(self): 1})
+        return _product(self.exps) or "1"
 
 
 MONOMIAL_ONE = Monomial()
@@ -269,6 +269,14 @@ def parse_rational(text: str) -> Fraction:
         if _digits(num[1:] if num[:1] == "-" else num) and (not slash or _digits(den) and int(den)):
             return Fraction(int(num), int(den) if slash else 1)
     raise ValueError(f'must be a "num/den" string with a nonzero denominator, got {text!r:.40}')
+
+
+def parse_number(text: str, kind: type, what: str):
+    """kind(text), for kind int or float; the error names the field."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"{what} must be {'an integer' if kind is int else 'a number'}, got {text.strip()!r:.40}") from None
 
 
 def _digits(text: str) -> bool:
@@ -297,34 +305,41 @@ def json_field(doc, key: str, kind: type, path: str = ""):
 
 
 class Packing:
-    """Monomials as ints, and the one printer of terms.
+    """Monomials as ints (Monagan & Pearce, CASC 2007), and the one printer
+    of terms.
 
-    Each variable owns a field of width bits, the first of variables (given
-    in canonical order) in the most significant one. While every exponent
-    fits its field, a larger int is a larger Ring.canonical_key, so
-    sorted(keys, reverse=True) is the canonical term order with nothing
-    decoded. text renders a polynomial for reprs and the text, m2 and
-    singular formats; json_terms renders its term list in the JSON ideal
-    document. Both build a monomial from its groups, the variables sharing
-    a kind and index (a_j_0 .. a_j_d for polynomial j): each distinct field
-    value of a group is rendered once per packing and style.
+    Each variable owns width value bits and a guard bit above them, the
+    first of variables in canonical order in the most significant field;
+    key raises OverflowError for an exponent above emax. For in-range keys
+    a and b, a larger int is a larger Ring.canonical_key, so sorted(keys,
+    reverse=True) is the canonical term order and a proper divisor is a
+    smaller int; a divides b exactly when ((b | guard) - a) & guard ==
+    guard; a + b is the product, with a guard bit set where a field
+    overflowed; lcm is the fieldwise maximum. pairs and monomial decode a
+    key; text renders a polynomial for reprs and the text, m2 and singular
+    formats, json_terms its term list in the JSON ideal document. Each
+    builds a monomial from its groups, the variables sharing a kind and
+    index (a_j_0 .. a_j_d for polynomial j): each distinct field value of a
+    group is decoded or rendered once per packing and style.
     """
 
-    __slots__ = ("shifts", "_groups", "_mask", "_styles")
+    __slots__ = ("variables", "width", "emax", "guard", "shifts", "_groups", "_styles")
 
-    def __init__(self, variables: Sequence[Variable], width: int):
-        top = width * len(variables)
-        self.shifts = {v: top - width * (idx + 1) for idx, v in enumerate(variables)}
+    def __init__(self, variables: Iterable[Variable], width: int):
+        self.variables, self.width, self.emax = tuple(sorted(variables)), width, (1 << width) - 1
+        step = width + 1
+        top = step * len(self.variables)
+        self.shifts = {v: top - step * (idx + 1) for idx, v in enumerate(self.variables)}
+        self.guard = sum(1 << (shift + width) for shift in self.shifts.values())
         groups: dict = {}
-        for v in variables:
+        for v in self.variables:
             groups.setdefault((v.kind, v.i), []).append(v)
-        self._groups = []  # (group name prefix, low shift, field mask, (variable, offset) pairs)
+        self._groups = []  # (group name prefix, low shift, group mask, (variable, offset) pairs)
         for (kind, i), vs in groups.items():
             low = self.shifts[vs[-1]]
             prefix = f"{kind}_{i}_" if kind in ("a", "b") else kind
             spec = tuple((v, self.shifts[v] - low) for v in vs)
-            self._groups.append((prefix, low, (1 << width * len(vs)) - 1, spec))
-        self._mask = (1 << width) - 1
+            self._groups.append((prefix, low, (1 << step * len(vs)) - 1, spec))
         self._styles: dict = {}
 
     @classmethod
@@ -336,13 +351,21 @@ class Packing:
                 support.add(v)
                 if e > top:
                     top = e
-        return cls(sorted(support), top.bit_length())
+        return cls(support, top.bit_length())
 
     def key(self, m: "Monomial") -> int:
-        shifts, key = self.shifts, 0
+        shifts, emax, key = self.shifts, self.emax, 0
         for v, e in m.exps:
+            if e > emax:
+                raise OverflowError(f"exponent {e} of {v.name} exceeds {emax}")
             key += e << shifts[v]
         return key
+
+    def lcm(self, a: int, b: int) -> int:
+        """Fieldwise maximum of two in-range keys."""
+        ge = ((a | self.guard) - b) & self.guard  # guard bit of each field where a >= b
+        pick = ge - (ge >> self.width)  # those fields' value bits
+        return (a & pick) | (b & ~pick)
 
     def pack(self, terms: Mapping["Monomial", Rational]) -> dict:
         """Packed terms; integral coefficients become ints, which print faster."""
@@ -356,7 +379,7 @@ class Packing:
         parts = self._styles.get(style)
         if parts is not None:
             return parts
-        mask = self._mask
+        mask = self.emax
         groups = sorted(self._groups) if by_name else self._groups
         table = [(low, fields, {}, spec) for _, low, fields, spec in groups]
 
@@ -375,16 +398,19 @@ class Packing:
         self._styles[style] = parts
         return parts
 
+    def pairs(self, key: int) -> tuple:
+        """The (variable, exponent) pairs of an in-range key, in canonical order."""
+        return sum(self._parts("pairs", tuple)(key), ())
+
     def monomial(self, key: int) -> "Monomial":
-        return Monomial._make(sum(self._parts("pairs", tuple)(key), ()))
+        return Monomial._make(self.pairs(key))
 
     def text(self, terms: Mapping[int, Rational], namer=str) -> str:
         """Deterministic human/CAS-readable rendering of packed terms;
         namer maps a Variable to its printed name."""
         if not terms:
             return "0"
-        parts = self._parts(namer, lambda pairs: "*".join(
-            namer(v) if e == 1 else f"{namer(v)}^{e}" for v, e in pairs))
+        parts = self._parts(namer, lambda pairs: _product(pairs, namer))
         out = []
         for key in sorted(terms, reverse=True):
             c = terms[key]
@@ -413,10 +439,9 @@ class Packing:
         return "    [\n" + ",\n".join(out) + "\n    ]"
 
 
-def polynomial_text(p: "Polynomial") -> str:
-    """The rendering of Packing.text, for one polynomial: its repr."""
-    packing = Packing.over(p.terms)
-    return packing.text(packing.pack(p.terms))
+def _product(pairs: tuple, namer=str) -> str:
+    """A monomial's pairs, in canonical order, as Packing.text prints them."""
+    return "*".join(namer(v) if e == 1 else f"{namer(v)}^{e}" for v, e in pairs)
 
 
 class Polynomial:
@@ -636,4 +661,5 @@ class Polynomial:
         return cls(ring, terms)
 
     def __repr__(self) -> str:
-        return polynomial_text(self)
+        packing = Packing.over(self.terms)
+        return packing.text(packing.pack(self.terms))

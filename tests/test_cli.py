@@ -5,12 +5,13 @@ import pathlib
 
 import pytest
 
-from resultantforge import cli
+from resultantforge import cli, geometry
 from resultantforge.cli import LIMITS_ENV, main
 from resultantforge.exports import export_ideal
 from resultantforge.minors import enumerate_generators, generators_for_basis
 from resultantforge.poly import Ring
 from resultantforge.roots import CoefficientTuple, membership_scan, sample_planted, sample_random
+from resultantforge.walks import enumerate_reduced, walk_leading_monomial
 
 from conftest import GRID
 from oracles import reference_export
@@ -153,10 +154,39 @@ class TestComponentsAndDegree:
         assert len(doc["components"]) == 6
         assert ["a_1_0", "a_2_0"] in doc["components"]
 
+    def test_components_search_for_covers_once(self, capsys, monkeypatch):
+        searches = []
+        search = geometry.minimal_hitting_sets
+
+        def counted(supports):
+            searches.append(len(supports))
+            return search(supports)
+
+        monkeypatch.setattr(geometry, "minimal_hitting_sets", counted)
+        code, out = run(capsys, "components", "--d", "3", "--n", "3")
+        assert code == 0 and len(searches) == 1
+        doc = json.loads(out)
+        lead = geometry.SquareFreeMonomialIdeal(
+            walk_leading_monomial(w, Ring(3, 3)) for w in enumerate_reduced(3, 3)
+        )
+        dd = geometry.dim_and_degree(lead, 12)
+        assert (doc["dim"], doc["degree"]) == (dd.dim, dd.degree)
+
     def test_degree(self, capsys):
         code, out = run(capsys, "degree", "--degrees", "2,3,5")
         assert code == 0
         assert json.loads(out)["D"] == 10
+
+    @pytest.mark.parametrize("degrees", ["2,x", "2,3.5", "2,"])
+    def test_degree_names_the_bad_entry(self, capsys, degrees):
+        code = main(["degree", "--degrees", degrees])
+        captured = capsys.readouterr()
+        bad = degrees.split(",")[1]
+        if not bad:  # empty entries are skipped; one degree is too few
+            assert code == 2 and "at least two" in captured.err
+            return
+        assert code == 2 and captured.out == ""
+        assert f"--degrees entry must be an integer, got {bad!r}" in captured.err
 
 
 class TestVerify:
@@ -209,6 +239,22 @@ class TestVerify:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert "timeout" in captured.err
+
+    @pytest.mark.parametrize(
+        "env, message",
+        [
+            ("max_pairs", "limit max_pairs must be an integer, got ''"),
+            ("max_pairs=1.5", "limit max_pairs must be an integer, got '1.5'"),
+            ("max_basis= x ", "limit max_basis must be an integer, got 'x'"),
+            ("timeout=soon", "limit timeout must be a number, got 'soon'"),
+        ],
+    )
+    def test_malformed_env_limit_names_the_field(self, capsys, monkeypatch, env, message):
+        monkeypatch.setenv(LIMITS_ENV, env)
+        code = main(["verify", "groebner", "--d", "2", "--n", "2"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert message in captured.err
 
     def test_flag_overrides_env(self, capsys, monkeypatch):
         monkeypatch.setenv(LIMITS_ENV, "max_pairs=1")

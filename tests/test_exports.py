@@ -188,6 +188,37 @@ class TestPackedOrder:
         assert sorted(monos, key=packing.key, reverse=True) == want
 
 
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(ring_and_monomials(max_exp=9, extended=True), st.integers(1, 4))
+    def test_guard_bits_divide_multiply_and_lcm(self, case, width):
+        # the rules the reducer relies on, at a width the exponents may outgrow
+        ring, monos = case
+        packing = Packing(ring.variables, width)
+        emax, guard = packing.emax, packing.guard
+        v = ring.variables[0]
+        assert packing.monomial(packing.key(Monomial({v: emax}))) == Monomial({v: emax})
+        with pytest.raises(OverflowError):
+            packing.key(Monomial({v: emax + 1}))
+        fits = [m for m in monos if all(e <= emax for _, e in m.exps)]
+        for m in monos:
+            if m not in fits:
+                with pytest.raises(OverflowError):
+                    packing.key(m)
+        for a in fits:
+            ka = packing.key(a)
+            assert packing.monomial(ka) == a and ka & guard == 0
+            for b in fits:
+                kb = packing.key(b)
+                lcm = packing.lcm(ka, kb)
+                assert packing.monomial(lcm) == a.lcm(b)
+                for x, kx, y, ky in ((a, ka, b, kb), (a, ka, a.lcm(b), lcm)):
+                    assert (((ky | guard) - kx) & guard == guard) == x.divides(y)
+                if all(e <= emax for _, e in (a * b).exps):
+                    assert packing.monomial(ka + kb) == a * b
+                else:
+                    assert (ka + kb) & guard
+
+
 coefficients = st.fractions(min_value=-40, max_value=40, max_denominator=12) | st.sampled_from([1, -1])
 
 
