@@ -36,9 +36,7 @@ class CascadeMatrix:
         self.d = d
         self.n = n
         self.k = k
-        self.ring = ring if ring is not None else Ring(d, n)
-        if self.ring.d != d or self.ring.n != n:
-            raise ValueError(f"ring {self.ring!r} does not match (d={d}, n={n})")
+        self.ring = Ring.for_system(d, n, ring)
 
     @property
     def nrows(self) -> int:

@@ -25,6 +25,7 @@ from .groebner import (
     IdealPresentation,
     Limits,
     ResourceExhaustedError,
+    _budget,
     chart_equal,
     eliminate_x,
     ideal_equal,
@@ -185,39 +186,40 @@ def _verify_report(args, claim: str, status: bool, witnesses: dict) -> int:
 
 def _cmd_verify(args) -> int:
     limits = _limits(args)
-    if args.check == "groebner":
-        ring = Ring(args.d, args.n)
-        order = diagonal_order(build_diagonal_weights(args.d, args.n), ring)
-        basis = [rec.poly for rec in generators_for_basis(args.d, args.n)]
-        ok = is_groebner_basis(basis, order, limits)
-        return _verify_report(
-            args,
-            "reduced-walk minors are a Groebner basis under the diagonal order",
-            ok,
-            {"basis_size": len(basis)},
-        )
-    if args.check == "elimination":
-        ring = Ring(args.d, args.n)
-        order = DegRevLexOrder(ring.coeff_vars_column_major())
-        minors_pres = IdealPresentation(
-            ring, [rec.poly for rec in enumerate_generators(args.d, args.n, ring)], order
-        )
-        elim = eliminate_x(args.d, args.n, limits)
-        ok = ideal_equal(minors_pres, elim, limits)
-        return _verify_report(
-            args,
-            "cascade minors generate the eliminated ideal of coefficient relations",
-            ok,
-            {"minors": len(minors_pres.generators), "eliminated_basis": len(elim.generators)},
-        )
-    if args.check == "chart":
-        ok = chart_equal(args.d, args.n, limits)
-        return _verify_report(
-            args,
-            "depth-d minors match all minors on the affine chart a_1_0 = 1",
-            ok,
-            {},
-        )
+    with _budget(limits):  # one wall-clock budget for every run of this check
+        if args.check == "groebner":
+            ring = Ring(args.d, args.n)
+            order = diagonal_order(build_diagonal_weights(args.d, args.n), ring)
+            basis = [rec.poly for rec in generators_for_basis(args.d, args.n)]
+            ok = is_groebner_basis(basis, order, limits)
+            return _verify_report(
+                args,
+                "reduced-walk minors are a Groebner basis under the diagonal order",
+                ok,
+                {"basis_size": len(basis)},
+            )
+        if args.check == "elimination":
+            ring = Ring(args.d, args.n)
+            order = DegRevLexOrder(ring.coeff_vars_column_major())
+            minors_pres = IdealPresentation(
+                ring, [rec.poly for rec in enumerate_generators(args.d, args.n, ring)], order
+            )
+            elim = eliminate_x(args.d, args.n, limits)
+            ok = ideal_equal(minors_pres, elim, limits)
+            return _verify_report(
+                args,
+                "cascade minors generate the eliminated ideal of coefficient relations",
+                ok,
+                {"minors": len(minors_pres.generators), "eliminated_basis": len(elim.generators)},
+            )
+        if args.check == "chart":
+            ok = chart_equal(args.d, args.n, limits)
+            return _verify_report(
+                args,
+                "depth-d minors match all minors on the affine chart a_1_0 = 1",
+                ok,
+                {},
+            )
     raise UsageError(f"unknown verify check {args.check!r}")
 
 

@@ -18,13 +18,15 @@ decoded only for the returned basis.
 
 from __future__ import annotations
 
+import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import gcd
 from typing import List, Optional, Sequence
 
-from .minors import enumerate_generators, top_minor_records
+from .minors import enumerate_generators, top_minor_records  # top_minor_records stays bound here for perfbench/tracing.py
 from .orders import (  # leading_term and normal_form stay bound here for perfbench/tracing.py
     BlockOrder,
     DegRevLexOrder,
@@ -74,6 +76,30 @@ class Limits:
 
 
 DEFAULT_LIMITS = Limits()
+
+# .budget is the (deadline, timeout) of the _budget block this thread is in
+_LOCAL = threading.local()
+
+
+def _budget_for(limits: Limits) -> Optional[tuple]:
+    """(deadline, timeout) of a run starting now: the enclosing budget's,
+    else limits.timeout from now; None when nothing bounds the time."""
+    budget = getattr(_LOCAL, "budget", None)
+    if budget is None and limits.timeout is not None:
+        budget = (time.monotonic() + limits.timeout, limits.timeout)
+    return budget
+
+
+@contextmanager
+def _budget(limits: Limits):
+    """One wall-clock budget for every run started inside: limits.timeout
+    from entry, unless an enclosing budget is already running."""
+    outer = getattr(_LOCAL, "budget", None)
+    _LOCAL.budget = _budget_for(limits)
+    try:
+        yield
+    finally:
+        _LOCAL.budget = outer
 
 
 @dataclass
@@ -151,13 +177,19 @@ class _Run(_Reducer):
         self.limits = limits
         self.pairs: dict = {}
         self.pairs_processed = 0
-        self.deadline = None if limits.timeout is None else time.monotonic() + limits.timeout
+        self.budget = _budget_for(limits)
 
-    def _check_time(self) -> None:
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise ResourceExhaustedError(
-                f"timeout of {self.limits.timeout}s exceeded after {self.pairs_processed} pairs"
-            )
+    def check(self, total: Optional[int] = None) -> None:
+        """Raise once pairs_processed reaches max_pairs or the budget's
+        deadline has passed; total, the certificate's number of pairs,
+        goes into the message."""
+        done = self.pairs_processed
+        of = "" if total is None else f" of {total}"
+        if done >= self.limits.max_pairs:
+            after = f" after {done}{of} pairs" if of else ""
+            raise ResourceExhaustedError(f"pair limit {self.limits.max_pairs} exceeded{after}")
+        if self.budget is not None and time.monotonic() > self.budget[0]:
+            raise ResourceExhaustedError(f"timeout of {self.budget[1]}s exceeded after {done}{of} pairs")
 
     def insert(self, f: list) -> None:
         """Append the packed polynomial f to the basis and update the pairs."""
@@ -199,9 +231,7 @@ class _Run(_Reducer):
 
     def loop(self) -> None:
         while self.pairs:
-            self._check_time()
-            if self.pairs_processed >= self.limits.max_pairs:
-                raise ResourceExhaustedError(f"pair limit {self.limits.max_pairs} exceeded")
+            self.check()
             _, i, j, _ = min(self.pairs.values())
             self.pairs_processed += 1
             r = self.retrying(lambda: _rescaled(*self.pair_remainder(i, j)))
@@ -249,7 +279,8 @@ def buchberger(
     """Certified reduced basis of the ideal generated by gens.
 
     With self_check (the default) the finished basis is certified again,
-    from scratch, by is_groebner_basis.
+    from scratch, by is_groebner_basis under the default pair and basis
+    limits and in the time the run left of limits.timeout.
     """
     gens = [g for g in gens]
     if not gens or all(g.is_zero for g in gens):
@@ -257,22 +288,23 @@ def buchberger(
     ring = gens[0].ring
     if any(g.ring != ring for g in gens):
         raise RingMismatchError("generators live in different rings")
-    run = _Run(order, limits)
-    for g in gens:
-        if g.is_zero:
-            continue
-        r = run.retrying(lambda: _rescaled(*run.divide(run.work(g)[0])))
-        if r:
-            run.grow(r)
-    run.loop()
-    run.interreduce()
-    monomial = run.packing.monomial
-    basis = [
-        Polynomial(ring, {monomial(exps): Fraction(c) for _, exps, c in f}, _trusted=True)
-        for f in run.polys
-    ]
-    if self_check and not is_groebner_basis(basis, order):
-        raise AssertionError("internal error: output failed the Buchberger criterion")
+    with _budget(limits):
+        run = _Run(order, limits)
+        for g in gens:
+            if g.is_zero:
+                continue
+            r = run.retrying(lambda: _rescaled(*run.divide(run.work(g)[0])))
+            if r:
+                run.grow(r)
+        run.loop()
+        run.interreduce()
+        monomial = run.packing.monomial
+        basis = [
+            Polynomial(ring, {monomial(exps): Fraction(c) for _, exps, c in f}, _trusted=True)
+            for f in run.polys
+        ]
+        if self_check and not is_groebner_basis(basis, order):
+            raise AssertionError("internal error: output failed the Buchberger criterion")
     return IdealPresentation(ring, list(gens), order, basis)
 
 
@@ -285,25 +317,18 @@ def is_groebner_basis(
     uses, and only the pairs it keeps are reduced, in sorted order, against
     the whole basis; the answer equals that of reducing every s-polynomial.
     A reduction stops at its first irreducible term. max_pairs bounds the
-    kept pairs reduced; the timeout is checked before each reduction.
+    kept pairs reduced; the timeout, which runs from before the inserts, is
+    checked before each reduction.
     """
-    basis = list(basis)
     run = _Run(order, limits)
     for b in basis:
         run.retrying(lambda: run.insert(run.encode(b)))
     pairs = sorted(run.pairs)
-    deadline = None if limits.timeout is None else time.monotonic() + limits.timeout
-    for done, (i, j) in enumerate(pairs):
-        if done >= limits.max_pairs:
-            raise ResourceExhaustedError(
-                f"pair limit {limits.max_pairs} exceeded after {done} of {len(pairs)} pairs"
-            )
-        if deadline is not None and time.monotonic() > deadline:
-            raise ResourceExhaustedError(
-                f"timeout of {limits.timeout}s exceeded after {done} of {len(pairs)} pairs"
-            )
+    for i, j in pairs:
+        run.check(len(pairs))
         if run.retrying(lambda: run.pair_remainder(i, j, stop=True)) is None:
             return False
+        run.pairs_processed += 1
     return True
 
 
@@ -364,8 +389,9 @@ def ideal_equal(a: IdealPresentation, b: IdealPresentation, limits: Limits = DEF
     other's certified basis."""
     if a.ring != b.ring:
         raise ValueError("presentations live in different rings")
-    basis_a = a.basis(limits)
-    basis_b = b.basis(limits)
+    with _budget(limits):
+        basis_a = a.basis(limits)
+        basis_b = b.basis(limits)
     return reduces_to_zero(a.generators, basis_b, b.order) and reduces_to_zero(
         b.generators, basis_a, a.order
     )
@@ -373,17 +399,15 @@ def ideal_equal(a: IdealPresentation, b: IdealPresentation, limits: Limits = DEF
 
 def chart_equal(d: int, n: int, limits: Limits = DEFAULT_LIMITS) -> bool:
     """Do the depth-d minors and the full generator set agree on the affine
-    chart a_1_0 = 1?
-
-    Both dehomogenized ideals get certified bases, then mutual membership
-    is checked. The underlying projective schemes coincide exactly when
+    chart a_1_0 = 1? Both families, expanded once, lead with a_1_0 - 1, so
+    reduction sets a_1_0 = 1 in each minor as it enters: J + <a_1_0 - 1> is
+    the preimage of J's chart. The projective schemes coincide exactly when
     this holds on every chart; the remaining charts follow by symmetry.
     """
     ring = Ring(d, n)
-    sub = {ring.coeff(1, 0): 1}
-    top = [rec.poly.substitute(sub) for rec in top_minor_records(d, n, ring)]
-    full = [rec.poly.substitute(sub) for rec in enumerate_generators(d, n, ring)]
+    chart = [Polynomial.variable(ring, ring.coeff(1, 0)) - Polynomial.constant(ring, 1)]
+    records = enumerate_generators(d, n, ring)
     order = DegRevLexOrder(ring.coeff_vars_column_major())
-    pres_top = IdealPresentation(ring, top, order)
-    pres_full = IdealPresentation(ring, full, order)
-    return ideal_equal(pres_top, pres_full, limits)
+    top = IdealPresentation(ring, chart + [rec.poly for rec in records if rec.k == d], order)
+    full = IdealPresentation(ring, chart + [rec.poly for rec in records], order)
+    return ideal_equal(top, full, limits)

@@ -162,7 +162,7 @@ def packed_minors(ring: Ring, walks: Iterable[MinorWalk]) -> tuple:
 
 def expand_walks(d: int, n: int, walks: Iterable[MinorWalk], ring: Optional[Ring] = None) -> List[GeneratorRecord]:
     """One record per walk with its minor expanded symbolically."""
-    one, zero, times, _, decode = _symbolic(ring if ring is not None else Ring(d, n))
+    one, zero, times, _, decode = _symbolic(Ring.for_system(d, n, ring))
     found = walk_minors(d, n, walks, one, zero, times)
     return [GeneratorRecord(sel.k, sel, walk, decode(minor)) for walk, sel, minor in found]
 

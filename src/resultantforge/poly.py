@@ -16,7 +16,7 @@ JSON ideal document.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 Rational = Union[int, Fraction]
 
@@ -86,6 +86,15 @@ class Ring:
         self._key = (d, n, with_x, with_aux)
         # negated position in the sorted variable list, for canonical_key
         self._rank = {v: -idx for idx, v in enumerate(sorted(members))}
+
+    @classmethod
+    def for_system(cls, d: int, n: int, ring: Optional["Ring"] = None) -> "Ring":
+        """ring, checked to have degree d and n polynomials; Ring(d, n) when None."""
+        if ring is None:
+            return cls(d, n)
+        if (ring.d, ring.n) != (d, n):
+            raise ValueError(f"ring {ring!r} does not match (d={d}, n={n})")
+        return ring
 
     def coeff(self, i: int, j: int) -> Variable:
         """The coefficient symbol a_i_j, 1 <= i <= n, 0 <= j <= d."""

@@ -240,7 +240,7 @@ class CoordinateSubspace:
 
 def components(d: int, n: int, ring: Optional[Ring] = None) -> List[CoordinateSubspace]:
     """All n*d coordinate subspaces S_(s,t), s in 1..n, t in 1..d."""
-    ring = ring if ring is not None else Ring(d, n)
+    ring = Ring.for_system(d, n, ring)
     out = []
     for s in range(1, n + 1):
         for t in range(1, d + 1):

@@ -12,7 +12,9 @@ specialized cascade matrices come from Bareiss elimination, not from the
 library's band recursion. polynomial_text and reference_export print by
 walking each Monomial's sorted exponents in canonical_key order, against
 the library's packed printer; the JSON reference is json.dumps of
-Polynomial.to_json.
+Polynomial.to_json. chart_by_substitution dehomogenizes every minor with
+Polynomial.substitute, against the library's reduction by a_1_0 - 1 over
+one expansion.
 """
 
 import functools
@@ -22,8 +24,9 @@ from itertools import combinations, permutations
 from typing import List, Sequence
 
 from resultantforge.cascade import CascadeMatrix
-from resultantforge.groebner import s_polynomial
-from resultantforge.orders import TermOrder, leading_term
+from resultantforge.groebner import DEFAULT_LIMITS, IdealPresentation, Limits, ideal_equal, s_polynomial
+from resultantforge.minors import enumerate_generators, top_minor_records
+from resultantforge.orders import DegRevLexOrder, TermOrder, leading_term
 from resultantforge.poly import Monomial, Polynomial, Ring, ZeroPolynomialError, format_rational
 from resultantforge.roots import CoefficientTuple, _integer_rows
 
@@ -179,6 +182,21 @@ def all_pairs_groebner(basis, order) -> bool:
             if reducer.reduce(s_polynomial(basis[i], basis[j], order)):
                 return False
     return True
+
+
+def chart_by_substitution(d: int, n: int, limits: Limits = DEFAULT_LIMITS, skip=frozenset()) -> bool:
+    """Reference for groebner.chart_equal: expand the depth-d minors and the
+    whole family separately, substitute a_1_0 = 1 into every term, and
+    compare the dehomogenized ideals by mutual membership. The depth-d
+    minors of the walks in skip are left out of the depth-d family."""
+    ring = Ring(d, n)
+    sub = {ring.coeff(1, 0): 1}
+    top = [rec.poly.substitute(sub) for rec in top_minor_records(d, n, ring) if rec.walk not in skip]
+    full = [rec.poly.substitute(sub) for rec in enumerate_generators(d, n, ring)]
+    order = DegRevLexOrder(ring.coeff_vars_column_major())
+    pres_top = IdealPresentation(ring, top, order)
+    pres_full = IdealPresentation(ring, full, order)
+    return ideal_equal(pres_top, pres_full, limits)
 
 
 def specialized_rows(matrix: CascadeMatrix, c: CoefficientTuple) -> List[List[Fraction]]:

@@ -209,6 +209,12 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["status"] == "pass"
 
+    @pytest.mark.parametrize("check", ["groebner", "elimination", "chart"])
+    def test_report_matches_golden(self, capsys, check):
+        code, out = run(capsys, "verify", check, "--d", "2", "--n", "3")
+        assert code == 0
+        assert out == (GOLDEN / f"verify_{check}_d2_n3.json").read_text()
+
     def test_resource_exhaustion_exit_code(self, capsys):
         code, _ = run(capsys, "verify", "elimination", "--d", "2", "--n", "3", "--max-pairs", "1")
         assert code == 3

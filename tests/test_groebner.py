@@ -1,5 +1,7 @@
 """Buchberger engine, elimination, and ideal comparisons."""
 
+import dataclasses
+import itertools
 from math import gcd
 
 import pytest
@@ -25,7 +27,7 @@ from resultantforge.orders import BlockOrder, DegRevLexOrder, LexOrder, leading_
 from resultantforge.poly import Monomial, Polynomial, Ring, ZeroPolynomialError
 
 from conftest import GRID
-from oracles import all_pairs_groebner, sylvester_resultant
+from oracles import all_pairs_groebner, chart_by_substitution, sylvester_resultant
 
 
 def xring():
@@ -297,9 +299,81 @@ class TestIdealEqual:
 
 
 class TestChartEqual:
-    @pytest.mark.parametrize("dn", [(1, 2), (2, 2), (2, 3)])
+    @pytest.mark.parametrize("dn", GRID)
     def test_chart(self, dn):
+        assert chart_by_substitution(*dn)
         assert chart_equal(*dn)
+
+    @pytest.mark.parametrize("drop, expected", [(0, False), (2, True)])
+    def test_top_family_with_a_minor_dropped(self, monkeypatch, drop, expected):
+        # at (2, 3) the other 14 depth-2 minors miss the chart ideal without
+        # the first of them and still generate it without the third
+        records = enumerate_generators(2, 3)
+        walk = [rec.walk for rec in records if rec.k == 2][drop]
+        assert chart_by_substitution(2, 3, skip={walk}) is expected
+        # relabelled below depth d, that minor stays in the full family only
+        moved = [dataclasses.replace(rec, k=1) if rec.walk == walk else rec for rec in records]
+        monkeypatch.setattr(groebner, "enumerate_generators", lambda d, n, ring=None: moved)
+        assert chart_equal(2, 3) is expected
+
+
+class TestTimeBudget:
+    """One timeout bounds every run of a call, self-checks included: under
+    a clock that reads 0, 1, 2, ..., a call that reads it N times passes
+    with timeout N - 1 and fails at its last check with N - 1.5."""
+
+    @staticmethod
+    def clock(monkeypatch):
+        ticks = itertools.count()
+        monkeypatch.setattr(groebner.time, "monotonic", lambda: float(next(ticks)))
+        return ticks
+
+    def readings(self, monkeypatch, call) -> int:
+        ticks = self.clock(monkeypatch)
+        call(Limits(timeout=1e9))
+        return next(ticks)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda limits: buchberger(
+                [rec.poly for rec in enumerate_generators(2, 3)],
+                DegRevLexOrder(Ring(2, 3).coeff_vars_column_major()),
+                limits,
+            ),
+            lambda limits: chart_equal(2, 3, limits),
+        ],
+        ids=["buchberger", "chart_equal"],
+    )
+    def test_library_call_shares_one_budget(self, monkeypatch, call):
+        n = self.readings(monkeypatch, call)
+        assert n > 2
+        self.clock(monkeypatch)
+        call(Limits(timeout=n - 1.0))
+        self.clock(monkeypatch)
+        with pytest.raises(ResourceExhaustedError, match=rf"^timeout of {n - 1.5}s exceeded after \d+ "):
+            call(Limits(timeout=n - 1.5))
+
+    def test_self_check_reads_the_clock(self, monkeypatch):
+        gens = [rec.poly for rec in enumerate_generators(2, 3)]
+        order = DegRevLexOrder(Ring(2, 3).coeff_vars_column_major())
+        alone = self.readings(monkeypatch, lambda limits: buchberger(gens, order, limits, self_check=False))
+        assert self.readings(monkeypatch, lambda limits: buchberger(gens, order, limits)) > alone
+
+    def test_verify_elimination_shares_one_budget(self, monkeypatch, capsys):
+        from resultantforge.cli import main
+
+        def call(limits):
+            return main(["verify", "elimination", "--d", "2", "--n", "3", "--timeout", str(limits.timeout)])
+
+        n = self.readings(monkeypatch, call)
+        self.clock(monkeypatch)
+        assert call(Limits(timeout=n - 1.0)) == 0
+        self.clock(monkeypatch)
+        capsys.readouterr()
+        assert call(Limits(timeout=n - 1.5)) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"timeout of {n - 1.5}s exceeded" in captured.err
 
 
 def assert_reduced(basis, order):

@@ -1,6 +1,7 @@
 """Determinant expansion and the generator families."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,8 +13,10 @@ from resultantforge.minors import (
     all_selections,
     band_det,
     enumerate_generators,
+    generators_for_basis,
     minor_det,
     nonzero_selection,
+    top_minor_records,
 )
 from resultantforge.poly import Monomial, Polynomial, Ring
 from resultantforge.roots import CoefficientTuple, _integer_times
@@ -115,6 +118,13 @@ class TestEnumerateGenerators:
         assert ks == {2}
         ks = {rec.k for rec in enumerate_generators(3, 2)}
         assert ks == {3}
+
+    @pytest.mark.parametrize("family", [enumerate_generators, generators_for_basis, top_minor_records])
+    @pytest.mark.parametrize("dn, ring", [((3, 3), Ring(2, 3)), ((2, 3), Ring(3, 3)), ((2, 3), Ring(2, 4))])
+    def test_mismatched_ring_is_rejected(self, family, dn, ring):
+        message = f"ring {ring!r} does not match (d={dn[0]}, n={dn[1]})"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            family(*dn, ring)
 
     def test_single_polynomial_has_no_generators(self):
         # every M_k of one polynomial is too flat; the walk enumerator itself

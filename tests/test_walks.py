@@ -1,5 +1,7 @@
 """Walk combinatorics: the minor bijection, reducedness, and hitting sets."""
 
+import re
+
 import pytest
 
 from resultantforge.cascade import RowSelection
@@ -178,6 +180,12 @@ class TestComponents:
         by_st = {(c.s, c.t): c.variables for c in comps}
         assert by_st[(1, 1)] == frozenset({ring.coeff(2, 1), ring.coeff(3, 1)})
         assert by_st[(3, 2)] == frozenset({ring.coeff(1, 1), ring.coeff(2, 1)})
+
+    @pytest.mark.parametrize("ring", [Ring(2, 3), Ring(3, 2)])
+    def test_mismatched_ring_is_rejected(self, ring):
+        message = f"ring {ring!r} does not match (d=3, n=3)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            components(3, 3, ring)
 
     def test_sizes(self):
         for (d, n) in GRID:
