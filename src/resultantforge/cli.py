@@ -20,7 +20,7 @@ from . import exports
 from .cascade import CascadeMatrix
 from .diagonal import build_diagonal_weights, diagonal_order
 from .geometry import DimDegree, SquareFreeMonomialIdeal, chow_degree, minimal_primes
-from .groebner import (
+from .groebner import (  # is_groebner_basis stays bound here for perfbench/tracing.py
     DEFAULT_LIMITS,
     IdealPresentation,
     Limits,
@@ -30,8 +30,15 @@ from .groebner import (
     eliminate_x,
     ideal_equal,
     is_groebner_basis,
+    is_packed_groebner_basis,
 )
-from .minors import enumerate_generators, expand_walks, generator_walks, generators_for_basis, packed_minors
+from .minors import (  # generators_for_basis stays bound here for perfbench/tracing.py
+    enumerate_generators,
+    expand_walks,
+    generator_walks,
+    generators_for_basis,
+    packed_minors,
+)
 from .orders import DegRevLexOrder, LexOrder, leading_term
 from .poly import Ring, parse_number
 from .roots import CoefficientTuple, membership_scan, sample_planted, sample_random
@@ -190,13 +197,13 @@ def _cmd_verify(args) -> int:
         if args.check == "groebner":
             ring = Ring(args.d, args.n)
             order = diagonal_order(build_diagonal_weights(args.d, args.n), ring)
-            basis = [rec.poly for rec in generators_for_basis(args.d, args.n)]
-            ok = is_groebner_basis(basis, order, limits)
+            walks = enumerate_reduced(args.d, args.n)
+            ok = is_packed_groebner_basis(*packed_minors(ring, walks), order, limits)
             return _verify_report(
                 args,
                 "reduced-walk minors are a Groebner basis under the diagonal order",
                 ok,
-                {"basis_size": len(basis)},
+                {"basis_size": len(walks)},
             )
         if args.check == "elimination":
             ring = Ring(args.d, args.n)
@@ -286,107 +293,116 @@ def _cmd_export(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _dn_options(p, required=True):
+    p.add_argument("--d", type=int, required=required, help="degree of every polynomial")
+    p.add_argument("--n", type=int, required=required, help="number of polynomials")
+
+
+def _gens_options(p):
+    _dn_options(p)
+    p.add_argument("--k", type=int, help="restrict to one cascade depth")
+    p.add_argument("--reduced-only", action="store_true", help="only the reduced-walk minors")
+    p.add_argument("--format", choices=exports.FORMATS, default="text")
+    p.add_argument("--alias", action=argparse.BooleanOptionalAction, default=None,
+                   help="column-letter variable names in m2 output")
+
+
+def _cascade_options(p):
+    _dn_options(p)
+    p.add_argument("--k", type=int, help="cascade depth (defaults to d)")
+    p.add_argument("--format", choices=("text", "json"), default="text")
+
+
+def _walks_options(p):
+    _dn_options(p)
+    p.add_argument("--k", type=int, help="walk length d+k (defaults to k=d)")
+    p.add_argument("--reduced", action="store_true", help="reduced walks of every length")
+    p.add_argument("--format", choices=("pairs", "monomials"), default="pairs")
+
+
+def _leadterms_options(p):
+    _dn_options(p)
+    p.add_argument("--order", choices=("diag", "degrevlex", "lex"), default="diag")
+    p.add_argument("--k", type=int)
+    p.add_argument("--reduced-only", action="store_true")
+
+
+def _degree_options(p):
+    p.add_argument("--degrees", required=True, help="comma-separated degrees, e.g. 2,3,5")
+
+
+def _verify_options(p):
+    p.add_argument("check", choices=("groebner", "elimination", "chart"))
+    _dn_options(p)
+    p.add_argument("--max-pairs", dest="max_pairs", type=int)
+    p.add_argument("--max-basis", dest="max_basis", type=int)
+    p.add_argument("--max-degree", dest="max_degree", type=int)
+    p.add_argument("--timeout", type=float, help="wall-clock budget in seconds")
+
+
+def _eval_options(p):
+    _dn_options(p)
+    p.add_argument("--coeffs", required=True, help="CoefficientTuple JSON file")
+
+
+def _sample_options(p):
+    _dn_options(p)
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--planted", action="store_true", help="plant a common rational root")
+
+
+def _export_options(p):
+    _dn_options(p, required=False)
+    p.add_argument("--input", help="JSON document produced by the json format")
+    p.add_argument("--k", type=int)
+    p.add_argument("--reduced-only", action="store_true")
+    p.add_argument("--format", choices=exports.FORMATS, required=True)
+    p.add_argument("--alias", action=argparse.BooleanOptionalAction, default=None)
+
+
+# name -> (help, handler, options other than -o/--output), in help order
+COMMANDS = {
+    "gens": ("print the determinantal generators", _cmd_gens, _gens_options),
+    "cascade": ("print the cascade matrix M_k", _cmd_cascade, _cascade_options),
+    "walks": ("enumerate walks", _cmd_walks, _walks_options),
+    "leadterms": ("leading monomials of the generators", _cmd_leadterms, _leadterms_options),
+    "components": ("components of the initial ideal's locus", _cmd_components, _dn_options),
+    "degree": ("degree of the common-root locus for mixed degrees", _cmd_degree, _degree_options),
+    "verify": ("run a certification and print a JSON report", _cmd_verify, _verify_options),
+    "eval": ("evaluate all generators at a coefficient tuple", _cmd_eval, _eval_options),
+    "sample": ("draw a deterministic coefficient tuple", _cmd_sample, _sample_options),
+    "export": ("re-emit an ideal in a CAS script format", _cmd_export, _export_options),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of command alone; a subcommand's
+    own help, usage and errors are the same either way."""
     parser = argparse.ArgumentParser(
         prog="resultantforge",
         description="Determinantal generators, Groebner certificates, and "
         "common-root tests for systems of n univariate degree-d polynomials.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_dn(p, n_required=True):
-        p.add_argument("--d", type=int, required=n_required, help="degree of every polynomial")
-        p.add_argument("--n", type=int, required=n_required, help="number of polynomials")
-
-    def add_limits(p):
-        p.add_argument("--max-pairs", dest="max_pairs", type=int)
-        p.add_argument("--max-basis", dest="max_basis", type=int)
-        p.add_argument("--max-degree", dest="max_degree", type=int)
-        p.add_argument("--timeout", type=float, help="wall-clock budget in seconds")
-
-    def add_output(p):
-        p.add_argument("-o", "--output", help="write to a file instead of stdout")
-
-    p = sub.add_parser("gens", help="print the determinantal generators")
-    add_dn(p)
-    p.add_argument("--k", type=int, help="restrict to one cascade depth")
-    p.add_argument("--reduced-only", action="store_true", help="only the reduced-walk minors")
-    p.add_argument("--format", choices=exports.FORMATS, default="text")
-    p.add_argument("--alias", action=argparse.BooleanOptionalAction, default=None,
-                   help="column-letter variable names in m2 output")
-    add_output(p)
-    p.set_defaults(func=_cmd_gens)
-
-    p = sub.add_parser("cascade", help="print the cascade matrix M_k")
-    add_dn(p)
-    p.add_argument("--k", type=int, help="cascade depth (defaults to d)")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    add_output(p)
-    p.set_defaults(func=_cmd_cascade)
-
-    p = sub.add_parser("walks", help="enumerate walks")
-    add_dn(p)
-    p.add_argument("--k", type=int, help="walk length d+k (defaults to k=d)")
-    p.add_argument("--reduced", action="store_true", help="reduced walks of every length")
-    p.add_argument("--format", choices=("pairs", "monomials"), default="pairs")
-    add_output(p)
-    p.set_defaults(func=_cmd_walks)
-
-    p = sub.add_parser("leadterms", help="leading monomials of the generators")
-    add_dn(p)
-    p.add_argument("--order", choices=("diag", "degrevlex", "lex"), default="diag")
-    p.add_argument("--k", type=int)
-    p.add_argument("--reduced-only", action="store_true")
-    add_output(p)
-    p.set_defaults(func=_cmd_leadterms)
-
-    p = sub.add_parser("components", help="components of the initial ideal's locus")
-    add_dn(p)
-    add_output(p)
-    p.set_defaults(func=_cmd_components)
-
-    p = sub.add_parser("degree", help="degree of the common-root locus for mixed degrees")
-    p.add_argument("--degrees", required=True, help="comma-separated degrees, e.g. 2,3,5")
-    add_output(p)
-    p.set_defaults(func=_cmd_degree)
-
-    p = sub.add_parser("verify", help="run a certification and print a JSON report")
-    p.add_argument("check", choices=("groebner", "elimination", "chart"))
-    add_dn(p)
-    add_limits(p)
-    add_output(p)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("eval", help="evaluate all generators at a coefficient tuple")
-    add_dn(p)
-    p.add_argument("--coeffs", required=True, help="CoefficientTuple JSON file")
-    add_output(p)
-    p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser("sample", help="draw a deterministic coefficient tuple")
-    add_dn(p)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--planted", action="store_true", help="plant a common rational root")
-    add_output(p)
-    p.set_defaults(func=_cmd_sample)
-
-    p = sub.add_parser("export", help="re-emit an ideal in a CAS script format")
-    add_dn(p, n_required=False)
-    p.add_argument("--input", help="JSON document produced by the json format")
-    p.add_argument("--k", type=int)
-    p.add_argument("--reduced-only", action="store_true")
-    p.add_argument("--format", choices=exports.FORMATS, required=True)
-    p.add_argument("--alias", action=argparse.BooleanOptionalAction, default=None)
-    add_output(p)
-    p.set_defaults(func=_cmd_export)
-
+    for name, (help_text, handler, options) in COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            options(p)
+            p.add_argument("-o", "--output", help="write to a file instead of stdout")
+            p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the full parser only where it shapes the output: no command, --help,
+    # an unknown command, or unrecognized arguments, whose usage line lists
+    # every command
+    command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        args = parser.parse_args(argv)
+        args, extra = build_parser(command).parse_known_args(argv)
+        if extra:
+            build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -13,7 +13,8 @@ truncating.
 Both run on the packed, fraction-free kernel of orders.py: the basis,
 s-polynomials, pair lcms (poly.Packing.lcm, a fieldwise max) and their
 order keys (computed once per pair) stay packed, and Polynomial values are
-decoded only for the returned basis.
+decoded only for the returned basis. is_packed_groebner_basis certifies
+packed minors as minors.packed_minors yields them, with none decoded.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import gcd
-from typing import List, Optional, Sequence
+from typing import Iterable, List, Mapping, Optional, Sequence
 
 from .minors import enumerate_generators, top_minor_records  # top_minor_records stays bound here for perfbench/tracing.py
 from .orders import (  # leading_term and normal_form stay bound here for perfbench/tracing.py
@@ -37,7 +38,7 @@ from .orders import (  # leading_term and normal_form stay bound here for perfbe
     leading_term,
     normal_form,
 )
-from .poly import Monomial, Polynomial, Ring, RingMismatchError, ZeroPolynomialError, parse_number
+from .poly import Monomial, Packing, Polynomial, Ring, RingMismatchError, ZeroPolynomialError, parse_number
 
 
 class ResourceExhaustedError(RuntimeError):
@@ -184,12 +185,18 @@ class _Run(_Reducer):
         deadline has passed; total, the certificate's number of pairs,
         goes into the message."""
         done = self.pairs_processed
-        of = "" if total is None else f" of {total}"
         if done >= self.limits.max_pairs:
-            after = f" after {done}{of} pairs" if of else ""
+            after = "" if total is None else f" after {done} of {total} pairs"
             raise ResourceExhaustedError(f"pair limit {self.limits.max_pairs} exceeded{after}")
+        self.check_time(total)
+
+    def check_time(self, total: Optional[int] = None) -> None:
+        """Raise once the budget's deadline has passed."""
         if self.budget is not None and time.monotonic() > self.budget[0]:
-            raise ResourceExhaustedError(f"timeout of {self.budget[1]}s exceeded after {done}{of} pairs")
+            of = "" if total is None else f" of {total}"
+            raise ResourceExhaustedError(
+                f"timeout of {self.budget[1]}s exceeded after {self.pairs_processed}{of} pairs"
+            )
 
     def insert(self, f: list) -> None:
         """Append the packed polynomial f to the basis and update the pairs."""
@@ -228,6 +235,21 @@ class _Run(_Reducer):
         self.subtract(work, heap, i, lij - pe, key - pk, -qc // g)
         self.subtract(work, heap, j, lij - qe, key - qk, pc // g)
         return self.divide(work, stop, heap)
+
+    def certify(self, basis: Iterable, encode) -> bool:
+        """The Buchberger criterion on the Gebauer-Moeller pairs of basis,
+        each element made a packed divisor by encode as it enters. The
+        limits are checked before each pair is reduced, where the message
+        can name the number of pairs."""
+        for b in basis:
+            self.retrying(lambda: self.insert(encode(b)))
+        pairs = sorted(self.pairs)
+        for i, j in pairs:
+            self.check(len(pairs))
+            if self.retrying(lambda: self.pair_remainder(i, j, stop=True)) is None:
+                return False
+            self.pairs_processed += 1
+        return True
 
     def loop(self) -> None:
         while self.pairs:
@@ -293,6 +315,7 @@ def buchberger(
         for g in gens:
             if g.is_zero:
                 continue
+            run.check_time()
             r = run.retrying(lambda: _rescaled(*run.divide(run.work(g)[0])))
             if r:
                 run.grow(r)
@@ -321,15 +344,18 @@ def is_groebner_basis(
     checked before each reduction.
     """
     run = _Run(order, limits)
-    for b in basis:
-        run.retrying(lambda: run.insert(run.encode(b)))
-    pairs = sorted(run.pairs)
-    for i, j in pairs:
-        run.check(len(pairs))
-        if run.retrying(lambda: run.pair_remainder(i, j, stop=True)) is None:
-            return False
-        run.pairs_processed += 1
-    return True
+    return run.certify(basis, run.encode)
+
+
+def is_packed_groebner_basis(
+    packing: Packing, basis: Iterable[Mapping[int, int]], order: TermOrder, limits: Limits = DEFAULT_LIMITS
+) -> bool:
+    """is_groebner_basis of polynomials given as {key: int coefficient}
+    over packing, such as the minors of minors.packed_minors; none is
+    decoded. A lazy basis is consumed as the certificate runs, so its time
+    counts against the timeout."""
+    run = _Run(order, limits)
+    return run.certify(basis, lambda terms: run.unpack(packing, terms))
 
 
 def reduces_to_zero(polys: Sequence[Polynomial], basis: Sequence[Polynomial], order: TermOrder) -> bool:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .poly import (
     Monomial,
@@ -175,7 +175,8 @@ class _Reducer:
     coefficient: a list of (key, exps, coef) terms in descending key order,
     its leading term first. The list grows through add(). Work that raises
     OverflowError runs through retrying(), which repacks every divisor at
-    twice the field width and runs it again.
+    twice the field width and runs it again. Divisors enter as Polynomials
+    (encode) or as terms packed in another layout (unpack).
     """
 
     def __init__(self, order: TermOrder, basis: Sequence[Polynomial] = ()):
@@ -188,6 +189,7 @@ class _Reducer:
         self.packing = packing
         self.columns = dict(zip(self.order.variables, _key_columns(self.order.rows, packing.emax)))
         self.memo = {}  # Monomial -> (key, exps) at this width
+        self.imports = {}  # source Packing -> its fragments as (exps, key) parts at this width
         self.polys, self.lead_keys, self.leads, self.lcs, self.tails = [], [], [], [], []
 
     def widen(self) -> None:
@@ -237,6 +239,40 @@ class _Reducer:
             raise ZeroPolynomialError("division by a basis containing zero")
         work, _ = self.work(p)
         return _primitive(sorted(((key, e, c) for key, (e, c) in work.items()), reverse=True))
+
+    def unpack(self, source: Packing, terms: Mapping[int, int]) -> list:
+        """Integer terms packed by source (for example a minor from
+        minors.packed_minors) as a primitive packed divisor, with no
+        Monomial built: each distinct field value of a source group becomes
+        its exponent bits and order-key part here once per width.
+        OverflowError when an exponent does not fit."""
+        if not terms:
+            raise ZeroPolynomialError("division by a basis containing zero")
+        parts = self.imports.get(source)
+        if parts is None:
+            shifts, columns, emax = self.packing.shifts, self.columns, self.packing.emax
+
+            def move(pairs: tuple) -> tuple:
+                exps = key = 0
+                for v, e in pairs:
+                    if e > emax:
+                        raise OverflowError(f"exponent {e} of {v.name} exceeds {emax}")
+                    if v not in columns:
+                        raise RingMismatchError(f"variable {v.name} not ranked by this order")
+                    exps += e << shifts[v]
+                    key += e * columns[v]
+                return exps, key
+
+            parts = self.imports[source] = source.fragments(move)
+        out = []
+        for skey, c in terms.items():
+            exps = key = 0
+            for e, k in parts(skey):
+                exps += e
+                key += k
+            out.append((key, exps, c))
+        out.sort(reverse=True)
+        return _primitive(out)
 
     def add(self, poly: list) -> None:
         self.polys.append(poly)

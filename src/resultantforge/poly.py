@@ -381,13 +381,18 @@ class Packing:
         return {self.key(m): c.numerator if c.denominator == 1 else c for m, c in terms.items()}
 
     def _parts(self, style, render, by_name: bool = False):
+        """fragments(render, by_name), made once per style."""
+        parts = self._styles.get(style)
+        if parts is None:
+            parts = self._styles[style] = self.fragments(render, by_name)
+        return parts
+
+    def fragments(self, render, by_name: bool = False):
         """key -> the rendered nonempty groups of the key, most significant
         first or, by_name, in the name order of json.dumps(sort_keys=True),
         where a_10_* comes before a_1_*. render maps a group's (variable,
-        exponent) pairs, in canonical order, to its fragment."""
-        parts = self._styles.get(style)
-        if parts is not None:
-            return parts
+        exponent) pairs, in canonical order, to its fragment; each distinct
+        field value of a group is rendered once per returned function."""
         mask = self.emax
         groups = sorted(self._groups) if by_name else self._groups
         table = [(low, fields, {}, spec) for _, low, fields, spec in groups]
@@ -404,7 +409,6 @@ class Packing:
                     out.append(got)
             return out
 
-        self._styles[style] = parts
         return parts
 
     def pairs(self, key: int) -> tuple:
@@ -660,8 +664,15 @@ class Polynomial:
         terms = []
         for idx, entry in enumerate(json_value(data, list, "polynomial")):
             at = f"[{idx}]"
-            exps = json_field(entry, "m", dict, at).items()
-            mono = Monomial((parse_var(v), json_value(e, int, f"{at}.m.{v}")) for v, e in exps)
+            pairs = []  # distinct names parse to distinct variables: nothing to merge
+            for v, e in json_field(entry, "m", dict, at).items():
+                var, e = parse_var(v), json_value(e, int, f"{at}.m.{v}")
+                if e < 0:
+                    raise ValueError(f"negative exponent {e} for {var}")
+                if e:
+                    pairs.append((var, e))
+            pairs.sort()
+            mono = Monomial._make(tuple(pairs))
             text = json_field(entry, "c", str, at)
             try:
                 terms.append((mono, parse_c(text)))

@@ -1,7 +1,11 @@
 """Command-line surface: dispatch, formats, exit statuses, env limits."""
 
+import argparse
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -17,6 +21,7 @@ from conftest import GRID
 from oracles import reference_export
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+SRC = str(pathlib.Path(cli.__file__).resolve().parents[1])
 
 
 def run(capsys, *argv):
@@ -428,6 +433,73 @@ class TestUsage:
         code = main(["degree", "--degrees", "1,1", "-o", str(target)])
         assert code == 0
         assert json.loads(target.read_text())["D"] == 2
+
+
+# stdout, stderr and exit code of help, usage and parse errors, as the
+# parser of every subcommand wrote them at 80 columns
+USAGE_CASES = json.loads((GOLDEN / "cli_usage.json").read_text())
+
+
+def subcommands(parser) -> list:
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(action.choices)
+
+
+class TestParserOutput:
+    @pytest.mark.parametrize("case", USAGE_CASES, ids=lambda case: " ".join(case["argv"]) or "(none)")
+    def test_matches_golden(self, capsys, monkeypatch, case):
+        monkeypatch.setenv("COLUMNS", "80")
+        code = main(case["argv"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (case["code"], case["stdout"], case["stderr"])
+
+    @staticmethod
+    def built(monkeypatch) -> list:
+        """The subcommands of every parser main builds from now on."""
+        seen = []
+
+        def recording(command=None):
+            parser = build(command)
+            seen.append(subcommands(parser))
+            return parser
+
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", recording)
+        return seen
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_known_command_builds_only_its_parser(self, capsys, monkeypatch, command):
+        seen = self.built(monkeypatch)
+        assert main([command, "--help"]) == 0
+        assert seen == [[command]]
+
+    def test_a_job_builds_only_its_parser(self, capsys, monkeypatch):
+        seen = self.built(monkeypatch)
+        assert main(["verify", "groebner", "--d", "2", "--n", "3"]) == 0
+        assert seen == [["verify"]]
+
+    @pytest.mark.parametrize(
+        "argv, parsers",
+        [
+            ([], [None]),
+            (["--help"], [None]),
+            (["bogus"], [None]),
+            (["gens", "--d", "2", "--n", "3", "--bogus"], ["gens", None]),
+        ],
+    )
+    def test_full_parser_only_where_it_shapes_the_output(self, capsys, monkeypatch, argv, parsers):
+        seen = self.built(monkeypatch)
+        main(argv)
+        assert seen == [list(cli.COMMANDS) if name is None else [name] for name in parsers]
+
+    @pytest.mark.parametrize("argv", [["verify", "--help"], ["bogus"]])
+    def test_module_entry_point_reads_sys_argv(self, argv):
+        (case,) = [case for case in USAGE_CASES if case["argv"] == argv]
+        env = dict(os.environ, COLUMNS="80", PYTHONPATH=SRC)
+        done = subprocess.run(
+            [sys.executable, "-m", "resultantforge", *argv], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (case["code"], case["stdout"], case["stderr"])
 
 
 GOOD_TUPLE = {"d": 1, "n": 2, "values": [["1", "2"], ["3", "4"]]}

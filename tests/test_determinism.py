@@ -18,6 +18,7 @@ SRC = str(pathlib.Path(resultantforge.__file__).resolve().parents[1])
     [
         ["gens", "--d", "2", "--n", "3", "--format", "json"],
         ["verify", "groebner", "--d", "2", "--n", "3"],
+        ["verify", "groebner", "--d", "3", "--n", "3"],
         ["verify", "elimination", "--d", "2", "--n", "3"],
         ["eval", "--d", "3", "--n", "3", "--coeffs", "{tuple}"],
         ["gens", "--d", "1", "--n", "10", "--format", "json"],

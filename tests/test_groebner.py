@@ -18,13 +18,15 @@ from resultantforge.groebner import (
     elimination_order,
     ideal_equal,
     is_groebner_basis,
+    is_packed_groebner_basis,
     reduces_to_zero,
     s_polynomial,
     system_polynomials,
 )
-from resultantforge.minors import enumerate_generators
-from resultantforge.orders import BlockOrder, DegRevLexOrder, LexOrder, leading_term, normal_form
-from resultantforge.poly import Monomial, Polynomial, Ring, ZeroPolynomialError
+from resultantforge.minors import enumerate_generators, packed_minors
+from resultantforge.orders import BlockOrder, DegRevLexOrder, LexOrder, _Reducer, leading_term, normal_form
+from resultantforge.poly import Monomial, Packing, Polynomial, Ring, ZeroPolynomialError
+from resultantforge.walks import enumerate_reduced
 
 from conftest import GRID
 from oracles import all_pairs_groebner, chart_by_substitution, sylvester_resultant
@@ -233,7 +235,8 @@ class TestCertificate:
     def test_matches_all_pairs_oracle(self, dn, family, order, basis_records, all_records, diag_orders):
         # the reduced-walk minors ("walks") or all minors, plus, when there
         # are at most 30 of them, every subset with one generator dropped:
-        # those supply most of the non-bases
+        # those supply most of the non-bases; the reduced-walk cases also
+        # go through the packed certificate
         records = basis_records if family == "walks" else all_records
         gens = [rec.poly for rec in records[dn]]
         ring = gens[0].ring
@@ -247,6 +250,57 @@ class TestCertificate:
             cases += [gens[:i] + gens[i + 1 :] for i in range(len(gens))]
         want = [all_pairs_groebner(c, term_order) for c in cases]
         assert [is_groebner_basis(c, term_order) for c in cases] == want
+        if family == "walks":
+            # the same cases as verify groebner feeds them in: packed minors
+            packing, minors = packed_minors(ring, enumerate_reduced(*dn))
+            packed = list(minors)
+            assert [{packing.monomial(key): c for key, c in p.items()} for p in packed] == [g.terms for g in gens]
+            packed_cases = [packed]
+            if 1 < len(gens) <= 30:
+                packed_cases += [packed[:i] + packed[i + 1 :] for i in range(len(gens))]
+            assert [is_packed_groebner_basis(packing, iter(c), term_order) for c in packed_cases] == want
+
+
+class TestPackedCertificate:
+    def test_import_repacks_past_fifteen(self, monkeypatch):
+        # the first element maps a_2_0 at the first width; the second needs
+        # a_1_1^20, so its import repacks, and its a_2_0 must be mapped
+        # again at the new width
+        ring = Ring(1, 2)
+        order = LexOrder(ring.coeff_vars_row_major())
+        a = lambda j, s, e=1: Polynomial.term(ring, Monomial({ring.coeff(j, s): e}), 1)
+        polys = [a(1, 0) * a(2, 0) - a(1, 1) * a(2, 1), a(1, 1, 20) * a(2, 0) - a(2, 1) * a(2, 1)]
+        source = Packing(ring.variables, 5)
+        packed = [source.pack(p.terms) for p in polys]
+        widths = []
+        widen = _Reducer.widen
+
+        def spy(reducer):
+            assert reducer.packing.width < 64, "repacks without end"
+            widen(reducer)
+            widths.append(reducer.packing.width)
+
+        monkeypatch.setattr(_Reducer, "widen", spy)
+        reducer = _Reducer(order)
+        for terms in packed:
+            reducer.retrying(lambda: reducer.add(reducer.unpack(source, terms)))
+        assert widths == [8]
+        reference = _Reducer(order, polys)
+        assert reference.packing.width == 8 and reducer.polys == reference.polys
+        want = all_pairs_groebner(polys, order)
+        assert is_groebner_basis(polys, order) is want
+        widths.clear()
+        assert is_packed_groebner_basis(source, packed, order) is want
+        assert widths == [8]
+
+    def test_unranked_variable_and_zero_rejected(self):
+        ring = Ring(1, 2)
+        order = LexOrder([ring.coeff(1, 0), ring.coeff(1, 1)])
+        source = Packing(ring.variables, 2)
+        with pytest.raises(ValueError, match="a_2_0 not ranked"):
+            is_packed_groebner_basis(source, [{source.key(Monomial({ring.coeff(2, 0): 1})): 1}], order)
+        with pytest.raises(ZeroPolynomialError):
+            is_packed_groebner_basis(source, [{}], order)
 
 
 class TestEliminateX:
@@ -374,6 +428,39 @@ class TestTimeBudget:
         assert call(Limits(timeout=n - 1.5)) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and f"timeout of {n - 1.5}s exceeded" in captured.err
+
+
+class TestDeadlineOnEntry:
+    """buchberger checks the deadline, and only the deadline, before each
+    input generator is reduced, under a clock that reads 0 when the budget
+    starts and 10 ever after."""
+
+    @staticmethod
+    def expired(monkeypatch):
+        ticks = itertools.chain([0.0], itertools.repeat(10.0))
+        monkeypatch.setattr(groebner.time, "monotonic", lambda: next(ticks))
+
+    def test_single_generator(self, monkeypatch):
+        # one generator makes no pair, so no pair check would ever run
+        ring, x, y, order = xy_setup()
+        self.expired(monkeypatch)
+        with pytest.raises(ResourceExhaustedError, match=r"^timeout of 1.0s exceeded after 0 pairs$"):
+            buchberger([x * y - y], order, Limits(timeout=1.0))
+
+    def test_no_generator_is_reduced(self, monkeypatch):
+        ring = Ring(2, 3)
+        gens = [rec.poly for rec in enumerate_generators(2, 3, ring)]
+        divided = []
+        divide = groebner._Run.divide
+        monkeypatch.setattr(groebner._Run, "divide", lambda run, *args: divided.append(1) or divide(run, *args))
+        self.expired(monkeypatch)
+        with pytest.raises(ResourceExhaustedError, match=r"^timeout of 1.0s exceeded after 0 pairs$"):
+            buchberger(gens, DegRevLexOrder(ring.coeff_vars_column_major()), Limits(timeout=1.0))
+        assert divided == []
+
+    def test_pair_limit_is_not_checked_on_entry(self):
+        ring, x, y, order = xy_setup()
+        assert buchberger([x * y - y], order, Limits(max_pairs=0)).certified_basis == [x * y - y]
 
 
 def assert_reduced(basis, order):

@@ -224,6 +224,14 @@ class TestJson:
             blob = json.dumps(p.to_json())
             assert Polynomial.from_json(ring, json.loads(blob)) == p
 
+    def test_zero_exponents_dropped_and_negative_rejected(self):
+        ring = Ring(1, 2)
+        p = Polynomial.from_json(ring, [{"c": "2", "m": {"a_2_1": 1, "a_1_0": 0, "a_1_1": 3}}])
+        m = Monomial({ring.coeff(1, 1): 3, ring.coeff(2, 1): 1})
+        assert p.terms == {m: 2} and next(iter(p.terms)).exps == m.exps
+        with pytest.raises(ValueError, match=r"^negative exponent -1 for a_1_0$"):
+            Polynomial.from_json(ring, [{"c": "1", "m": {"a_1_1": 0, "a_1_0": -1}}])
+
     def test_canonical_key_matches_dense_exponent_vectors(self, all_records, rings):
         for dn, records in all_records.items():
             ring = rings[dn]
