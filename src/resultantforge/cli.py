@@ -20,19 +20,19 @@ from . import exports
 from .cascade import CascadeMatrix
 from .diagonal import build_diagonal_weights, diagonal_order
 from .geometry import DimDegree, SquareFreeMonomialIdeal, chow_degree, minimal_primes
-from .groebner import (  # is_groebner_basis stays bound here for perfbench/tracing.py
+from .groebner import (  # eliminate_x, ideal_equal and is_groebner_basis stay bound here for perfbench/tracing.py
     DEFAULT_LIMITS,
-    IdealPresentation,
     Limits,
     ResourceExhaustedError,
     _budget,
     chart_equal,
     eliminate_x,
+    elimination_equal,
     ideal_equal,
     is_groebner_basis,
     is_packed_groebner_basis,
 )
-from .minors import (  # generators_for_basis stays bound here for perfbench/tracing.py
+from .minors import (  # enumerate_generators and generators_for_basis stay bound here for perfbench/tracing.py
     enumerate_generators,
     expand_walks,
     generator_walks,
@@ -206,18 +206,12 @@ def _cmd_verify(args) -> int:
                 {"basis_size": len(walks)},
             )
         if args.check == "elimination":
-            ring = Ring(args.d, args.n)
-            order = DegRevLexOrder(ring.coeff_vars_column_major())
-            minors_pres = IdealPresentation(
-                ring, [rec.poly for rec in enumerate_generators(args.d, args.n, ring)], order
-            )
-            elim = eliminate_x(args.d, args.n, limits)
-            ok = ideal_equal(minors_pres, elim, limits)
+            ok, minors, eliminated = elimination_equal(args.d, args.n, limits)
             return _verify_report(
                 args,
                 "cascade minors generate the eliminated ideal of coefficient relations",
                 ok,
-                {"minors": len(minors_pres.generators), "eliminated_basis": len(elim.generators)},
+                {"minors": minors, "eliminated_basis": eliminated},
             )
         if args.check == "chart":
             ok = chart_equal(args.d, args.n, limits)

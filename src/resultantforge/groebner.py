@@ -12,9 +12,10 @@ truncating.
 
 Both run on the packed, fraction-free kernel of orders.py: the basis,
 s-polynomials, pair lcms (poly.Packing.lcm, a fieldwise max) and their
-order keys (computed once per pair) stay packed, and Polynomial values are
-decoded only for the returned basis. is_packed_groebner_basis certifies
-packed minors as minors.packed_minors yields them, with none decoded.
+order keys (computed once per pair) stay packed. Polynomials enter
+through orders._packed and are decoded only where the library returns
+them: is_packed_groebner_basis, chart_equal and elimination_equal take
+minors as minors.packed_minors yields them and decode nothing.
 """
 
 from __future__ import annotations
@@ -27,12 +28,14 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, List, Mapping, Optional, Sequence
 
-from .minors import enumerate_generators, top_minor_records  # top_minor_records stays bound here for perfbench/tracing.py
+from .minors import enumerate_generators, top_minor_records  # both stay bound here for perfbench/tracing.py
+from .minors import generator_walks, packed_minors
 from .orders import (  # leading_term and normal_form stay bound here for perfbench/tracing.py
     BlockOrder,
     DegRevLexOrder,
     LexOrder,
     TermOrder,
+    _packed,
     _primitive,
     _Reducer,
     leading_term,
@@ -103,7 +106,7 @@ def _budget(limits: Limits):
         _LOCAL.budget = outer
 
 
-@dataclass
+@dataclass(frozen=True)
 class IdealPresentation:
     """Generators plus an optional certified basis for one term order."""
 
@@ -111,12 +114,6 @@ class IdealPresentation:
     generators: List[Polynomial]
     order: TermOrder
     certified_basis: Optional[List[Polynomial]] = None
-
-    def basis(self, limits: Limits = DEFAULT_LIMITS) -> List[Polynomial]:
-        if self.certified_basis is None:
-            done = buchberger(self.generators, self.order, limits)
-            self.certified_basis = done.certified_basis
-        return self.certified_basis
 
 
 def s_polynomial(p: Polynomial, q: Polynomial, order: TermOrder) -> Polynomial:
@@ -236,13 +233,13 @@ class _Run(_Reducer):
         self.subtract(work, heap, j, lij - qe, key - qk, pc // g)
         return self.divide(work, stop, heap)
 
-    def certify(self, basis: Iterable, encode) -> bool:
+    def certify(self, basis: Iterable) -> bool:
         """The Buchberger criterion on the Gebauer-Moeller pairs of basis,
-        each element made a packed divisor by encode as it enters. The
-        limits are checked before each pair is reduced, where the message
-        can name the number of pairs."""
-        for b in basis:
-            self.retrying(lambda: self.insert(encode(b)))
+        (source, terms) pairs each unpacked as it enters. The limits are
+        checked before each pair is reduced, where the message can name the
+        number of pairs."""
+        for source, terms in basis:
+            self.retrying(lambda: self.insert(self.unpack(source, terms)))
         pairs = sorted(self.pairs)
         for i, j in pairs:
             self.check(len(pairs))
@@ -292,6 +289,26 @@ def _rescaled(rem: list, scale: int) -> list:
     return _primitive([(key, exps, c * (scale // s)) for key, exps, c, s in rem]) if rem else []
 
 
+def _basis_run(order: TermOrder, gens: Iterable, limits: Limits, self_check: bool = True) -> _Run:
+    """The packed core of buchberger: the finished run of the (source,
+    terms) pairs gens, its divisors the reduced basis in ascending lead
+    order. The deadline is checked before each generator is reduced."""
+    with _budget(limits):
+        run = _Run(order, limits)
+        for source, terms in gens:
+            run.check_time()
+            r = run.retrying(lambda: _rescaled(*run.divide(run.load(source, terms))))
+            if r:
+                run.grow(r)
+        if not run.polys:
+            raise ZeroPolynomialError("no nonzero generators")
+        run.loop()
+        run.interreduce()
+        if self_check and not _Run(order, DEFAULT_LIMITS).certify(run.divisors()):
+            raise AssertionError("internal error: output failed the Buchberger criterion")
+    return run
+
+
 def buchberger(
     gens: Sequence[Polynomial],
     order: TermOrder,
@@ -301,34 +318,15 @@ def buchberger(
     """Certified reduced basis of the ideal generated by gens.
 
     With self_check (the default) the finished basis is certified again,
-    from scratch, by is_groebner_basis under the default pair and basis
-    limits and in the time the run left of limits.timeout.
+    from scratch, by the Buchberger criterion under the default pair and
+    basis limits and in the time the run left of limits.timeout.
     """
-    gens = [g for g in gens]
-    if not gens or all(g.is_zero for g in gens):
-        raise ZeroPolynomialError("no nonzero generators")
-    ring = gens[0].ring
-    if any(g.ring != ring for g in gens):
+    gens = list(gens)
+    if any(g.ring != gens[0].ring for g in gens):
         raise RingMismatchError("generators live in different rings")
-    with _budget(limits):
-        run = _Run(order, limits)
-        for g in gens:
-            if g.is_zero:
-                continue
-            run.check_time()
-            r = run.retrying(lambda: _rescaled(*run.divide(run.work(g)[0])))
-            if r:
-                run.grow(r)
-        run.loop()
-        run.interreduce()
-        monomial = run.packing.monomial
-        basis = [
-            Polynomial(ring, {monomial(exps): Fraction(c) for _, exps, c in f}, _trusted=True)
-            for f in run.polys
-        ]
-        if self_check and not is_groebner_basis(basis, order):
-            raise AssertionError("internal error: output failed the Buchberger criterion")
-    return IdealPresentation(ring, list(gens), order, basis)
+    run = _basis_run(order, _packed(gens), limits, self_check)
+    basis = [run.packing.polynomial(gens[0].ring, terms) for _, terms in run.divisors()]
+    return IdealPresentation(gens[0].ring, gens, order, basis)
 
 
 def is_groebner_basis(
@@ -343,8 +341,7 @@ def is_groebner_basis(
     kept pairs reduced; the timeout, which runs from before the inserts, is
     checked before each reduction.
     """
-    run = _Run(order, limits)
-    return run.certify(basis, run.encode)
+    return _Run(order, limits).certify(_packed(basis))
 
 
 def is_packed_groebner_basis(
@@ -354,14 +351,12 @@ def is_packed_groebner_basis(
     over packing, such as the minors of minors.packed_minors; none is
     decoded. A lazy basis is consumed as the certificate runs, so its time
     counts against the timeout."""
-    run = _Run(order, limits)
-    return run.certify(basis, lambda terms: run.unpack(packing, terms))
+    return _Run(order, limits).certify((packing, terms) for terms in basis)
 
 
 def reduces_to_zero(polys: Sequence[Polynomial], basis: Sequence[Polynomial], order: TermOrder) -> bool:
     """True when every polynomial reduces to zero against the basis."""
-    reducer = _Reducer(order, basis)
-    return all(reducer.reduces_to_zero(p) for p in polys)
+    return _Reducer(order, basis).reduces_to_zero(_packed(polys))
 
 
 def elimination_order(ring: Ring) -> TermOrder:
@@ -386,6 +381,15 @@ def system_polynomials(ring: Ring) -> List[Polynomial]:
     return out
 
 
+def _eliminated(d: int, n: int, limits: Limits) -> list:
+    """The x-free elements of the reduced basis of the system ideal under
+    the elimination order, as (source, terms) pairs."""
+    ring_x = Ring(d, n, with_x=True)
+    run = _basis_run(elimination_order(ring_x), _packed(system_polynomials(ring_x)), limits, self_check=False)
+    xbits = run.packing.emax << run.packing.shifts[ring_x.x]
+    return [(source, terms) for source, terms in run.divisors() if not any(key & xbits for key in terms)]
+
+
 def eliminate_x(d: int, n: int, limits: Limits = DEFAULT_LIMITS) -> IdealPresentation:
     """Eliminate x from the system ideal: certified basis of the ideal of
     coefficient relations forced by a common root.
@@ -396,31 +400,48 @@ def eliminate_x(d: int, n: int, limits: Limits = DEFAULT_LIMITS) -> IdealPresent
     x-free polynomials the elimination order is that degrevlex order, so
     they keep the ascending lead order of the full basis.
     """
-    ring_x = Ring(d, n, with_x=True)
-    order = elimination_order(ring_x)
-    done = buchberger(system_polynomials(ring_x), order, limits, self_check=False)
     ring_a = Ring(d, n)
-    a_order = DegRevLexOrder(ring_a.coeff_vars_column_major())
-    xvar = ring_x.x
-    restricted = [
-        Polynomial(ring_a, g.terms, _trusted=True)
-        for g in done.certified_basis
-        if all(m[xvar] == 0 for m in g.terms)
-    ]
-    return IdealPresentation(ring_a, restricted, a_order, restricted)
+    restricted = [source.polynomial(ring_a, terms) for source, terms in _eliminated(d, n, limits)]
+    return IdealPresentation(ring_a, restricted, DegRevLexOrder(ring_a.coeff_vars_column_major()), restricted)
+
+
+def _equal(sides: Sequence[tuple], limits: Limits) -> bool:
+    """Mutual membership of two ideals: every generator of each side
+    reduces to zero mod the other's basis. A side is (order, generators,
+    basis): (source, terms) pairs and a _Reducer holding a basis certified
+    for order, or None for Buchberger to compute one within limits."""
+    with _budget(limits):
+        bases = [_basis_run(order, gens, limits) if basis is None else basis for order, gens, basis in sides]
+    (_, gens_a, _), (_, gens_b, _) = sides
+    return bases[1].reduces_to_zero(gens_a) and bases[0].reduces_to_zero(gens_b)
 
 
 def ideal_equal(a: IdealPresentation, b: IdealPresentation, limits: Limits = DEFAULT_LIMITS) -> bool:
     """Mutual membership: every generator of each reduces to zero mod the
-    other's certified basis."""
+    other's certified basis, which Buchberger computes within limits where
+    a presentation has none."""
     if a.ring != b.ring:
         raise ValueError("presentations live in different rings")
+    sides = [
+        (p.order, _packed(p.generators), None if p.certified_basis is None else _Reducer(p.order, p.certified_basis))
+        for p in (a, b)
+    ]
+    return _equal(sides, limits)
+
+
+def elimination_equal(d: int, n: int, limits: Limits = DEFAULT_LIMITS) -> tuple:
+    """Do the cascade minors generate the ideal eliminate_x computes? The
+    answer, the number of minors and the size of the eliminated basis, by
+    mutual membership as in ideal_equal, with nothing decoded."""
+    ring = Ring(d, n)
+    order = DegRevLexOrder(ring.coeff_vars_column_major())
+    packing, minors = packed_minors(ring, generator_walks(d, n))
+    minors = [(packing, minor) for minor in minors]
     with _budget(limits):
-        basis_a = a.basis(limits)
-        basis_b = b.basis(limits)
-    return reduces_to_zero(a.generators, basis_b, b.order) and reduces_to_zero(
-        b.generators, basis_a, a.order
-    )
+        elim = _Reducer(order)
+        elim.extend(_eliminated(d, n, limits))
+        ok = _equal([(order, minors, None), (order, elim.divisors(), elim)], limits)
+    return ok, len(minors), len(elim.polys)
 
 
 def chart_equal(d: int, n: int, limits: Limits = DEFAULT_LIMITS) -> bool:
@@ -431,9 +452,10 @@ def chart_equal(d: int, n: int, limits: Limits = DEFAULT_LIMITS) -> bool:
     this holds on every chart; the remaining charts follow by symmetry.
     """
     ring = Ring(d, n)
-    chart = [Polynomial.variable(ring, ring.coeff(1, 0)) - Polynomial.constant(ring, 1)]
-    records = enumerate_generators(d, n, ring)
+    walks = generator_walks(d, n)
+    packing, minors = packed_minors(ring, walks)
+    chart = (packing, {1 << packing.shifts[ring.coeff(1, 0)]: 1, 0: -1})
+    full = [chart, *((packing, minor) for minor in minors)]
+    top = [chart, *(g for walk, g in zip(walks, full[1:]) if len(walk) == 2 * d)]
     order = DegRevLexOrder(ring.coeff_vars_column_major())
-    top = IdealPresentation(ring, chart + [rec.poly for rec in records if rec.k == d], order)
-    full = IdealPresentation(ring, chart + [rec.poly for rec in records], order)
-    return ideal_equal(top, full, limits)
+    return _equal([(order, top, None), (order, full, None)], limits)

@@ -9,7 +9,6 @@ indexed by reduced walks is the distinguished basis G.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, List, Optional
 
 from .cascade import CascadeMatrix, RowSelection
@@ -94,17 +93,14 @@ class _Packed(dict):
 
 
 def _symbolic(ring: Ring) -> tuple:
-    """one, zero, the band_det entry product, the Packing of the keys and a
-    decoder for symbolic minors over packed exponent ints (Monagan &
-    Pearce, CASC 2007).
+    """one, zero, the band_det entry product and the Packing of the keys for
+    symbolic minors over packed exponent ints (Monagan & Pearce, CASC 2007).
 
     Variable a_j_s owns a field of (d+1).bit_length() bits in the one
     layout of poly.Packing, a_1_0 the most significant; its exponent in a
     minor of M_k is at most k <= d, so fields never carry, multiplying by
     a_j_s adds its unit step to every key, and keys sort in canonical
-    order. decode turns a finished minor into a Polynomial with Fraction
-    coefficients; it builds each distinct monomial and coefficient once,
-    and its memos live as long as it does.
+    order. Packing.polynomial decodes a finished minor.
     """
     packing = Packing(ring.coeff_vars_row_major(), (ring.d + 1).bit_length())
     steps = [[1 << packing.shifts[ring.coeff(j, s)] for s in range(ring.d + 1)] for j in range(1, ring.n + 1)]
@@ -115,21 +111,7 @@ def _symbolic(ring: Ring) -> tuple:
             return _Packed({key + step: -c for key, c in sub.items()})
         return _Packed({key + step: c for key, c in sub.items()})
 
-    monos, coeffs = {}, {}
-
-    def decode(packed: _Packed) -> Polynomial:
-        terms = {}
-        for key, c in packed.items():
-            m = monos.get(key)
-            if m is None:
-                m = monos[key] = packing.monomial(key)
-            f = coeffs.get(c)
-            if f is None:
-                f = coeffs[c] = Fraction(c)
-            terms[m] = f
-        return Polynomial(ring, terms, _trusted=True)
-
-    return _Packed({0: 1}), _Packed(), times, packing, decode
+    return _Packed({0: 1}), _Packed(), times, packing
 
 
 def minor_det(m: CascadeMatrix, sel: RowSelection) -> Polynomial:
@@ -138,8 +120,8 @@ def minor_det(m: CascadeMatrix, sel: RowSelection) -> Polynomial:
         raise ValueError(f"selection {sel!r} does not fit {m!r}")
     if len(sel.pairs) != m.ncols:
         raise ValueError(f"need {m.ncols} rows for a maximal minor, got {len(sel.pairs)}")
-    one, zero, times, _, decode = _symbolic(m.ring)
-    return decode(band_det(sel.pairs, m.d, one, zero, times, {}))
+    one, zero, times, packing = _symbolic(m.ring)
+    return packing.polynomial(m.ring, band_det(sel.pairs, m.d, one, zero, times, {}))
 
 
 def walk_minors(d: int, n: int, walks: Iterable[MinorWalk], one, zero, times):
@@ -156,15 +138,16 @@ def packed_minors(ring: Ring, walks: Iterable[MinorWalk]) -> tuple:
     """The Packing of ring's coefficient variables and an iterator over the
     minor of each walk as {packed key: int coefficient}. Each minor is
     expanded as the iterator reaches it and is never decoded."""
-    one, zero, times, packing, _ = _symbolic(ring)
+    one, zero, times, packing = _symbolic(ring)
     return packing, (minor for _, _, minor in walk_minors(ring.d, ring.n, walks, one, zero, times))
 
 
 def expand_walks(d: int, n: int, walks: Iterable[MinorWalk], ring: Optional[Ring] = None) -> List[GeneratorRecord]:
     """One record per walk with its minor expanded symbolically."""
-    one, zero, times, _, decode = _symbolic(Ring.for_system(d, n, ring))
+    ring = Ring.for_system(d, n, ring)
+    one, zero, times, packing = _symbolic(ring)
     found = walk_minors(d, n, walks, one, zero, times)
-    return [GeneratorRecord(sel.k, sel, walk, decode(minor)) for walk, sel, minor in found]
+    return [GeneratorRecord(sel.k, sel, walk, packing.polynomial(ring, minor)) for walk, sel, minor in found]
 
 
 def generator_walks(d: int, n: int) -> List[MinorWalk]:

@@ -10,7 +10,7 @@ values of one monomial into one int; nothing is memoized on the order.
 Division runs on a packed representation (_Reducer): exponent vectors are
 poly.Packing ints, order keys are Python ints, coefficients are integers,
 and the next term comes from a heap (Monagan & Pearce, JSC 2011).
-Polynomial values are decoded only at the boundary.
+Polynomials enter through _packed and are decoded only for results.
 """
 
 from __future__ import annotations
@@ -166,6 +166,20 @@ def _primitive(terms: list) -> list:
 _FIRST_BITS = 4
 
 
+def _integral(source: Packing, p: Polynomial) -> tuple:
+    """p's terms keyed by source and scaled to integers by the lcm of its
+    denominators: ({key: int}, that lcm)."""
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    return {source.key(m): c.numerator * (den // c.denominator) for m, c in p.terms.items()}, den
+
+
+def _packed(polys: Sequence[Polynomial]) -> list:
+    """The one way a Polynomial enters the packed kernel: polys as (source,
+    terms) pairs over one source Packing, the terms made integral."""
+    source = Packing.over(m for p in polys for m in p.terms)
+    return [(source, _integral(source, p)[0]) for p in polys]
+
+
 class _Reducer:
     """Packed divisor list for repeated normal-form computations.
 
@@ -175,28 +189,25 @@ class _Reducer:
     coefficient: a list of (key, exps, coef) terms in descending key order,
     its leading term first. The list grows through add(). Work that raises
     OverflowError runs through retrying(), which repacks every divisor at
-    twice the field width and runs it again. Divisors enter as Polynomials
-    (encode) or as terms packed in another layout (unpack).
+    twice the field width and runs it again. Every polynomial enters as
+    integer terms packed by a source Packing (load, unpack).
     """
 
     def __init__(self, order: TermOrder, basis: Sequence[Polynomial] = ()):
         self.order = order
         self._reset(Packing(order.variables, _FIRST_BITS))
-        for b in basis:
-            self.retrying(lambda: self.add(self.encode(b)))
+        self.extend(_packed(basis))
 
     def _reset(self, packing: Packing) -> None:
         self.packing = packing
         self.columns = dict(zip(self.order.variables, _key_columns(self.order.rows, packing.emax)))
-        self.memo = {}  # Monomial -> (key, exps) at this width
         self.imports = {}  # source Packing -> its fragments as (exps, key) parts at this width
         self.polys, self.lead_keys, self.leads, self.lcs, self.tails = [], [], [], [], []
 
     def widen(self) -> None:
-        old, polys = self.packing, self.polys
-        self._reset(Packing(old.variables, 2 * old.width))
-        for p in polys:
-            self.add([(*self.term(old.monomial(exps)), c) for _, exps, c in p])
+        old = self.divisors()
+        self._reset(Packing(self.packing.variables, 2 * self.packing.width))
+        self.extend(old)
 
     def retrying(self, work):
         """work(), run again after a repack for as long as it overflows."""
@@ -213,41 +224,12 @@ class _Reducer:
             key += e * columns[v]
         return key
 
-    def term(self, m: Monomial) -> tuple:
-        """(key, exps) of a monomial; OverflowError when an exponent does not fit."""
-        got = self.memo.get(m)
-        if got is None:
-            try:
-                got = self.memo[m] = self.order_key(m.exps), self.packing.key(m)
-            except KeyError as exc:
-                raise RingMismatchError(f"variable {exc.args[0].name} not ranked by this order") from None
-        return got
-
-    def work(self, p: Polynomial) -> tuple:
-        """p scaled to integer coefficients by the lcm of its denominators:
-        ({key: [exps, coef]}, that lcm)."""
-        den = lcm(*(c.denominator for c in p.terms.values()))
-        work = {}
-        for m, c in p.terms.items():
-            key, exps = self.term(m)
-            work[key] = [exps, c.numerator * (den // c.denominator)]
-        return work, den
-
-    def encode(self, p: Polynomial) -> list:
-        """p as a primitive packed divisor."""
-        if p.is_zero:
-            raise ZeroPolynomialError("division by a basis containing zero")
-        work, _ = self.work(p)
-        return _primitive(sorted(((key, e, c) for key, (e, c) in work.items()), reverse=True))
-
-    def unpack(self, source: Packing, terms: Mapping[int, int]) -> list:
+    def load(self, source: Packing, terms: Mapping[int, int]) -> dict:
         """Integer terms packed by source (for example a minor from
-        minors.packed_minors) as a primitive packed divisor, with no
-        Monomial built: each distinct field value of a source group becomes
-        its exponent bits and order-key part here once per width.
+        minors.packed_minors) as work for divide(), {key: [exps, coef]},
+        with no Monomial built: each distinct field value of a source group
+        becomes its exponent bits and order-key part here once per width.
         OverflowError when an exponent does not fit."""
-        if not terms:
-            raise ZeroPolynomialError("division by a basis containing zero")
         parts = self.imports.get(source)
         if parts is None:
             shifts, columns, emax = self.packing.shifts, self.columns, self.packing.emax
@@ -264,15 +246,30 @@ class _Reducer:
                 return exps, key
 
             parts = self.imports[source] = source.fragments(move)
-        out = []
+        work = {}
         for skey, c in terms.items():
             exps = key = 0
             for e, k in parts(skey):
                 exps += e
                 key += k
-            out.append((key, exps, c))
-        out.sort(reverse=True)
-        return _primitive(out)
+            work[key] = [exps, c]
+        return work
+
+    def unpack(self, source: Packing, terms: Mapping[int, int]) -> list:
+        """load(source, terms) as a primitive packed divisor."""
+        if not terms:
+            raise ZeroPolynomialError("division by a basis containing zero")
+        work = self.load(source, terms)
+        return _primitive(sorted(((key, e, c) for key, (e, c) in work.items()), reverse=True))
+
+    def extend(self, basis: Iterable) -> None:
+        """add() each (source, terms) of basis as a packed divisor."""
+        for source, terms in basis:
+            self.retrying(lambda: self.add(self.unpack(source, terms)))
+
+    def divisors(self) -> list:
+        """The divisors as (packing, terms) pairs, in list order."""
+        return [(self.packing, {exps: c for _, exps, c in f}) for f in self.polys]
 
     def add(self, poly: list) -> None:
         self.polys.append(poly)
@@ -353,20 +350,16 @@ class _Reducer:
                 else:
                     del work[nkey]
 
-    def reduces_to_zero(self, p: Polynomial) -> bool:
-        return self.retrying(lambda: self.divide(self.work(p)[0], stop=True) is not None)
+    def reduces_to_zero(self, polys: Iterable) -> bool:
+        """True when every (source, terms) of polys reduces to zero."""
+        return all(self.retrying(lambda: self.divide(self.load(*p), stop=True) is not None) for p in polys)
 
     def normal_form(self, p: Polynomial) -> Polynomial:
         """The exact remainder of p, with Fraction coefficients."""
-
-        def run():
-            work, den = self.work(p)
-            return self.divide(work)[0], den
-
-        rem, den = self.retrying(run)
-        monomial = self.packing.monomial
-        terms = {monomial(exps): Fraction(c, den * s) for _, exps, c, s in rem}
-        return Polynomial(p.ring, terms, _trusted=True)
+        source = Packing.over(p.terms)
+        terms, den = _integral(source, p)
+        rem, _ = self.retrying(lambda: self.divide(self.load(source, terms)))
+        return self.packing.polynomial(p.ring, {exps: Fraction(c, den * s) for _, exps, c, s in rem})
 
 
 def normal_form(p: Polynomial, basis: Sequence[Polynomial], order: TermOrder) -> Polynomial:

@@ -324,15 +324,15 @@ class Packing:
     reverse=True) is the canonical term order and a proper divisor is a
     smaller int; a divides b exactly when ((b | guard) - a) & guard ==
     guard; a + b is the product, with a guard bit set where a field
-    overflowed; lcm is the fieldwise maximum. pairs and monomial decode a
-    key; text renders a polynomial for reprs and the text, m2 and singular
-    formats, json_terms its term list in the JSON ideal document. Each
-    builds a monomial from its groups, the variables sharing a kind and
-    index (a_j_0 .. a_j_d for polynomial j): each distinct field value of a
-    group is decoded or rendered once per packing and style.
+    overflowed; lcm is the fieldwise maximum. pairs, monomial and
+    polynomial decode; text renders a polynomial for reprs and the text, m2
+    and singular formats, json_terms its term list in the JSON ideal
+    document. Each builds a monomial from its groups, the variables sharing
+    a kind and index (a_j_0 .. a_j_d for polynomial j): each distinct field
+    value of a group is decoded or rendered once per packing and style.
     """
 
-    __slots__ = ("variables", "width", "emax", "guard", "shifts", "_groups", "_styles")
+    __slots__ = ("variables", "width", "emax", "guard", "shifts", "_groups", "_memos")
 
     def __init__(self, variables: Iterable[Variable], width: int):
         self.variables, self.width, self.emax = tuple(sorted(variables)), width, (1 << width) - 1
@@ -349,7 +349,7 @@ class Packing:
             prefix = f"{kind}_{i}_" if kind in ("a", "b") else kind
             spec = tuple((v, self.shifts[v] - low) for v in vs)
             self._groups.append((prefix, low, (1 << step * len(vs)) - 1, spec))
-        self._styles: dict = {}
+        self._memos: dict = {}  # fragments() per style, and polynomial()'s monomials and fractions
 
     @classmethod
     def over(cls, monomials: Iterable["Monomial"]) -> "Packing":
@@ -382,9 +382,9 @@ class Packing:
 
     def _parts(self, style, render, by_name: bool = False):
         """fragments(render, by_name), made once per style."""
-        parts = self._styles.get(style)
+        parts = self._memos.get(style)
         if parts is None:
-            parts = self._styles[style] = self.fragments(render, by_name)
+            parts = self._memos[style] = self.fragments(render, by_name)
         return parts
 
     def fragments(self, render, by_name: bool = False):
@@ -417,6 +417,14 @@ class Packing:
 
     def monomial(self, key: int) -> "Monomial":
         return Monomial._make(self.pairs(key))
+
+    def polynomial(self, ring: "Ring", terms: Mapping[int, Rational]) -> "Polynomial":
+        """Packed terms as a Polynomial of ring with Fraction coefficients;
+        each distinct key and coefficient is decoded once per packing."""
+        monos, fracs = self._memos.setdefault("monomials", {}), self._memos.setdefault("fractions", {})
+        monos.update((key, self.monomial(key)) for key in terms if key not in monos)
+        fracs.update((c, Fraction(c)) for c in terms.values() if c not in fracs)
+        return Polynomial(ring, {monos[key]: fracs[c] for key, c in terms.items()}, _trusted=True)
 
     def text(self, terms: Mapping[int, Rational], namer=str) -> str:
         """Deterministic human/CAS-readable rendering of packed terms;

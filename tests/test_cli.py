@@ -13,7 +13,7 @@ from resultantforge import cli, geometry
 from resultantforge.cli import LIMITS_ENV, main
 from resultantforge.exports import export_ideal
 from resultantforge.minors import enumerate_generators, generators_for_basis
-from resultantforge.poly import Ring
+from resultantforge.poly import Packing, Ring
 from resultantforge.roots import CoefficientTuple, membership_scan, sample_planted, sample_random
 from resultantforge.walks import enumerate_reduced, walk_leading_monomial
 
@@ -214,8 +214,28 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["status"] == "pass"
 
-    @pytest.mark.parametrize("check", ["groebner", "elimination", "chart"])
-    def test_report_matches_golden(self, capsys, check):
+    @pytest.mark.parametrize(
+        "check, d, n",
+        [
+            pytest.param("groebner", 2, 3, id="groebner"),
+            pytest.param("elimination", 2, 3, id="elimination"),
+            pytest.param("chart", 2, 3, id="chart"),
+            pytest.param("elimination", 2, 4, id="elimination-d2-n4"),
+            pytest.param("chart", 3, 3, id="chart-d3-n3"),
+        ],
+    )
+    def test_report_matches_golden(self, capsys, check, d, n):
+        code, out = run(capsys, "verify", check, "--d", str(d), "--n", str(n))
+        assert code == 0
+        assert out == (GOLDEN / f"verify_{check}_d{d}_n{n}.json").read_text()
+
+    @pytest.mark.parametrize("check", ["elimination", "chart"])
+    def test_report_decodes_nothing(self, capsys, monkeypatch, check):
+        # minors and bases stay packed from expansion to the report
+        def monomial(packing, key):
+            raise AssertionError("a packed monomial was decoded")
+
+        monkeypatch.setattr(Packing, "monomial", monomial)
         code, out = run(capsys, "verify", check, "--d", "2", "--n", "3")
         assert code == 0
         assert out == (GOLDEN / f"verify_{check}_d2_n3.json").read_text()

@@ -22,6 +22,7 @@ SRC = str(pathlib.Path(resultantforge.__file__).resolve().parents[1])
         ["verify", "elimination", "--d", "2", "--n", "3"],
         ["eval", "--d", "3", "--n", "3", "--coeffs", "{tuple}"],
         ["gens", "--d", "1", "--n", "10", "--format", "json"],
+        ["verify", "chart", "--d", "3", "--n", "3"],
     ],
 )
 def test_stdout_identical_across_hash_seeds(argv, tmp_path):

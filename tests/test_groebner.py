@@ -1,10 +1,11 @@
 """Buchberger engine, elimination, and ideal comparisons."""
 
-import dataclasses
 import itertools
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resultantforge import groebner
 from resultantforge.diagonal import build_diagonal_weights, diagonal_order
@@ -24,11 +25,21 @@ from resultantforge.groebner import (
     system_polynomials,
 )
 from resultantforge.minors import enumerate_generators, packed_minors
-from resultantforge.orders import BlockOrder, DegRevLexOrder, LexOrder, _Reducer, leading_term, normal_form
+from resultantforge.orders import (
+    _FIRST_BITS,
+    BlockOrder,
+    DegRevLexOrder,
+    LexOrder,
+    _packed,
+    _Reducer,
+    leading_term,
+    normal_form,
+)
 from resultantforge.poly import Monomial, Packing, Polynomial, Ring, ZeroPolynomialError
 from resultantforge.walks import enumerate_reduced
 
 from conftest import GRID
+from oracles import _Reducer as ReferenceReducer
 from oracles import all_pairs_groebner, chart_by_substitution, sylvester_resultant
 
 
@@ -261,6 +272,27 @@ class TestCertificate:
             assert [is_packed_groebner_basis(packing, iter(c), term_order) for c in packed_cases] == want
 
 
+def fraction_polynomials(ring, emax, max_terms=3):
+    variables = ring.variables
+    monos = st.lists(st.integers(0, emax), min_size=len(variables), max_size=len(variables)).map(
+        lambda exps: Monomial(zip(variables, exps))
+    )
+    coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=6).filter(bool)
+    return st.dictionaries(monos, coeffs, min_size=1, max_size=max_terms).map(lambda t: Polynomial(ring, t))
+
+
+def widen_spy(widths):
+    """_Reducer.widen, recording each new width and refusing to repack without end."""
+    widen = _Reducer.widen
+
+    def spy(reducer):
+        assert reducer.packing.width < 64, "repacks without end"
+        widen(reducer)
+        widths.append(reducer.packing.width)
+
+    return spy
+
+
 class TestPackedCertificate:
     def test_import_repacks_past_fifteen(self, monkeypatch):
         # the first element maps a_2_0 at the first width; the second needs
@@ -273,14 +305,7 @@ class TestPackedCertificate:
         source = Packing(ring.variables, 5)
         packed = [source.pack(p.terms) for p in polys]
         widths = []
-        widen = _Reducer.widen
-
-        def spy(reducer):
-            assert reducer.packing.width < 64, "repacks without end"
-            widen(reducer)
-            widths.append(reducer.packing.width)
-
-        monkeypatch.setattr(_Reducer, "widen", spy)
+        monkeypatch.setattr(_Reducer, "widen", widen_spy(widths))
         reducer = _Reducer(order)
         for terms in packed:
             reducer.retrying(lambda: reducer.add(reducer.unpack(source, terms)))
@@ -292,6 +317,61 @@ class TestPackedCertificate:
         widths.clear()
         assert is_packed_groebner_basis(source, packed, order) is want
         assert widths == [8]
+
+    @pytest.mark.parametrize("kind", ["lex", "degrevlex"])
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_divisors_do_not_depend_on_width(self, kind, data):
+        # the small divisors enter at the first width; a big one needs an
+        # exponent past 15, so its import repacks them, and every source
+        # variable must be mapped again at the new width
+        ring = Ring(1, 2)
+        if kind == "lex":
+            order = LexOrder(ring.coeff_vars_row_major())
+        else:
+            order = DegRevLexOrder(ring.coeff_vars_column_major())
+        small = data.draw(st.lists(fraction_polynomials(ring, 3), min_size=1, max_size=2))
+        big = data.draw(fraction_polynomials(ring, 3)).mul_term(
+            Monomial({data.draw(st.sampled_from(ring.variables)): data.draw(st.integers(16, 20))}), 1
+        )
+        polys = small + [big]
+        packed = _packed(polys)
+        narrow = packed[0][0]
+        final = 2 * _FIRST_BITS
+        widths = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_Reducer, "widen", widen_spy(widths))
+            built = []
+            for width in (narrow.width, narrow.width + 3, 40):
+                source = Packing(ring.variables, width)
+                rekeyed = [{source.key(narrow.monomial(k)): c for k, c in terms.items()} for _, terms in packed]
+                widths.clear()
+                reducer = _Reducer(order)
+                reducer.extend((source, terms) for terms in rekeyed)
+                assert widths == [final]
+                built.append(reducer.polys)
+            # the divisors do not depend on the width of the source packing
+            assert built == [built[0]] * len(built)
+            # through widen, they are the divisors of a reducer built at that width
+            widths.clear()
+            direct = _Reducer(order)
+            direct._reset(Packing(order.variables, final))
+            direct.extend(packed)
+            assert widths == [] and direct.polys == built[0]
+            assert _Reducer(order, polys).polys == built[0]
+            target = data.draw(fraction_polynomials(ring, 20, max_terms=4))
+            assert normal_form(target, polys, order) == ReferenceReducer(order, polys).reduce(target)
+            want = all_pairs_groebner(polys, order)
+            widths.clear()
+            assert is_groebner_basis(polys, order) is want
+            from_polys = list(widths)
+            widths.clear()
+            assert is_packed_groebner_basis(source, rekeyed, order) is want
+        # each certificate's import of the big element repacks once, to the
+        # final width, and both repack alike; under degrevlex no remainder
+        # needs more
+        assert widths == from_polys and widths[:1] == [final]
+        assert kind == "lex" or widths == [final]
 
     def test_unranked_variable_and_zero_rejected(self):
         ring = Ring(1, 2)
@@ -324,7 +404,7 @@ class TestEliminateX:
         for (d, n) in [(1, 2), (2, 2), (1, 3), (2, 3)]:
             elim = eliminate_x(d, n)
             minors = [rec.poly for rec in enumerate_generators(d, n)]
-            assert reduces_to_zero(minors, elim.basis(), elim.order)
+            assert reduces_to_zero(minors, elim.certified_basis, elim.order)
 
 
 class TestIdealEqual:
@@ -365,9 +445,16 @@ class TestChartEqual:
         records = enumerate_generators(2, 3)
         walk = [rec.walk for rec in records if rec.k == 2][drop]
         assert chart_by_substitution(2, 3, skip={walk}) is expected
-        # relabelled below depth d, that minor stays in the full family only
-        moved = [dataclasses.replace(rec, k=1) if rec.walk == walk else rec for rec in records]
-        monkeypatch.setattr(groebner, "enumerate_generators", lambda d, n, ring=None: moved)
+        # the packed depth-d family, a_1_0 - 1 and its 15 minors, loses that
+        # minor where its basis is computed; the full family keeps it
+        basis_run = groebner._basis_run
+
+        def dropped(order, gens, limits, self_check=True):
+            if len(gens) == 16:
+                gens = gens[: 1 + drop] + gens[2 + drop :]
+            return basis_run(order, gens, limits, self_check)
+
+        monkeypatch.setattr(groebner, "_basis_run", dropped)
         assert chart_equal(2, 3) is expected
 
 
