@@ -1,18 +1,21 @@
 """Buchberger engine, elimination oracle, and ideal comparisons.
 
-The engine is deterministic: pairs are selected by smallest lcm in the
-term order (first index pair breaking ties), useless pairs are discarded
-with Buchberger's product and chain criteria in their Gebauer-Moeller
-packaging, and output bases are inter-reduced, content-normalized, and
-sorted, so identical inputs always produce identical bases. The
-certificate is_groebner_basis reduces only the pairs the same
-Gebauer-Moeller update keeps for a given basis (Gebauer & Moeller, JSC
-1988). Resource limits are explicit; exceeding one raises instead of
-truncating.
+The engine is deterministic: pairs are selected by lowest sugar, then
+smallest lcm in the term order, then first index pair (Giovini, Mora,
+Niesi, Robbiano & Traverso, ISSAC 1991; an input's sugar is its degree,
+a pair's the degree of its lcm plus the larger ecart, sugar minus lead
+degree, of its elements, and an element a pair adds takes its sugar),
+useless pairs are discarded with Buchberger's product and chain criteria
+in their Gebauer-Moeller packaging, and output bases are inter-reduced,
+content-normalized, and sorted, so identical inputs always produce
+identical bases. The certificate is_groebner_basis reduces only the pairs
+the same Gebauer-Moeller update keeps for a given basis (Gebauer &
+Moeller, JSC 1988). Resource limits are explicit; exceeding one raises
+instead of truncating.
 
 Both run on the packed, fraction-free kernel of orders.py: the basis,
 s-polynomials, pair lcms (poly.Packing.lcm, a fieldwise max) and their
-order keys (computed once per pair) stay packed. Polynomials enter
+selection keys (computed once per pair) stay packed. Polynomials enter
 through orders._packed and are decoded only where the library returns
 them: is_packed_groebner_basis, chart_equal and elimination_equal take
 minors as minors.packed_minors yields them and decode nothing.
@@ -174,6 +177,7 @@ class _Run(_Reducer):
         super().__init__(order)
         self.limits = limits
         self.pairs: dict = {}
+        self.ecarts: list = []  # per basis element, its sugar minus its lead degree
         self.pairs_processed = 0
         self.budget = _budget_for(limits)
 
@@ -195,26 +199,36 @@ class _Run(_Reducer):
                 f"timeout of {self.budget[1]}s exceeded after {self.pairs_processed}{of} pairs"
             )
 
-    def insert(self, f: list) -> None:
-        """Append the packed polynomial f to the basis and update the pairs."""
+    def degree(self, exps: int) -> int:
+        """The total degree of the packed monomial exps."""
+        return sum(e for _, e in self.packing.pairs(exps))
+
+    def insert(self, f: list, ecart: int = 0) -> None:
+        """Append the packed polynomial f, whose sugar exceeds its lead
+        degree by ecart, to the basis and update the pairs."""
         self.add(f)
+        self.ecarts.append(ecart)
         self.pairs = _update_pairs(self, len(self.polys) - 1)
 
-    def grow(self, f: list) -> None:
-        """insert, within the basis size and degree limits."""
+    def grow(self, f: list, sugar: int) -> None:
+        """insert f with this sugar, within the basis size and degree limits."""
         if len(self.polys) + 1 > self.limits.max_basis:
             raise ResourceExhaustedError(f"basis size limit {self.limits.max_basis} exceeded")
-        degree = sum(e for _, e in self.packing.pairs(f[0][1]))
+        degree = self.degree(f[0][1])
         if self.limits.max_degree is not None and degree > self.limits.max_degree:
             raise ResourceExhaustedError(
                 f"degree limit {self.limits.max_degree} exceeded by a basis element of degree {degree}"
             )
-        self.insert(f)
+        self.insert(f, sugar - degree)
 
     def pair(self, i: int, j: int, lij: int) -> tuple:
-        """The pairs entry of (i, j) with packed lcm lij: smallest lcm in the
-        term order first, then the first index pair."""
-        return self.order_key(self.packing.pairs(lij)), i, j, lij
+        """The pairs entry of (i, j) with packed lcm lij, least first: the
+        sugar (degree of lij plus the larger ecart of i and j) in a field
+        above the key_bits of lij's order key, then the index pair."""
+        select, key = self.select, max(self.ecarts[i], self.ecarts[j]) << self.key_bits
+        for v, e in self.packing.pairs(lij):
+            key += e * select[v]
+        return key, i, j, lij
 
     def widen(self) -> None:
         """Repack the basis and every pending lcm at twice the field width."""
@@ -226,7 +240,8 @@ class _Run(_Reducer):
     def pair_remainder(self, i: int, j: int, stop: bool = False):
         """divide() on the s-polynomial of the pending pair (i, j), built
         from the tails: the leading terms cancel."""
-        key, _, _, lij = self.pairs[(i, j)]
+        selection, _, _, lij = self.pairs[(i, j)]
+        key = selection & ((1 << self.key_bits) - 1)  # the order key of lij
         (pk, pe, pc), (qk, qe, qc) = self.polys[i][0], self.polys[j][0]
         g, work, heap = gcd(pc, qc), {}, []
         self.subtract(work, heap, i, lij - pe, key - pk, -qc // g)
@@ -251,12 +266,13 @@ class _Run(_Reducer):
     def loop(self) -> None:
         while self.pairs:
             self.check()
-            _, i, j, _ = min(self.pairs.values())
+            selection, i, j, _ = min(self.pairs.values())
+            sugar = selection >> self.key_bits  # before a repack moves the field
             self.pairs_processed += 1
             r = self.retrying(lambda: _rescaled(*self.pair_remainder(i, j)))
             del self.pairs[(i, j)]
             if r:
-                self.grow(r)
+                self.grow(r, sugar)
 
     def interreduce(self) -> None:
         """Shrink the finished basis to the minimal one (no leading monomial
@@ -299,7 +315,7 @@ def _basis_run(order: TermOrder, gens: Iterable, limits: Limits, self_check: boo
             run.check_time()
             r = run.retrying(lambda: _rescaled(*run.divide(run.load(source, terms))))
             if r:
-                run.grow(r)
+                run.grow(r, max(run.degree(exps) for _, exps, _ in r))
         if not run.polys:
             raise ZeroPolynomialError("no nonzero generators")
         run.loop()

@@ -200,7 +200,12 @@ class _Reducer:
 
     def _reset(self, packing: Packing) -> None:
         self.packing = packing
-        self.columns = dict(zip(self.order.variables, _key_columns(self.order.rows, packing.emax)))
+        variables, rows, emax = self.order.variables, self.order.rows, packing.emax
+        self.columns = dict(zip(variables, _key_columns(rows, emax)))
+        # columns with the degree in a field above the order key's key_bits
+        # bits, for groebner._Run's pair selection
+        self.select = dict(zip(variables, _key_columns(((1,) * len(variables), *rows), emax)))
+        self.key_bits = sum((emax * sum(row)).bit_length() for row in rows)
         self.imports = {}  # source Packing -> its fragments as (exps, key) parts at this width
         self.polys, self.lead_keys, self.leads, self.lcs, self.tails = [], [], [], [], []
 
@@ -216,13 +221,6 @@ class _Reducer:
                 return work()
             except OverflowError:
                 self.widen()
-
-    def order_key(self, pairs: Iterable) -> int:
-        """The order key of the monomial with these (variable, exponent) pairs."""
-        columns, key = self.columns, 0
-        for v, e in pairs:
-            key += e * columns[v]
-        return key
 
     def load(self, source: Packing, terms: Mapping[int, int]) -> dict:
         """Integer terms packed by source (for example a minor from

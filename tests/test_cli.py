@@ -229,6 +229,23 @@ class TestVerify:
         assert code == 0
         assert out == (GOLDEN / f"verify_{check}_d{d}_n{n}.json").read_text()
 
+    @pytest.mark.parametrize(
+        "d, n, minors, eliminated",
+        [
+            (3, 3, 88, 16),
+            (2, 5, 210, 60),
+            (3, 4, 925, 91),
+            pytest.param(4, 3, 514, 37, marks=pytest.mark.slow),
+            pytest.param(3, 5, 4830, 330, marks=pytest.mark.slow),
+        ],
+    )
+    def test_elimination_passes_beyond_the_golden_grid(self, capsys, d, n, minors, eliminated):
+        code, out = run(capsys, "verify", "elimination", "--d", str(d), "--n", str(n))
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["status"] == "pass"
+        assert doc["witnesses"] == {"eliminated_basis": eliminated, "minors": minors}
+
     @pytest.mark.parametrize("check", ["elimination", "chart"])
     def test_report_decodes_nothing(self, capsys, monkeypatch, check):
         # minors and bases stay packed from expansion to the report

@@ -23,6 +23,7 @@ SRC = str(pathlib.Path(resultantforge.__file__).resolve().parents[1])
         ["eval", "--d", "3", "--n", "3", "--coeffs", "{tuple}"],
         ["gens", "--d", "1", "--n", "10", "--format", "json"],
         ["verify", "chart", "--d", "3", "--n", "3"],
+        ["verify", "elimination", "--d", "3", "--n", "3"],
     ],
 )
 def test_stdout_identical_across_hash_seeds(argv, tmp_path):

@@ -583,6 +583,57 @@ class TestReducedBasis:
         assert_reduced(elim.certified_basis, elim.order)
 
 
+class TestPairSelection:
+    """Pairs are reduced lowest sugar first, then by the term order: the
+    work of each run is pinned, and the basis does not depend on it."""
+
+    @staticmethod
+    def spied_runs(monkeypatch) -> list:
+        runs = []
+        basis_run = groebner._basis_run
+
+        def spy(order, gens, limits, self_check=True):
+            runs.append(basis_run(order, gens, limits, self_check))
+            return runs[-1]
+
+        monkeypatch.setattr(groebner, "_basis_run", spy)
+        return runs
+
+    @pytest.mark.parametrize("dn, pairs", [((2, 3), 49), ((3, 2), 26), ((2, 4), 190)])
+    def test_elimination_run_reduces_low_sugar_pairs_first(self, monkeypatch, dn, pairs):
+        # the elimination order ranks powers of x above degree, so a small
+        # lcm may have a high degree; sugar takes low degrees first
+        runs = self.spied_runs(monkeypatch)
+        groebner._eliminated(*dn, Limits())
+        assert [run.pairs_processed for run in runs] == [pairs]
+
+    def test_degrevlex_runs_keep_their_sequence(self, monkeypatch):
+        # degrevlex ranks by degree first, so on homogeneous minors the sugar
+        # of a pair is the degree of its lcm; with a_1_0 - 1 among them
+        # both chart runs still reduce as many pairs as smallest lcm first
+        runs = self.spied_runs(monkeypatch)
+        assert chart_equal(3, 3)
+        assert [run.pairs_processed for run in runs] == [29, 29]
+
+    @pytest.mark.parametrize("kind", ["lex", "elimination", "diagonal"])
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_basis_does_not_depend_on_generator_order(self, kind, data):
+        # the reduced basis is unique, whatever sequence the pairs come in
+        ring = Ring(1, 2, with_x=True)
+        order = {
+            "lex": LexOrder(ring.variables),
+            "elimination": elimination_order(ring),
+            "diagonal": diagonal_order(build_diagonal_weights(1, 2), ring),
+        }[kind]
+        gens = data.draw(st.lists(fraction_polynomials(ring, 2), min_size=1, max_size=2))
+        basis = buchberger(gens, order).certified_basis
+        assert buchberger(gens[::-1], order).certified_basis == basis
+        assert_reduced(basis, order)
+        assert all_pairs_groebner(basis, order)
+        assert reduces_to_zero(gens, basis, order)
+
+
 @pytest.mark.slow
 def test_verify_groebner_four_four(capsys):
     from resultantforge.cli import main
@@ -591,6 +642,5 @@ def test_verify_groebner_four_four(capsys):
     assert '"status": "pass"' in capsys.readouterr().out
 
 
-@pytest.mark.slow
 def test_eliminate_two_four():
     assert len(eliminate_x(2, 4).generators) == 24
