@@ -24,7 +24,6 @@ from .groebner import (  # eliminate_x, ideal_equal and is_groebner_basis stay b
     DEFAULT_LIMITS,
     Limits,
     ResourceExhaustedError,
-    _budget,
     chart_equal,
     eliminate_x,
     elimination_equal,
@@ -193,34 +192,33 @@ def _verify_report(args, claim: str, status: bool, witnesses: dict) -> int:
 
 def _cmd_verify(args) -> int:
     limits = _limits(args)
-    with _budget(limits):  # one wall-clock budget for every run of this check
-        if args.check == "groebner":
-            ring = Ring(args.d, args.n)
-            order = diagonal_order(build_diagonal_weights(args.d, args.n), ring)
-            walks = enumerate_reduced(args.d, args.n)
-            ok = is_packed_groebner_basis(*packed_minors(ring, walks), order, limits)
-            return _verify_report(
-                args,
-                "reduced-walk minors are a Groebner basis under the diagonal order",
-                ok,
-                {"basis_size": len(walks)},
-            )
-        if args.check == "elimination":
-            ok, minors, eliminated = elimination_equal(args.d, args.n, limits)
-            return _verify_report(
-                args,
-                "cascade minors generate the eliminated ideal of coefficient relations",
-                ok,
-                {"minors": minors, "eliminated_basis": eliminated},
-            )
-        if args.check == "chart":
-            ok = chart_equal(args.d, args.n, limits)
-            return _verify_report(
-                args,
-                "depth-d minors match all minors on the affine chart a_1_0 = 1",
-                ok,
-                {},
-            )
+    if args.check == "groebner":
+        ring = Ring(args.d, args.n)
+        order = diagonal_order(build_diagonal_weights(args.d, args.n), ring)
+        walks = enumerate_reduced(args.d, args.n)
+        ok = is_packed_groebner_basis(*packed_minors(ring, walks), order, limits)
+        return _verify_report(
+            args,
+            "reduced-walk minors are a Groebner basis under the diagonal order",
+            ok,
+            {"basis_size": len(walks)},
+        )
+    if args.check == "elimination":
+        ok, minors, eliminated = elimination_equal(args.d, args.n, limits)
+        return _verify_report(
+            args,
+            "cascade minors generate the eliminated ideal of coefficient relations",
+            ok,
+            {"minors": minors, "eliminated_basis": eliminated},
+        )
+    if args.check == "chart":
+        ok = chart_equal(args.d, args.n, limits)
+        return _verify_report(
+            args,
+            "depth-d minors match all minors on the affine chart a_1_0 = 1",
+            ok,
+            {},
+        )
     raise UsageError(f"unknown verify check {args.check!r}")
 
 

@@ -11,7 +11,9 @@ content-normalized, and sorted, so identical inputs always produce
 identical bases. The certificate is_groebner_basis reduces only the pairs
 the same Gebauer-Moeller update keeps for a given basis (Gebauer &
 Moeller, JSC 1988). Resource limits are explicit; exceeding one raises
-instead of truncating.
+instead of truncating. Each public entry point fixes one deadline,
+limits.timeout from its start, and passes it to every run it starts,
+self-checks included.
 
 Both run on the packed, fraction-free kernel of orders.py: the basis,
 s-polynomials, pair lcms (poly.Packing.lcm, a fieldwise max) and their
@@ -23,9 +25,7 @@ minors as minors.packed_minors yields them and decode nothing.
 
 from __future__ import annotations
 
-import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import gcd
@@ -84,29 +84,10 @@ class Limits:
 
 DEFAULT_LIMITS = Limits()
 
-# .budget is the (deadline, timeout) of the _budget block this thread is in
-_LOCAL = threading.local()
 
-
-def _budget_for(limits: Limits) -> Optional[tuple]:
-    """(deadline, timeout) of a run starting now: the enclosing budget's,
-    else limits.timeout from now; None when nothing bounds the time."""
-    budget = getattr(_LOCAL, "budget", None)
-    if budget is None and limits.timeout is not None:
-        budget = (time.monotonic() + limits.timeout, limits.timeout)
-    return budget
-
-
-@contextmanager
-def _budget(limits: Limits):
-    """One wall-clock budget for every run started inside: limits.timeout
-    from entry, unless an enclosing budget is already running."""
-    outer = getattr(_LOCAL, "budget", None)
-    _LOCAL.budget = _budget_for(limits)
-    try:
-        yield
-    finally:
-        _LOCAL.budget = outer
+def _deadline(limits: Limits) -> Optional[tuple]:
+    """(deadline, timeout) of a call starting now; None with no timeout."""
+    return None if limits.timeout is None else (time.monotonic() + limits.timeout, limits.timeout)
 
 
 @dataclass(frozen=True)
@@ -171,15 +152,16 @@ def _update_pairs(run: "_Run", t: int) -> dict:
 
 class _Run(_Reducer):
     """Packed basis and pair set of one Buchberger execution or
-    certificate; the basis is the divisor list."""
+    certificate; the basis is the divisor list. budget is the (deadline,
+    timeout) of the library call that started the run, or None."""
 
-    def __init__(self, order: TermOrder, limits: Limits):
+    def __init__(self, order: TermOrder, limits: Limits, budget: Optional[tuple]):
         super().__init__(order)
         self.limits = limits
         self.pairs: dict = {}
         self.ecarts: list = []  # per basis element, its sugar minus its lead degree
         self.pairs_processed = 0
-        self.budget = _budget_for(limits)
+        self.budget = budget
 
     def check(self, total: Optional[int] = None) -> None:
         """Raise once pairs_processed reaches max_pairs or the budget's
@@ -305,23 +287,21 @@ def _rescaled(rem: list, scale: int) -> list:
     return _primitive([(key, exps, c * (scale // s)) for key, exps, c, s in rem]) if rem else []
 
 
-def _basis_run(order: TermOrder, gens: Iterable, limits: Limits, self_check: bool = True) -> _Run:
+def _basis_run(order: TermOrder, gens: Iterable, limits: Limits, budget: Optional[tuple], self_check: bool = True) -> _Run:
     """The packed core of buchberger: the finished run of the (source,
     terms) pairs gens, its divisors the reduced basis in ascending lead
-    order. The deadline is checked before each generator is reduced."""
-    with _budget(limits):
-        run = _Run(order, limits)
-        for source, terms in gens:
-            run.check_time()
-            r = run.retrying(lambda: _rescaled(*run.divide(run.load(source, terms))))
-            if r:
-                run.grow(r, max(run.degree(exps) for _, exps, _ in r))
-        if not run.polys:
-            raise ZeroPolynomialError("no nonzero generators")
-        run.loop()
-        run.interreduce()
-        if self_check and not _Run(order, DEFAULT_LIMITS).certify(run.divisors()):
-            raise AssertionError("internal error: output failed the Buchberger criterion")
+    order (none when every generator is zero). The run and its
+    self-check share budget, checked before each generator is reduced."""
+    run = _Run(order, limits, budget)
+    for source, terms in gens:
+        run.check_time()
+        r = run.retrying(lambda: _rescaled(*run.divide(run.load(source, terms))))
+        if r:
+            run.grow(r, max(run.degree(exps) for _, exps, _ in r))
+    run.loop()
+    run.interreduce()
+    if self_check and not _Run(order, DEFAULT_LIMITS, budget).certify(run.divisors()):
+        raise AssertionError("internal error: output failed the Buchberger criterion")
     return run
 
 
@@ -335,12 +315,15 @@ def buchberger(
 
     With self_check (the default) the finished basis is certified again,
     from scratch, by the Buchberger criterion under the default pair and
-    basis limits and in the time the run left of limits.timeout.
+    basis limits and before the run's deadline.
     """
+    budget = _deadline(limits)
     gens = list(gens)
     if any(g.ring != gens[0].ring for g in gens):
         raise RingMismatchError("generators live in different rings")
-    run = _basis_run(order, _packed(gens), limits, self_check)
+    if all(g.is_zero for g in gens):
+        raise ZeroPolynomialError("no nonzero generators")
+    run = _basis_run(order, _packed(gens), limits, budget, self_check)
     basis = [run.packing.polynomial(gens[0].ring, terms) for _, terms in run.divisors()]
     return IdealPresentation(gens[0].ring, gens, order, basis)
 
@@ -354,10 +337,10 @@ def is_groebner_basis(
     uses, and only the pairs it keeps are reduced, in sorted order, against
     the whole basis; the answer equals that of reducing every s-polynomial.
     A reduction stops at its first irreducible term. max_pairs bounds the
-    kept pairs reduced; the timeout, which runs from before the inserts, is
+    kept pairs reduced; the timeout runs from the start of the call and is
     checked before each reduction.
     """
-    return _Run(order, limits).certify(_packed(basis))
+    return _Run(order, limits, _deadline(limits)).certify(_packed(basis))
 
 
 def is_packed_groebner_basis(
@@ -367,7 +350,7 @@ def is_packed_groebner_basis(
     over packing, such as the minors of minors.packed_minors; none is
     decoded. A lazy basis is consumed as the certificate runs, so its time
     counts against the timeout."""
-    return _Run(order, limits).certify((packing, terms) for terms in basis)
+    return _Run(order, limits, _deadline(limits)).certify((packing, terms) for terms in basis)
 
 
 def reduces_to_zero(polys: Sequence[Polynomial], basis: Sequence[Polynomial], order: TermOrder) -> bool:
@@ -397,11 +380,11 @@ def system_polynomials(ring: Ring) -> List[Polynomial]:
     return out
 
 
-def _eliminated(d: int, n: int, limits: Limits) -> list:
+def _eliminated(d: int, n: int, limits: Limits, budget: Optional[tuple]) -> list:
     """The x-free elements of the reduced basis of the system ideal under
     the elimination order, as (source, terms) pairs."""
     ring_x = Ring(d, n, with_x=True)
-    run = _basis_run(elimination_order(ring_x), _packed(system_polynomials(ring_x)), limits, self_check=False)
+    run = _basis_run(elimination_order(ring_x), _packed(system_polynomials(ring_x)), limits, budget, False)
     xbits = run.packing.emax << run.packing.shifts[ring_x.x]
     return [(source, terms) for source, terms in run.divisors() if not any(key & xbits for key in terms)]
 
@@ -416,18 +399,19 @@ def eliminate_x(d: int, n: int, limits: Limits = DEFAULT_LIMITS) -> IdealPresent
     x-free polynomials the elimination order is that degrevlex order, so
     they keep the ascending lead order of the full basis.
     """
+    budget = _deadline(limits)
     ring_a = Ring(d, n)
-    restricted = [source.polynomial(ring_a, terms) for source, terms in _eliminated(d, n, limits)]
+    restricted = [source.polynomial(ring_a, terms) for source, terms in _eliminated(d, n, limits, budget)]
     return IdealPresentation(ring_a, restricted, DegRevLexOrder(ring_a.coeff_vars_column_major()), restricted)
 
 
-def _equal(sides: Sequence[tuple], limits: Limits) -> bool:
+def _equal(sides: Sequence[tuple], limits: Limits, budget: Optional[tuple]) -> bool:
     """Mutual membership of two ideals: every generator of each side
-    reduces to zero mod the other's basis. A side is (order, generators,
-    basis): (source, terms) pairs and a _Reducer holding a basis certified
-    for order, or None for Buchberger to compute one within limits."""
-    with _budget(limits):
-        bases = [_basis_run(order, gens, limits) if basis is None else basis for order, gens, basis in sides]
+    reduces to zero mod the other's basis, and a side with no nonzero
+    generator is the zero ideal. A side is (order, generators, basis):
+    (source, terms) pairs and a _Reducer holding a basis certified for
+    order, or None for Buchberger to compute one within limits and budget."""
+    bases = [_basis_run(order, gens, limits, budget) if basis is None else basis for order, gens, basis in sides]
     (_, gens_a, _), (_, gens_b, _) = sides
     return bases[1].reduces_to_zero(gens_a) and bases[0].reduces_to_zero(gens_b)
 
@@ -435,28 +419,29 @@ def _equal(sides: Sequence[tuple], limits: Limits) -> bool:
 def ideal_equal(a: IdealPresentation, b: IdealPresentation, limits: Limits = DEFAULT_LIMITS) -> bool:
     """Mutual membership: every generator of each reduces to zero mod the
     other's certified basis, which Buchberger computes within limits where
-    a presentation has none."""
+    a presentation has none, all before one deadline."""
+    budget = _deadline(limits)
     if a.ring != b.ring:
         raise ValueError("presentations live in different rings")
     sides = [
         (p.order, _packed(p.generators), None if p.certified_basis is None else _Reducer(p.order, p.certified_basis))
         for p in (a, b)
     ]
-    return _equal(sides, limits)
+    return _equal(sides, limits, budget)
 
 
 def elimination_equal(d: int, n: int, limits: Limits = DEFAULT_LIMITS) -> tuple:
     """Do the cascade minors generate the ideal eliminate_x computes? The
     answer, the number of minors and the size of the eliminated basis, by
     mutual membership as in ideal_equal, with nothing decoded."""
+    budget = _deadline(limits)
     ring = Ring(d, n)
     order = DegRevLexOrder(ring.coeff_vars_column_major())
     packing, minors = packed_minors(ring, generator_walks(d, n))
     minors = [(packing, minor) for minor in minors]
-    with _budget(limits):
-        elim = _Reducer(order)
-        elim.extend(_eliminated(d, n, limits))
-        ok = _equal([(order, minors, None), (order, elim.divisors(), elim)], limits)
+    elim = _Reducer(order)
+    elim.extend(_eliminated(d, n, limits, budget))
+    ok = _equal([(order, minors, None), (order, elim.divisors(), elim)], limits, budget)
     return ok, len(minors), len(elim.polys)
 
 
@@ -467,6 +452,7 @@ def chart_equal(d: int, n: int, limits: Limits = DEFAULT_LIMITS) -> bool:
     the preimage of J's chart. The projective schemes coincide exactly when
     this holds on every chart; the remaining charts follow by symmetry.
     """
+    budget = _deadline(limits)
     ring = Ring(d, n)
     walks = generator_walks(d, n)
     packing, minors = packed_minors(ring, walks)
@@ -474,4 +460,4 @@ def chart_equal(d: int, n: int, limits: Limits = DEFAULT_LIMITS) -> bool:
     full = [chart, *((packing, minor) for minor in minors)]
     top = [chart, *(g for walk, g in zip(walks, full[1:]) if len(walk) == 2 * d)]
     order = DegRevLexOrder(ring.coeff_vars_column_major())
-    return _equal([(order, top, None), (order, full, None)], limits)
+    return _equal([(order, top, None), (order, full, None)], limits, budget)

@@ -246,6 +246,15 @@ class TestVerify:
         assert doc["status"] == "pass"
         assert doc["witnesses"] == {"eliminated_basis": eliminated, "minors": minors}
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_elimination_with_one_polynomial(self, capsys, d):
+        # n = 1 has no minors and eliminates nothing: both ideals are zero
+        code, out = run(capsys, "verify", "elimination", "--d", str(d), "--n", "1")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["status"] == "pass"
+        assert doc["witnesses"] == {"eliminated_basis": 0, "minors": 0}
+
     @pytest.mark.parametrize("check", ["elimination", "chart"])
     def test_report_decodes_nothing(self, capsys, monkeypatch, check):
         # minors and bases stay packed from expansion to the report

@@ -16,6 +16,7 @@ from resultantforge.groebner import (
     buchberger,
     chart_equal,
     eliminate_x,
+    elimination_equal,
     elimination_order,
     ideal_equal,
     is_groebner_basis,
@@ -86,6 +87,12 @@ class TestBuchberger:
         p = x * x - Polynomial.constant(ring, 1)
         pres = buchberger([p], order)
         assert pres.certified_basis == [p]
+
+    def test_zero_generators_rejected(self):
+        ring, x = xring()
+        order = BlockOrder((ring.x,), LexOrder((ring.x,)), LexOrder(ring.coeff_vars_row_major()))
+        with pytest.raises(ZeroPolynomialError, match="^no nonzero generators$"):
+            buchberger([Polynomial.zero(ring)], order)
 
     def test_example_reproduction(self):
         # the sixteen depth <= 2 minors for (2, 3) under column-major
@@ -422,6 +429,16 @@ class TestIdealEqual:
         b = IdealPresentation(ring, [x * x], order)
         assert not ideal_equal(a, b)
 
+    def test_zero_ideal(self):
+        # no generators and a zero generator both present the zero ideal
+        ring = Ring(1, 2)
+        order = DegRevLexOrder(ring.coeff_vars_column_major())
+        empty = IdealPresentation(ring, [], order)
+        assert ideal_equal(empty, IdealPresentation(ring, [Polynomial.zero(ring)], order))
+        a = IdealPresentation(ring, [Polynomial.variable(ring, ring.coeff(1, 0))], order)
+        assert not ideal_equal(empty, a)
+        assert not ideal_equal(a, empty)
+
     def test_minors_equal_elimination(self):
         for (d, n) in [(1, 2), (2, 2), (2, 3)]:
             ring = Ring(d, n)
@@ -449,13 +466,23 @@ class TestChartEqual:
         # minor where its basis is computed; the full family keeps it
         basis_run = groebner._basis_run
 
-        def dropped(order, gens, limits, self_check=True):
+        def dropped(order, gens, limits, budget, self_check=True):
             if len(gens) == 16:
                 gens = gens[: 1 + drop] + gens[2 + drop :]
-            return basis_run(order, gens, limits, self_check)
+            return basis_run(order, gens, limits, budget, self_check)
 
         monkeypatch.setattr(groebner, "_basis_run", dropped)
         assert chart_equal(2, 3) is expected
+
+
+# inputs of the budget cases, built once so that each case makes one call
+ELIMINATED_23 = eliminate_x(2, 3)
+MINORS_23 = IdealPresentation(
+    ELIMINATED_23.ring, [rec.poly for rec in enumerate_generators(2, 3)], ELIMINATED_23.order
+)
+PACKING_33, REDUCED_MINORS_33 = packed_minors(Ring(3, 3), enumerate_reduced(3, 3))
+REDUCED_MINORS_33 = list(REDUCED_MINORS_33)
+DIAGONAL_33 = diagonal_order(build_diagonal_weights(3, 3), Ring(3, 3))
 
 
 class TestTimeBudget:
@@ -483,8 +510,14 @@ class TestTimeBudget:
                 limits,
             ),
             lambda limits: chart_equal(2, 3, limits),
+            lambda limits: elimination_equal(2, 3, limits),
+            lambda limits: eliminate_x(2, 3, limits),
+            lambda limits: ideal_equal(MINORS_23, ELIMINATED_23, limits),
+            lambda limits: is_packed_groebner_basis(PACKING_33, REDUCED_MINORS_33, DIAGONAL_33, limits),
         ],
-        ids=["buchberger", "chart_equal"],
+        ids=[
+            "buchberger", "chart_equal", "elimination_equal", "eliminate_x", "ideal_equal", "is_packed_groebner_basis",
+        ],
     )
     def test_library_call_shares_one_budget(self, monkeypatch, call):
         n = self.readings(monkeypatch, call)
@@ -501,11 +534,12 @@ class TestTimeBudget:
         alone = self.readings(monkeypatch, lambda limits: buchberger(gens, order, limits, self_check=False))
         assert self.readings(monkeypatch, lambda limits: buchberger(gens, order, limits)) > alone
 
-    def test_verify_elimination_shares_one_budget(self, monkeypatch, capsys):
+    @pytest.mark.parametrize("check", ["groebner", "elimination", "chart"])
+    def test_verify_check_shares_one_budget(self, monkeypatch, capsys, check):
         from resultantforge.cli import main
 
         def call(limits):
-            return main(["verify", "elimination", "--d", "2", "--n", "3", "--timeout", str(limits.timeout)])
+            return main(["verify", check, "--d", "2", "--n", "3", "--timeout", str(limits.timeout)])
 
         n = self.readings(monkeypatch, call)
         self.clock(monkeypatch)
@@ -544,6 +578,21 @@ class TestDeadlineOnEntry:
         with pytest.raises(ResourceExhaustedError, match=r"^timeout of 1.0s exceeded after 0 pairs$"):
             buchberger(gens, DegRevLexOrder(ring.coeff_vars_column_major()), Limits(timeout=1.0))
         assert divided == []
+
+    @pytest.mark.parametrize("call", [chart_equal, elimination_equal])
+    def test_deadline_starts_before_the_minors(self, monkeypatch, call):
+        # the clock reads 10 from the call for the minors on: expansion
+        # counts against the timeout of a library call too
+        now = [0.0]
+
+        def expand(*args):
+            now[0] = 10.0
+            return packed_minors(*args)
+
+        monkeypatch.setattr(groebner.time, "monotonic", lambda: now[0])
+        monkeypatch.setattr(groebner, "packed_minors", expand)
+        with pytest.raises(ResourceExhaustedError, match=r"^timeout of 1.0s exceeded after 0 pairs$"):
+            call(2, 3, Limits(timeout=1.0))
 
     def test_pair_limit_is_not_checked_on_entry(self):
         ring, x, y, order = xy_setup()
@@ -592,8 +641,8 @@ class TestPairSelection:
         runs = []
         basis_run = groebner._basis_run
 
-        def spy(order, gens, limits, self_check=True):
-            runs.append(basis_run(order, gens, limits, self_check))
+        def spy(order, gens, limits, budget, self_check=True):
+            runs.append(basis_run(order, gens, limits, budget, self_check))
             return runs[-1]
 
         monkeypatch.setattr(groebner, "_basis_run", spy)
@@ -604,7 +653,7 @@ class TestPairSelection:
         # the elimination order ranks powers of x above degree, so a small
         # lcm may have a high degree; sugar takes low degrees first
         runs = self.spied_runs(monkeypatch)
-        groebner._eliminated(*dn, Limits())
+        groebner._eliminated(*dn, Limits(), None)
         assert [run.pairs_processed for run in runs] == [pairs]
 
     def test_degrevlex_runs_keep_their_sequence(self, monkeypatch):
