@@ -410,10 +410,21 @@ def _equal(sides: Sequence[tuple], limits: Limits, budget: Optional[tuple]) -> b
     reduces to zero mod the other's basis, and a side with no nonzero
     generator is the zero ideal. A side is (order, generators, basis):
     (source, terms) pairs and a _Reducer holding a basis certified for
-    order, or None for Buchberger to compute one within limits and budget."""
+    order, or None for Buchberger to compute one within limits and budget.
+    The deadline is checked before each generator is reduced."""
     bases = [_basis_run(order, gens, limits, budget) if basis is None else basis for order, gens, basis in sides]
     (_, gens_a, _), (_, gens_b, _) = sides
-    return bases[1].reduces_to_zero(gens_a) and bases[0].reduces_to_zero(gens_b)
+    total, done = len(gens_a) + len(gens_b), 0
+    for basis, gens in ((bases[1], gens_a), (bases[0], gens_b)):
+        for gen in gens:
+            if budget is not None and time.monotonic() > budget[0]:
+                raise ResourceExhaustedError(
+                    f"timeout of {budget[1]}s exceeded after {done} of {total} membership reductions"
+                )
+            if not basis.reduces_to_zero([gen]):
+                return False
+            done += 1
+    return True
 
 
 def ideal_equal(a: IdealPresentation, b: IdealPresentation, limits: Limits = DEFAULT_LIMITS) -> bool:

@@ -43,10 +43,13 @@ def band_det(rows: tuple, d: int, one, zero, times, memo: dict):
 
     Row (i, j) carries the coefficients of polynomial j in columns i .. i+d,
     so the expansion runs column by column along that band. The caller
-    picks the ring: times(sub, j, s, odd) is sub times the entry a_j_s,
-    negated when odd. memo maps remaining rows to their minor and may be
-    shared only by minors of the same M_k; it keeps the sub-minors, not the
-    result. A zero determinant is a valid output.
+    picks the ring: times(acc, sub, j, s, odd) is the fused multiply-
+    accumulate acc + sub * a_j_s, or acc - sub * a_j_s when odd, with acc
+    None for the first nonzero child of a frame. A frame's acc is only ever
+    what times returned to that frame, never a memo entry, one or zero, so
+    times may update it in place. memo maps remaining rows to their minor
+    and may be shared only by minors of the same M_k; it keeps the
+    sub-minors, not the result. A zero determinant is a valid output.
     """
 
     def expand(rows: tuple, col: int):
@@ -55,7 +58,7 @@ def band_det(rows: tuple, d: int, one, zero, times, memo: dict):
         got = memo.get(rows)
         if got is not None:
             return got
-        out = zero
+        out = None
         # row (i, j) is nonzero on columns i .. i+d only
         if rows[0][0] + d >= col:
             for idx, (i, j) in enumerate(rows):
@@ -65,7 +68,9 @@ def band_det(rows: tuple, d: int, one, zero, times, memo: dict):
                     continue
                 sub = expand(rows[:idx] + rows[idx + 1 :], col + 1)
                 if sub:
-                    out = out + times(sub, j, col - i, idx % 2)
+                    out = times(out, sub, j, col - i, idx % 2)
+        if out is None:
+            out = zero
         memo[rows] = out
         return out
 
@@ -74,44 +79,38 @@ def band_det(rows: tuple, d: int, one, zero, times, memo: dict):
     return out
 
 
-class _Packed(dict):
-    """A polynomial as {packed exponent vector: int coefficient}; + is the
-    only operation band_det needs besides the entry product."""
-
-    __slots__ = ()
-
-    def __add__(self, other: "_Packed") -> "_Packed":
-        out = _Packed(self)
-        for key, c in other.items():
-            s = out.get(key)
-            s = c if s is None else s + c
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-        return out
-
-
 def _symbolic(ring: Ring) -> tuple:
-    """one, zero, the band_det entry product and the Packing of the keys for
-    symbolic minors over packed exponent ints (Monagan & Pearce, CASC 2007).
+    """one, zero, the band_det multiply-accumulate and the Packing of the
+    keys for symbolic minors as {packed exponent int: int coefficient}
+    dicts (Monagan & Pearce, CASC 2007).
 
     Variable a_j_s owns a field of (d+1).bit_length() bits in the one
     layout of poly.Packing, a_1_0 the most significant; its exponent in a
     minor of M_k is at most k <= d, so fields never carry, multiplying by
     a_j_s adds its unit step to every key, and keys sort in canonical
-    order. Packing.polynomial decodes a finished minor.
+    order. The first product of a frame is a new dict and every later one
+    is merged into it in place. Packing.polynomial decodes a finished minor.
     """
     packing = Packing(ring.coeff_vars_row_major(), (ring.d + 1).bit_length())
     steps = [[1 << packing.shifts[ring.coeff(j, s)] for s in range(ring.d + 1)] for j in range(1, ring.n + 1)]
 
-    def times(sub: _Packed, j: int, s: int, odd: int) -> _Packed:
+    def times(acc: Optional[dict], sub: dict, j: int, s: int, odd: int) -> dict:
         step = steps[j - 1][s]
-        if odd:
-            return _Packed({key + step: -c for key, c in sub.items()})
-        return _Packed({key + step: c for key, c in sub.items()})
+        if acc is None:
+            if odd:
+                return {key + step: -c for key, c in sub.items()}
+            return {key + step: c for key, c in sub.items()}
+        get = acc.get
+        for key, c in sub.items():
+            key += step
+            c = get(key, 0) - c if odd else get(key, 0) + c
+            if c:
+                acc[key] = c
+            else:
+                del acc[key]
+        return acc
 
-    return _Packed({0: 1}), _Packed(), times, packing
+    return {0: 1}, {}, times, packing
 
 
 def minor_det(m: CascadeMatrix, sel: RowSelection) -> Polynomial:
@@ -126,8 +125,8 @@ def minor_det(m: CascadeMatrix, sel: RowSelection) -> Polynomial:
 
 def walk_minors(d: int, n: int, walks: Iterable[MinorWalk], one, zero, times):
     """(walk, selection, minor) per walk, in order, each minor by band_det
-    with the caller's entry product. The minors of one depth share a memo
-    that lives no longer than this loop."""
+    with the caller's multiply-accumulate. The minors of one depth share a
+    memo that lives no longer than this loop."""
     memos = {}
     for walk in walks:
         sel = selection_for_walk(walk, d, n)

@@ -313,6 +313,11 @@ def json_field(doc, key: str, kind: type, path: str = ""):
     return json_value(doc[key], kind, where)
 
 
+# entries of one printer memo before it is emptied; every distinct monomial
+# of gens --d 3 --n 4 (15,796) fits
+RENDER_MEMO_SIZE = 1 << 15
+
+
 class Packing:
     """Monomials as ints (Monagan & Pearce, CASC 2007), and the one printer
     of terms.
@@ -330,6 +335,12 @@ class Packing:
     document. Each builds a monomial from its groups, the variables sharing
     a kind and index (a_j_0 .. a_j_d for polynomial j): each distinct field
     value of a group is decoded or rendered once per packing and style.
+    The printers also keep what they finish: text each key's *-joined body
+    per namer, json_terms each key's "m" block and each coefficient's term
+    head. Every printing call builds its own Packing (a gens run, an
+    export, a repr), so nothing rendered outlives the call. A memo that
+    passes RENDER_MEMO_SIZE entries is emptied, which bounds the memory of
+    a long stream.
     """
 
     __slots__ = ("variables", "width", "emax", "guard", "shifts", "_groups", "_memos")
@@ -349,7 +360,7 @@ class Packing:
             prefix = f"{kind}_{i}_" if kind in ("a", "b") else kind
             spec = tuple((v, self.shifts[v] - low) for v in vs)
             self._groups.append((prefix, low, (1 << step * len(vs)) - 1, spec))
-        self._memos: dict = {}  # fragments() per style, and polynomial()'s monomials and fractions
+        self._memos: dict = {}  # fragments() per style, the printers' memos, polynomial()'s decodes
 
     @classmethod
     def over(cls, monomials: Iterable["Monomial"]) -> "Packing":
@@ -426,11 +437,21 @@ class Packing:
         fracs.update((c, Fraction(c)) for c in terms.values() if c not in fracs)
         return Polynomial(ring, {monos[key]: fracs[c] for key, c in terms.items()}, _trusted=True)
 
+    def _render_memo(self, name) -> dict:
+        """The printers' memo called name, emptied first if it holds more
+        than RENDER_MEMO_SIZE entries."""
+        memo = self._memos.get(name)
+        if memo is None or len(memo) > RENDER_MEMO_SIZE:
+            memo = self._memos[name] = {}
+        return memo
+
     def text(self, terms: Mapping[int, Rational], namer=str) -> str:
         """Deterministic human/CAS-readable rendering of packed terms;
-        namer maps a Variable to its printed name."""
+        namer maps a Variable to its printed name. Each key's *-joined
+        body is rendered once per namer while it stays in the memo."""
         if not terms:
             return "0"
+        bodies = self._render_memo(("text", namer))
         parts = self._parts(namer, lambda pairs: _product(pairs, namer))
         out = []
         for key in sorted(terms, reverse=True):
@@ -438,7 +459,10 @@ class Packing:
             if out:
                 out.append(" - " if c < 0 else " + ")
                 c = abs(c)
-            c, body = format_rational(c), "*".join(parts(key))
+            body = bodies.get(key)
+            if body is None:
+                body = bodies[key] = "*".join(parts(key))
+            c = format_rational(c)
             if body:
                 c = c[:-1] if c in ("1", "-1") else c + "*"  # a unit coefficient prints as its sign
             out.append(c + body)
@@ -447,16 +471,25 @@ class Packing:
     def json_terms(self, terms: Mapping[int, Rational]) -> str:
         """The term list [{"c": "num/den", "m": {name: exp}}, ...] of one
         generator of the JSON ideal document, in canonical order: the bytes
-        json.dumps(indent=2, sort_keys=True) writes for it at depth 2."""
+        json.dumps(indent=2, sort_keys=True) writes for it at depth 2. Each
+        key's "m" block and each coefficient's term head is rendered once
+        while it stays in the memo."""
         if not terms:
             return "    []"
+        blocks, heads = self._render_memo("json blocks"), self._render_memo("json heads")
         parts = self._parts("json", lambda pairs: ",\n".join(
             f'          "{name}": {e}' for name, e in sorted((v.name, e) for v, e in pairs)), True)
         out = []
         for key in sorted(terms, reverse=True):
-            m = parts(key)
-            m = "{\n" + ",\n".join(m) + "\n        }" if m else "{}"
-            out.append(f'      {{\n        "c": "{format_rational(terms[key])}",\n        "m": {m}\n      }}')
+            m = blocks.get(key)
+            if m is None:
+                m = parts(key)
+                m = blocks[key] = ("{\n" + ",\n".join(m) + "\n        }" if m else "{}") + "\n      }"
+            c = terms[key]
+            head = heads.get(c)
+            if head is None:
+                head = heads[c] = f'      {{\n        "c": "{format_rational(c)}",\n        "m": '
+            out.append(head + m)
         return "    [\n" + ",\n".join(out) + "\n    ]"
 
 
@@ -668,24 +701,32 @@ class Polynomial:
     ) -> "Polynomial":
         """Inverse of to_json; errors name the bad field by its path, such
         as [2].m.a_1_0, relative to the term list. A reader of many
-        polynomials may pass memoized parsers for names and "c" strings."""
+        polynomials may pass memoized parsers for names and "c" strings.
+        Paths are formatted only on the failing branch, where json_field
+        and json_value raise with the message of each check."""
         terms = []
         for idx, entry in enumerate(json_value(data, list, "polynomial")):
-            at = f"[{idx}]"
+            exps = entry.get("m") if type(entry) is dict else None
+            if type(exps) is not dict:
+                json_field(entry, "m", dict, f"[{idx}]")
             pairs = []  # distinct names parse to distinct variables: nothing to merge
-            for v, e in json_field(entry, "m", dict, at).items():
-                var, e = parse_var(v), json_value(e, int, f"{at}.m.{v}")
+            for v, e in exps.items():
+                var = parse_var(v)
+                if type(e) is not int:
+                    json_value(e, int, f"[{idx}].m.{v}")
                 if e < 0:
                     raise ValueError(f"negative exponent {e} for {var}")
                 if e:
                     pairs.append((var, e))
             pairs.sort()
             mono = Monomial._make(tuple(pairs))
-            text = json_field(entry, "c", str, at)
+            text = entry.get("c")
+            if type(text) is not str:
+                json_field(entry, "c", str, f"[{idx}]")
             try:
                 terms.append((mono, parse_c(text)))
             except ValueError as exc:
-                raise ValueError(f"{at}.c {exc}") from None
+                raise ValueError(f"[{idx}].c {exc}") from None
         return cls(ring, terms)
 
     def __repr__(self) -> str:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from .cascade import RowSelection
 from .minors import enumerate_generators, generator_walks, walk_minors
@@ -305,12 +305,12 @@ def _integer_rows(rows: Sequence[Sequence]) -> List[List[int]]:
 
 
 def _integer_times(values: Sequence[Sequence]):
-    """The band_det entry product over Python ints: a_j_s is entry s of
-    row j of values, scaled to integers."""
+    """The band_det multiply-accumulate over Python ints: a_j_s is entry s
+    of row j of values, scaled to integers."""
     ints = _integer_rows(values)
 
-    def times(sub: int, j: int, s: int, odd: int) -> int:
-        v = sub * ints[j - 1][s]
-        return -v if odd else v
+    def times(acc: Optional[int], sub: int, j: int, s: int, odd: int) -> int:
+        v = -sub * ints[j - 1][s] if odd else sub * ints[j - 1][s]
+        return v if acc is None else acc + v
 
     return times

@@ -1,13 +1,19 @@
 """Command-line surface: dispatch, formats, exit statuses, env limits."""
 
 import argparse
+import contextlib
+import hashlib
+import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resultantforge import cli, geometry
 from resultantforge.cli import LIMITS_ENV, main
@@ -108,6 +114,26 @@ class TestPrinterBytes:
             assert code == 0 and out == reference_export(ring, polys, fmt, alias)
             if fmt == "json" and n > 9 and polys:  # the minor a_1_0*a_10_1 - a_1_1*a_10_0
                 assert '"a_10_1": 1,\n          "a_1_0": 1\n' in out
+
+
+# the perfbench reference digests of every job output, read and never written
+DIGESTS = json.loads((pathlib.Path(__file__).parents[1] / "perfbench" / "digests.json").read_text())["jobs"]
+
+
+class TestRecordedDigests:
+    """The bytes of every gens and export --input job recorded in
+    perfbench/digests.json, (3,4) JSON included. An export input is the
+    JSON document gens writes for the (d, n) in its name."""
+
+    @pytest.mark.parametrize("key", sorted(k for k in DIGESTS if k.startswith(("gens ", "export --input "))))
+    def test_output_digest(self, capsys, tmp_path, key):
+        argv = key.split()
+        if argv[0] == "export":
+            d, n = re.fullmatch(r"gens-d(\d+)-n(\d+)\.json", argv[2]).groups()
+            argv[2] = str(tmp_path / argv[2])
+            assert main(["gens", "--d", d, "--n", n, "--format", "json", "-o", argv[2]]) == 0
+        code, out = run(capsys, *argv)
+        assert code == 0 and hashlib.sha256(out.encode("utf-8")).hexdigest() == DIGESTS[key]
 
 
 class TestCascade:
@@ -696,3 +722,73 @@ class TestDepthFlag:
         for k in ("1", "2"):
             code, out = run(capsys, "gens", "--d", "2", "--n", "3", "--k", k)
             assert code == 0 and out
+
+
+def run_quiet(*argv):
+    """main(argv) with stdout and stderr captured: (code, out, err)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+# Integers stay small: a document's d and n size the ring, all of whose
+# n * (d + 1) variables are built before any generator is read.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 6) | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6) | st.sampled_from(["1", "-2/3", "1/0", "1.5", " 2", "a_1_0"]),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.sampled_from(["c", "m", "d", "n", ""]) | st.text(max_size=4), kids, max_size=4),
+    max_leaves=12,
+)
+
+
+def maybe(good, bad=JSON_VALUES):
+    """good, and one draw in ten bad in its place."""
+    return st.integers(0, 9).flatmap(lambda r: bad if r == 0 else good)
+
+
+RATIONALS = maybe(st.sampled_from(["1", "-1", "0", "3", "-2/3", "4/2", "0/5", "-0"]),
+                  st.sampled_from(["+1", "1/0", "1/-2", "1.5", "1e3", " 2", "\u0663", "", "/"]))
+NAMES = maybe(st.sampled_from(["a_1_0", "a_1_1", "a_2_0", "a_2_1", "a_2_2", "a_3_1"]),
+              st.sampled_from(["a_01_0", "a_1", "a_1_0_", "b_1_0", "x", "r", ""]))
+TERMS = maybe(st.fixed_dictionaries(
+    {"c": maybe(RATIONALS), "m": maybe(st.dictionaries(NAMES, maybe(st.integers(0, 3)), max_size=3))},
+    optional={"extra": JSON_VALUES},
+))
+IDEAL_DOCS = st.one_of(JSON_VALUES, st.fixed_dictionaries(
+    {"d": maybe(st.integers(1, 2)), "n": maybe(st.integers(1, 3)),
+     "generators": maybe(st.lists(maybe(st.lists(TERMS, max_size=4)), max_size=3))},
+))
+TUPLE_DOCS = st.one_of(JSON_VALUES, st.fixed_dictionaries(
+    {"d": maybe(st.just(1)), "n": maybe(st.just(2)),
+     "values": maybe(st.lists(maybe(st.lists(maybe(RATIONALS), min_size=2, max_size=2)), min_size=2, max_size=2))},
+))
+
+
+class TestReaderFuzz:
+    """Arbitrary JSON values as documents: each is accepted or exits 2 with
+    nothing on stdout; none exits 1 or escapes main with a traceback."""
+
+    @staticmethod
+    def read(tmp_path_factory, value, *argv):
+        path = tmp_path_factory.mktemp("doc") / "doc.json"
+        path.write_text(json.dumps(value, indent=2, sort_keys=True) + "\n")
+        code, out, err = run_quiet(*(str(path) if a == "DOC" else a for a in argv))
+        assert code in (0, 2) and "Traceback" not in err
+        if code == 2:
+            assert out == "" and err.startswith("error: ")
+        return code, out, path
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(IDEAL_DOCS)
+    def test_export_input(self, tmp_path_factory, doc):
+        code, out, path = self.read(tmp_path_factory, doc, "export", "--input", "DOC", "--format", "json")
+        if code == 0:
+            # the export is the canonical document, which exports to itself
+            path.write_text(out)
+            assert run_quiet("export", "--input", str(path), "--format", "json") == (0, out, "")
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(TUPLE_DOCS)
+    def test_eval_coeffs(self, tmp_path_factory, doc):
+        self.read(tmp_path_factory, doc, "eval", "--d", "1", "--n", "2", "--coeffs", "DOC")

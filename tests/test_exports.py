@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from resultantforge import poly
 from resultantforge.exports import FORMATS, alias_name, export_ideal, from_json_doc, ideal_pieces
 from resultantforge.minors import _symbolic, enumerate_generators, generator_walks, packed_minors
 from resultantforge.poly import Monomial, Packing, Polynomial, Ring, Variable
@@ -265,6 +266,18 @@ class TestStreaming:
         assert len(taken) == 16 and len(rest) == 16
         polys = [rec.poly for rec in enumerate_generators(2, 3, ring)]
         assert first + "".join(rest) == export_ideal(ring, polys, "json")
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_emptied_render_memo_keeps_the_bytes(self, monkeypatch, fmt):
+        # (2, 4) has 72 minors over more distinct monomials than a memo of
+        # 8 entries holds, so every memo is emptied many times
+        ring = Ring(2, 4)
+        polys = [rec.poly for rec in enumerate_generators(2, 4, ring)]
+        monkeypatch.setattr(poly, "RENDER_MEMO_SIZE", 8)
+        packing, minors = packed_minors(ring, generator_walks(2, 4))
+        assert "".join(ideal_pieces(ring, packing, minors, fmt)) == reference_export(ring, polys, fmt)
+        most = max(len(p.terms) for p in polys)
+        assert all(len(memo) <= 8 + most for memo in packing._memos.values() if isinstance(memo, dict))
 
     def test_bad_alias_raises_before_any_piece(self):
         ring = Ring(26, 1)

@@ -599,6 +599,53 @@ class TestDeadlineOnEntry:
         assert buchberger([x * y - y], order, Limits(max_pairs=0)).certified_basis == [x * y - y]
 
 
+class TestDeadlineInMembership:
+    """The mutual-membership step of an ideal comparison checks the
+    deadline before each generator is reduced, under a clock that reads 0
+    until the call's last Buchberger run has finished and 10 after it."""
+
+    @staticmethod
+    def jump_after(monkeypatch, runs: int) -> list:
+        now, done, reduced = [0.0], [], []
+        basis_run, reduces = groebner._basis_run, groebner._Reducer.reduces_to_zero
+
+        def run(*args, **kwargs):
+            out = basis_run(*args, **kwargs)
+            done.append(1)
+            if len(done) == runs:
+                now[0] = 10.0
+            return out
+
+        monkeypatch.setattr(groebner.time, "monotonic", lambda: now[0])
+        monkeypatch.setattr(groebner, "_basis_run", run)
+        monkeypatch.setattr(groebner._Reducer, "reduces_to_zero", lambda r, polys: reduced.append(1) or reduces(r, polys))
+        return reduced
+
+    @pytest.mark.parametrize(
+        "call, runs",
+        [
+            (lambda limits: chart_equal(2, 3, limits), 2),
+            (lambda limits: elimination_equal(2, 3, limits), 2),
+            (lambda limits: ideal_equal(MINORS_23, ELIMINATED_23, limits), 1),
+        ],
+        ids=["chart_equal", "elimination_equal", "ideal_equal"],
+    )
+    def test_no_generator_is_reduced(self, monkeypatch, call, runs):
+        reduced = self.jump_after(monkeypatch, runs)
+        with pytest.raises(ResourceExhaustedError, match=r"^timeout of 1.0s exceeded after 0 of \d+ membership reductions$"):
+            call(Limits(timeout=1.0))
+        assert reduced == []
+
+    def test_verify_exits_3(self, monkeypatch, capsys):
+        from resultantforge.cli import main
+
+        self.jump_after(monkeypatch, 2)
+        assert main(["verify", "chart", "--d", "2", "--n", "3", "--timeout", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "timeout of 1.0s exceeded after 0 of " in captured.err
+        assert "Traceback" not in captured.err
+
+
 def assert_reduced(basis, order):
     """Each element is its own normal form against the others, the leads
     ascend strictly, and coefficients are coprime integers with a positive

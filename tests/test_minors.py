@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from resultantforge.cascade import CascadeMatrix, RowSelection
 from resultantforge.minors import (
+    _symbolic,
     all_selections,
     band_det,
     enumerate_generators,
@@ -104,6 +105,39 @@ class TestBandDet:
             rows = [grid[(i - 1) * n + j - 1] for i, j in sel.pairs]
             assert band_det(sel.pairs, d, 1, 0, times, memo) == leibniz_det(rows)
             assert sel.pairs not in memo  # the memo keeps sub-minors only
+
+
+class TestSharedMemo:
+    """The packed multiply-accumulate updates only the dict its own frame
+    made, so sub-minors shared through a memo keep their values."""
+
+    @pytest.mark.parametrize("dn", [(3, 3), (2, 4)])
+    def test_accumulation_never_mutates_shared_sub_minors(self, dn):
+        d, n = dn
+        ring = Ring(d, n)
+        one, zero, times, _ = _symbolic(ring)
+        for k in range(1, d + 1):
+            if n * k < d + k:
+                continue  # M_k is too flat to have maximal minors
+            memo = {}
+            for sel in all_selections(d, n, k):
+                band_det(sel.pairs, d, one, zero, times, memo)
+            assert memo
+            for rows, got in memo.items():
+                # rows are left for columns d+k-len(rows)+1 .. d+k; shifting
+                # them left by the columns already used restarts at column 1
+                shift = d + k - len(rows)
+                fresh = band_det(tuple((i - shift, j) for i, j in rows), d, one, zero, times, {})
+                assert got == fresh, rows
+        assert one == {0: 1} and zero == {}
+
+    def test_packed_minors_match_permutation_oracle(self, all_records, rings):
+        # all_records expands each (d, n) through one memo per depth
+        for dn in GRID:
+            for rec in all_records[dn]:
+                m = CascadeMatrix(*dn, rec.k, rings[dn])
+                grid = [[m.entry_variable(i, j, col) for col in range(1, m.ncols + 1)] for i, j in rec.selection.pairs]
+                assert rec.poly == permutation_det(rings[dn], grid)
 
 
 class TestEnumerateGenerators:
