@@ -3,7 +3,7 @@
 Exit status: 0 success, 1 a verification reported failure, 2 usage error,
 3 resource exhaustion. The environment variable RESULTANT_FORGE_LIMITS
 (for example "max_pairs=200000,max_basis=2000,timeout=600") overrides the
-default Buchberger limits for every subcommand.
+default Buchberger limits of `verify`, the one subcommand that reads it.
 """
 
 from __future__ import annotations

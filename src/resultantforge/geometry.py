@@ -3,10 +3,11 @@ intersection-theoretic degree of the common-root locus.
 
 The vanishing locus of a square-free monomial ideal is a union of
 coordinate subspaces, one for every inclusion-minimal set of variables
-hitting every generator. Dimension and degree are then read off component
-sizes. The degree of the common-root locus itself comes from a truncated
-product in the two-factor Chow ring and equals the sum of the input
-degrees.
+hitting every generator (Miller & Sturmfels, Combinatorial Commutative
+Algebra, ch. 1), found by Berge's algorithm on int masks. Dimension and
+degree are then read off component sizes. The degree of the common-root
+locus itself comes from a truncated product in the two-factor Chow ring
+and equals the sum of the input degrees.
 """
 
 from __future__ import annotations
@@ -29,10 +30,11 @@ class SquareFreeMonomialIdeal:
                 raise ValueError(f"generator {g!r} is not square-free")
             if g.is_one:
                 raise ValueError("the unit monomial generates the whole ring")
-        minimal = []
-        for g in sorted(gens, key=lambda m: (m.degree, m.exps)):
-            if not any(h.divides(g) for h in minimal):
-                minimal.append(g)
+        gens.sort(key=lambda m: (m.degree, m.exps))
+        minimal: Dict[Monomial, int] = {}
+        for g, mask in zip(gens, _masks([g.support for g in gens])[1]):
+            if not any(h & mask == h for h in minimal.values()):
+                minimal[g] = mask
         self.generators = tuple(minimal)
 
     def supports(self) -> List[frozenset]:
@@ -42,37 +44,34 @@ class SquareFreeMonomialIdeal:
         return f"SquareFreeMonomialIdeal({list(self.generators)!r})"
 
 
+def _masks(sets: Sequence[Iterable]) -> Tuple[dict, List[int]]:
+    """One int bit per distinct element of sets, in sorted order, and the mask of each set."""
+    bits = {v: 1 << idx for idx, v in enumerate(sorted(set().union(*sets)))}
+    return bits, [sum(bits[v] for v in s) for s in sets]
+
+
 def minimal_hitting_sets(supports: Sequence[frozenset]) -> List[frozenset]:
-    """All inclusion-minimal sets meeting every support.
+    """All inclusion-minimal sets meeting every support, ordered by size
+    and then by sorted elements.
 
-    Branch on the variables of the first unhit support; a branch taken for
-    one variable forbids the earlier ones, so no cover is produced twice.
-    Covers that fail the private-witness test are dropped at the leaves.
+    Berge's algorithm (Hypergraphs, 1989) on int masks: from the empty
+    cover, take the distinct support masks smallest first. The covers that
+    meet a support stay; each cover c that misses it grows to c + b for
+    every element b of the support, unless c + b contains a staying cover
+    k, that is, unless k - c = {b}. A grown c + b never contains another
+    c' + b', which would put c' inside c, so the covers stay minimal.
     """
-    supports = [frozenset(s) for s in supports]
-    out: List[frozenset] = []
-
-    def minimal(chosen: frozenset) -> bool:
-        for v in chosen:
-            rest = chosen - {v}
-            if not any(v in s and not (rest & s) for s in supports):
-                return False
-        return True
-
-    def search(chosen: frozenset, banned: frozenset) -> None:
-        for s in supports:
-            if not (chosen & s):
-                free = sorted(s - banned)
-                blocked = set()
-                for v in free:
-                    search(chosen | {v}, banned | blocked)
-                    blocked.add(v)
-                return
-        if minimal(chosen):
-            out.append(chosen)
-
-    search(frozenset(), frozenset())
-    return sorted(set(out), key=lambda s: (len(s), sorted(s)))
+    bits, masks = _masks(supports)
+    covers = [0]
+    for s in sorted(set(masks)):
+        kept, grown = [c for c in covers if c & s], []
+        for c in covers:
+            if not c & s:
+                blocked = {r for r in (k & ~c for k in kept) if r & (r - 1) == 0}
+                grown += [c | b for b in bits.values() if b & s and b not in blocked]
+        covers = kept + grown
+    out = [frozenset(v for v, b in bits.items() if b & c) for c in covers]
+    return sorted(out, key=lambda c: (len(c), sorted(c)))
 
 
 def minimal_primes(ideal: SquareFreeMonomialIdeal) -> List[frozenset]:

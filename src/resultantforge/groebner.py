@@ -90,6 +90,13 @@ def _deadline(limits: Limits) -> Optional[tuple]:
     return None if limits.timeout is None else (time.monotonic() + limits.timeout, limits.timeout)
 
 
+def _check_deadline(budget: Optional[tuple], done: int, total: Optional[int], what: str) -> None:
+    """Raise once budget's deadline has passed, saying how far the call got: after done[ of total] what."""
+    if budget is not None and time.monotonic() > budget[0]:
+        of = "" if total is None else f" of {total}"
+        raise ResourceExhaustedError(f"timeout of {budget[1]}s exceeded after {done}{of} {what}")
+
+
 @dataclass(frozen=True)
 class IdealPresentation:
     """Generators plus an optional certified basis for one term order."""
@@ -171,15 +178,7 @@ class _Run(_Reducer):
         if done >= self.limits.max_pairs:
             after = "" if total is None else f" after {done} of {total} pairs"
             raise ResourceExhaustedError(f"pair limit {self.limits.max_pairs} exceeded{after}")
-        self.check_time(total)
-
-    def check_time(self, total: Optional[int] = None) -> None:
-        """Raise once the budget's deadline has passed."""
-        if self.budget is not None and time.monotonic() > self.budget[0]:
-            of = "" if total is None else f" of {total}"
-            raise ResourceExhaustedError(
-                f"timeout of {self.budget[1]}s exceeded after {self.pairs_processed}{of} pairs"
-            )
+        _check_deadline(self.budget, done, total, "pairs")
 
     def degree(self, exps: int) -> int:
         """The total degree of the packed monomial exps."""
@@ -294,7 +293,7 @@ def _basis_run(order: TermOrder, gens: Iterable, limits: Limits, budget: Optiona
     self-check share budget, checked before each generator is reduced."""
     run = _Run(order, limits, budget)
     for source, terms in gens:
-        run.check_time()
+        _check_deadline(budget, run.pairs_processed, None, "pairs")
         r = run.retrying(lambda: _rescaled(*run.divide(run.load(source, terms))))
         if r:
             run.grow(r, max(run.degree(exps) for _, exps, _ in r))
@@ -414,16 +413,11 @@ def _equal(sides: Sequence[tuple], limits: Limits, budget: Optional[tuple]) -> b
     The deadline is checked before each generator is reduced."""
     bases = [_basis_run(order, gens, limits, budget) if basis is None else basis for order, gens, basis in sides]
     (_, gens_a, _), (_, gens_b, _) = sides
-    total, done = len(gens_a) + len(gens_b), 0
-    for basis, gens in ((bases[1], gens_a), (bases[0], gens_b)):
-        for gen in gens:
-            if budget is not None and time.monotonic() > budget[0]:
-                raise ResourceExhaustedError(
-                    f"timeout of {budget[1]}s exceeded after {done} of {total} membership reductions"
-                )
-            if not basis.reduces_to_zero([gen]):
-                return False
-            done += 1
+    pending = [(bases[1], gen) for gen in gens_a] + [(bases[0], gen) for gen in gens_b]
+    for done, (basis, gen) in enumerate(pending):
+        _check_deadline(budget, done, len(pending), "membership reductions")
+        if not basis.reduces_to_zero([gen]):
+            return False
     return True
 
 

@@ -77,15 +77,8 @@ class Ring:
         self.n = n
         self.with_x = with_x
         self.with_aux = with_aux
-        members = {Variable("a", i, j) for i in range(1, n + 1) for j in range(d + 1)}
-        if with_x:
-            members.add(Variable("x"))
-        if with_aux:
-            members.add(Variable("r"))
-            members.update(Variable("b", i, j) for i in range(1, n + 1) for j in range(d))
         self._key = (d, n, with_x, with_aux)
-        # negated position in the sorted variable list, for canonical_key
-        self._rank = {v: -idx for idx, v in enumerate(sorted(members))}
+        self._rank = None
 
     @classmethod
     def for_system(cls, d: int, n: int, ring: Optional["Ring"] = None) -> "Ring":
@@ -132,18 +125,31 @@ class Ring:
 
     @property
     def variables(self) -> tuple:
-        return tuple(self._rank)
+        """Every symbol in sorted order: a_i_j row-major, then b_i_j, r and x."""
+        out = list(self.coeff_vars_row_major())
+        if self.with_aux:
+            out += [*(Variable("b", i, j) for i in range(1, self.n + 1) for j in range(self.d)), Variable("r")]
+        if self.with_x:
+            out.append(Variable("x"))
+        return tuple(out)
 
     def canonical_key(self, m: "Monomial") -> tuple:
         """Sort key of the order-free canonical term order: lex over
         `variables`, first variable largest. It orders monomials as their
         dense exponent vectors do, reading only the sparse exponents, which
         Monomial keeps sorted in the same variable order."""
+        if self._rank is None:  # built on first use, so a ring costs O(1) until then
+            self._rank = {v: -idx for idx, v in enumerate(self.variables)}
         rank = self._rank
         return tuple((rank[v], e) for v, e in m.exps)
 
     def __contains__(self, var: Variable) -> bool:
-        return var in self._rank
+        kind, i, j = var
+        if kind == "a":
+            return 1 <= i <= self.n and 0 <= j <= self.d
+        if kind == "b":
+            return self.with_aux and 1 <= i <= self.n and 0 <= j < self.d
+        return i == j == 0 and (self.with_x if kind == "x" else self.with_aux and kind == "r")
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Ring) and self._key == other._key

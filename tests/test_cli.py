@@ -10,6 +10,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,7 @@ from resultantforge.exports import export_ideal
 from resultantforge.minors import enumerate_generators, generators_for_basis
 from resultantforge.poly import Packing, Ring
 from resultantforge.roots import CoefficientTuple, membership_scan, sample_planted, sample_random
-from resultantforge.walks import enumerate_reduced, walk_leading_monomial
+from resultantforge.walks import components, enumerate_reduced, walk_leading_monomial
 
 from conftest import GRID
 from oracles import reference_export
@@ -76,6 +77,18 @@ class TestGens:
         code, out2 = run(capsys, "export", "--input", str(blob), "--format", "json")
         assert code == 0
         assert out2 == out
+
+    @pytest.mark.parametrize(
+        "fmt, want", [("json", '{\n  "d": 1,\n  "generators": [],\n  "n": 1000000000\n}\n'), ("text", "\n")], ids=["json", "text"]
+    )
+    def test_export_cost_does_not_grow_with_the_declared_ring(self, tmp_path, fmt, want):
+        blob = tmp_path / "ideal.json"
+        blob.write_text('{"d": 1, "n": 1000000000, "generators": []}')
+        argv = [sys.executable, "-m", "resultantforge", "export", "--input", str(blob), "--format", fmt]
+        start = time.monotonic()
+        done = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=5)
+        assert (done.returncode, done.stdout, done.stderr) == (0, want, "")
+        assert time.monotonic() - start < 1
 
     def test_zero_polynomial_and_constant_term_round_trip(self, capsys, tmp_path):
         doc = {"d": 1, "n": 2, "generators": [[], [{"c": "-3/2", "m": {}}, {"c": "1", "m": {"a_1_0": 2}}]]}
@@ -184,6 +197,22 @@ class TestComponentsAndDegree:
         assert doc["dim"] == 6 and doc["degree"] == 6
         assert len(doc["components"]) == 6
         assert ["a_1_0", "a_2_0"] in doc["components"]
+
+    def test_components_matches_golden(self, capsys):
+        code, out = run(capsys, "components", "--d", "3", "--n", "3")
+        assert code == 0
+        assert out == (GOLDEN / "components_d3_n3.json").read_text()
+
+    @pytest.mark.parametrize("d, n", [(3, 4), (4, 4), (4, 5), (5, 4)])
+    def test_components_match_the_closed_form(self, capsys, d, n):
+        code, out = run(capsys, "components", "--d", str(d), "--n", str(n))
+        assert code == 0
+        closed = sorted((c.variables for c in components(d, n)), key=lambda s: (len(s), sorted(s)))
+        assert json.loads(out) == {
+            "components": [sorted(v.name for v in comp) for comp in closed],
+            "dim": n * d,
+            "degree": n * d,
+        }
 
     def test_components_search_for_covers_once(self, capsys, monkeypatch):
         searches = []

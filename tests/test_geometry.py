@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resultantforge.geometry import (
     ChowClass,
@@ -17,6 +19,18 @@ from resultantforge.walks import components, enumerate_reduced, walk_leading_mon
 
 from conftest import GRID
 from oracles import brute_force_minimal_covers
+
+
+@st.composite
+def families(draw):
+    """Support families over a universe of at most 8 ints: the empty
+    family, empty supports, and duplicates and supersets of drawn ones."""
+    size = draw(st.integers(0, 8))
+    support = st.frozensets(st.integers(0, size - 1), max_size=size) if size else st.just(frozenset())
+    family = draw(st.lists(support, max_size=7))
+    if family:
+        family += [s | draw(support) for s in draw(st.lists(st.sampled_from(family), max_size=3))]
+    return draw(st.permutations(family))
 
 
 def lead_ideal(d, n, ring=None):
@@ -71,6 +85,36 @@ class TestMinimalPrimes:
                 size = rng.randint(1, 3)
                 supports.append(frozenset(rng.sample(universe, size)))
             assert minimal_hitting_sets(supports) == brute_force_minimal_covers(supports)
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(families())
+    def test_against_exhaustive_oracle(self, supports):
+        assert minimal_hitting_sets(supports) == brute_force_minimal_covers(supports)
+
+    @pytest.mark.parametrize(
+        "supports, covers",
+        [
+            ([], [set()]),
+            ([set()], []),
+            ([{1}, set()], []),
+            ([{1, 2}, {2, 1}], [{1}, {2}]),
+            ([{1, 2, 3}, {2}, {1, 2}], [{2}]),
+            ([{0, 1}, {2, 3}], [{0, 2}, {0, 3}, {1, 2}, {1, 3}]),
+        ],
+        ids=["empty-family", "empty-support", "with-empty-support", "duplicate", "nested", "disjoint"],
+    )
+    def test_edge_families(self, supports, covers):
+        assert minimal_hitting_sets([frozenset(s) for s in supports]) == [frozenset(c) for c in covers]
+
+    @pytest.mark.parametrize("dn", GRID)
+    def test_transversals_of_components_are_walk_supports(self, dn):
+        """The dual direction: the minimal transversals of the n*d subspaces
+        S_(s,t) are exactly the supports of the reduced-walk products."""
+        ring = Ring(*dn)
+        covers = minimal_hitting_sets([c.variables for c in components(*dn, ring)])
+        supports = [walk_leading_monomial(w, ring).support for w in enumerate_reduced(*dn)]
+        assert len(covers) == len(supports)
+        assert set(covers) == set(supports)
 
     def test_rejects_non_square_free(self):
         ring = Ring(1, 2)
