@@ -16,10 +16,10 @@ import os
 import sys
 from typing import List, Optional
 
-from . import exports
+from . import exports, geometry
 from .cascade import CascadeMatrix
 from .diagonal import build_diagonal_weights, diagonal_order
-from .geometry import DimDegree, SquareFreeMonomialIdeal, chow_degree, minimal_primes
+from .geometry import DimDegree, chow_degree
 from .groebner import (  # eliminate_x, ideal_equal and is_groebner_basis stay bound here for perfbench/tracing.py
     DEFAULT_LIMITS,
     Limits,
@@ -34,9 +34,10 @@ from .groebner import (  # eliminate_x, ideal_equal and is_groebner_basis stay b
 from .minors import (  # enumerate_generators and generators_for_basis stay bound here for perfbench/tracing.py
     enumerate_generators,
     expand_walks,
-    generator_walks,
+    generator_rows,
     generators_for_basis,
     packed_minors,
+    reduced_rows,
 )
 from .orders import DegRevLexOrder, LexOrder, leading_term
 from .poly import Ring, parse_number
@@ -82,21 +83,21 @@ def _check_k(args) -> None:
         raise UsageError(f"--k must lie in 1..{args.d}, got {args.k}")
 
 
-def _walks(args) -> list:
-    """The walks of the requested generators in output order, --k picking
+def _generators(args) -> list:
+    """(k, rows) of the requested generators in output order, --k picking
     one depth before any minor is expanded."""
     _check_k(args)
-    walks = enumerate_reduced(args.d, args.n) if args.reduced_only else generator_walks(args.d, args.n)
+    gens = (reduced_rows if args.reduced_only else generator_rows)(args.d, args.n)
     if args.k is not None:
-        walks = [w for w in walks if len(w) == args.d + args.k]
-    return walks
+        gens = [g for g in gens if g[0] == args.k]
+    return gens
 
 
 def _write_generators(args) -> None:
     """Stream the requested generators: each minor is printed as it is
     expanded and written before the next one is."""
     ring = Ring(args.d, args.n)
-    packing, minors = packed_minors(ring, _walks(args))
+    packing, minors = packed_minors(ring, _generators(args))
     pieces = exports.ideal_pieces(ring, packing, minors, args.format, args.alias)
     with _output(args) as out:
         out.writelines(pieces)
@@ -150,7 +151,7 @@ def _cmd_walks(args) -> int:
 def _cmd_leadterms(args) -> int:
     ring = Ring(args.d, args.n)
     order = _named_order(args.order, ring)
-    records = expand_walks(args.d, args.n, _walks(args), ring)
+    records = expand_walks(args.d, args.n, _generators(args), ring)
     doc = [repr(leading_term(rec.poly, order)[0]) for rec in records]
     _emit(args, json.dumps(doc, indent=2) + "\n")
     return 0
@@ -158,10 +159,10 @@ def _cmd_leadterms(args) -> int:
 
 def _cmd_components(args) -> int:
     ring = Ring(args.d, args.n)
-    lead = SquareFreeMonomialIdeal(
-        walk_leading_monomial(w, ring) for w in enumerate_reduced(args.d, args.n)
-    )
-    comps = minimal_primes(lead)
+    # the supports of the reduced-walk leads, unminimalized: Berge's
+    # algorithm finds the same minimal hitting sets either way
+    supports = [walk_leading_monomial(w, ring).support for w in enumerate_reduced(args.d, args.n)]
+    comps = geometry.minimal_hitting_sets(supports)
     dd = DimDegree.of(comps, args.n * (args.d + 1))
     doc = {
         "components": [sorted(v.name for v in comp) for comp in comps],
@@ -195,13 +196,13 @@ def _cmd_verify(args) -> int:
     if args.check == "groebner":
         ring = Ring(args.d, args.n)
         order = diagonal_order(build_diagonal_weights(args.d, args.n), ring)
-        walks = enumerate_reduced(args.d, args.n)
-        ok = is_packed_groebner_basis(*packed_minors(ring, walks), order, limits)
+        gens = reduced_rows(args.d, args.n)
+        ok = is_packed_groebner_basis(*packed_minors(ring, gens), order, limits)
         return _verify_report(
             args,
             "reduced-walk minors are a Groebner basis under the diagonal order",
             ok,
-            {"basis_size": len(walks)},
+            {"basis_size": len(gens)},
         )
     if args.check == "elimination":
         ok, minors, eliminated = elimination_equal(args.d, args.n, limits)
@@ -240,13 +241,13 @@ def _eval_doc(report) -> str:
     sort_keys=True) + "\n" for {"biconditional_ok", "generators": [{"k",
     "rows", "vanishes"}, ...], "root_report", "top_minors_all_vanish"}. Each
     [i, j] row block is rendered once."""
-    rows, gens = {}, []
-    for sel, vanishes in zip(report.selections, report.vanishing):
-        for pair in sel.pairs:
-            if pair not in rows:
-                rows[pair] = f"        [\n          {pair[0]},\n          {pair[1]}\n        ]"
-        block = ",\n".join(rows[pair] for pair in sel.pairs)
-        gens.append(f'    {{\n      "k": {sel.k},\n      "rows": [\n{block}\n      ],\n      "vanishes": {_json_bool(vanishes)}\n    }}')
+    blocks, gens = {}, []
+    for (k, rows), vanishes in zip(report.generators, report.vanishing):
+        for pair in rows:
+            if pair not in blocks:
+                blocks[pair] = f"        [\n          {pair[0]},\n          {pair[1]}\n        ]"
+        block = ",\n".join(blocks[pair] for pair in rows)
+        gens.append(f'    {{\n      "k": {k},\n      "rows": [\n{block}\n      ],\n      "vanishes": {_json_bool(vanishes)}\n    }}')
     body = "[\n" + ",\n".join(gens) + "\n  ]" if gens else "[]"
     root = report.root
     return (

@@ -32,7 +32,7 @@ from math import gcd
 from typing import Iterable, List, Mapping, Optional, Sequence
 
 from .minors import enumerate_generators, top_minor_records  # both stay bound here for perfbench/tracing.py
-from .minors import generator_walks, packed_minors
+from .minors import generator_rows, packed_minors
 from .orders import (  # leading_term and normal_form stay bound here for perfbench/tracing.py
     BlockOrder,
     DegRevLexOrder,
@@ -352,11 +352,6 @@ def is_packed_groebner_basis(
     return _Run(order, limits, _deadline(limits)).certify((packing, terms) for terms in basis)
 
 
-def reduces_to_zero(polys: Sequence[Polynomial], basis: Sequence[Polynomial], order: TermOrder) -> bool:
-    """True when every polynomial reduces to zero against the basis."""
-    return _Reducer(order, basis).reduces_to_zero(_packed(polys))
-
-
 def elimination_order(ring: Ring) -> TermOrder:
     """Eliminand first by bare exponent, then degrevlex on the coefficient
     variables in column-major ranking."""
@@ -442,7 +437,7 @@ def elimination_equal(d: int, n: int, limits: Limits = DEFAULT_LIMITS) -> tuple:
     budget = _deadline(limits)
     ring = Ring(d, n)
     order = DegRevLexOrder(ring.coeff_vars_column_major())
-    packing, minors = packed_minors(ring, generator_walks(d, n))
+    packing, minors = packed_minors(ring, generator_rows(d, n))
     minors = [(packing, minor) for minor in minors]
     elim = _Reducer(order)
     elim.extend(_eliminated(d, n, limits, budget))
@@ -459,10 +454,10 @@ def chart_equal(d: int, n: int, limits: Limits = DEFAULT_LIMITS) -> bool:
     """
     budget = _deadline(limits)
     ring = Ring(d, n)
-    walks = generator_walks(d, n)
-    packing, minors = packed_minors(ring, walks)
+    gens = generator_rows(d, n)
+    packing, minors = packed_minors(ring, gens)
     chart = (packing, {1 << packing.shifts[ring.coeff(1, 0)]: 1, 0: -1})
     full = [chart, *((packing, minor) for minor in minors)]
-    top = [chart, *(g for walk, g in zip(walks, full[1:]) if len(walk) == 2 * d)]
+    top = [chart, *(g for (k, _), g in zip(gens, full[1:]) if k == d)]
     order = DegRevLexOrder(ring.coeff_vars_column_major())
     return _equal([(order, top, None), (order, full, None)], limits, budget)

@@ -1,9 +1,11 @@
 """Symbolic expansion of the determinantal generators.
 
 The generators of the common-root ideal for a (d, n) system are the
-(d+k) x (d+k) minors of the cascade matrices M_k, k = 1..d. Each nonzero
-minor is recorded together with its row selection and its walk; the subset
-indexed by reduced walks is the distinguished basis G.
+(d+k) x (d+k) minors of the cascade matrices M_k, k = 1..d. A generator
+is named by its depth k and its rows ((i_1, j_1), ..., (i_{d+k}, j_{d+k})),
+as generator_rows lists them; a GeneratorRecord adds its row selection,
+walk and expansion. The subset indexed by reduced walks is the
+distinguished basis G.
 """
 
 from __future__ import annotations
@@ -13,14 +15,8 @@ from typing import Iterable, List, Optional
 
 from .cascade import CascadeMatrix, RowSelection
 from .poly import Packing, Polynomial, Ring
-from .walks import (
-    MinorWalk,
-    ZeroMinorError,
-    enumerate_reduced,
-    enumerate_walks,
-    rows_to_walk,
-    selection_for_walk,
-)
+from .walks import enumerate_walks  # stays bound here for perfbench/tracing.py
+from .walks import MinorWalk, ZeroMinorError, enumerate_reduced, enumerate_rows, rows_to_walk, walk_rows
 
 @dataclass(frozen=True)
 class GeneratorRecord:
@@ -123,36 +119,47 @@ def minor_det(m: CascadeMatrix, sel: RowSelection) -> Polynomial:
     return packing.polynomial(m.ring, band_det(sel.pairs, m.d, one, zero, times, {}))
 
 
-def walk_minors(d: int, n: int, walks: Iterable[MinorWalk], one, zero, times):
-    """(walk, selection, minor) per walk, in order, each minor by band_det
-    with the caller's multiply-accumulate. The minors of one depth share a
-    memo that lives no longer than this loop."""
+def walk_minors(d: int, gens: Iterable[tuple], one, zero, times):
+    """The minor of each generator (k, rows), in order, by band_det with
+    the caller's multiply-accumulate. The minors of one depth share a memo
+    that lives no longer than this loop."""
     memos = {}
-    for walk in walks:
-        sel = selection_for_walk(walk, d, n)
-        yield walk, sel, band_det(sel.pairs, d, one, zero, times, memos.setdefault(sel.k, {}))
+    for k, rows in gens:
+        yield band_det(rows, d, one, zero, times, memos.setdefault(k, {}))
 
 
-def packed_minors(ring: Ring, walks: Iterable[MinorWalk]) -> tuple:
+def packed_minors(ring: Ring, gens: Iterable[tuple]) -> tuple:
     """The Packing of ring's coefficient variables and an iterator over the
-    minor of each walk as {packed key: int coefficient}. Each minor is
-    expanded as the iterator reaches it and is never decoded."""
+    minor of each generator (k, rows) as {packed key: int coefficient}.
+    Each minor is expanded as the iterator reaches it and is never
+    decoded."""
     one, zero, times, packing = _symbolic(ring)
-    return packing, (minor for _, _, minor in walk_minors(ring.d, ring.n, walks, one, zero, times))
+    return packing, walk_minors(ring.d, gens, one, zero, times)
 
 
-def expand_walks(d: int, n: int, walks: Iterable[MinorWalk], ring: Optional[Ring] = None) -> List[GeneratorRecord]:
-    """One record per walk with its minor expanded symbolically."""
+def expand_walks(d: int, n: int, gens: Iterable[tuple], ring: Optional[Ring] = None) -> List[GeneratorRecord]:
+    """One record per generator (k, rows) with its minor expanded
+    symbolically."""
     ring = Ring.for_system(d, n, ring)
-    one, zero, times, packing = _symbolic(ring)
-    found = walk_minors(d, n, walks, one, zero, times)
-    return [GeneratorRecord(sel.k, sel, walk, packing.polynomial(ring, minor)) for walk, sel, minor in found]
+    gens = list(gens)
+    packing, minors = packed_minors(ring, gens)
+    out = []
+    for (k, rows), minor in zip(gens, minors):
+        sel = RowSelection(d, n, k, rows)
+        out.append(GeneratorRecord(k, sel, rows_to_walk(sel), packing.polynomial(ring, minor)))
+    return out
 
 
-def generator_walks(d: int, n: int) -> List[MinorWalk]:
-    """The walks of every generator in output order, k = 1..d. Depths whose
-    matrix is too flat to have maximal minors (n*k < d+k) contribute nothing."""
-    return [w for k in range(1, d + 1) if n * k >= d + k for w in enumerate_walks(d, n, k)]
+def generator_rows(d: int, n: int) -> List[tuple]:
+    """(k, rows) of every generator in output order, k = 1..d, rows in
+    enumerate_rows order. Depths whose matrix is too flat to have maximal
+    minors (n*k < d+k) contribute nothing."""
+    return [(k, rows) for k in range(1, d + 1) if n * k >= d + k for rows in enumerate_rows(d, n, k)]
+
+
+def reduced_rows(d: int, n: int) -> List[tuple]:
+    """(k, rows) of every reduced walk: the generators of the basis G."""
+    return [walk_rows(walk, d) for walk in enumerate_reduced(d, n)]
 
 
 def enumerate_generators(d: int, n: int, ring: Optional[Ring] = None) -> List[GeneratorRecord]:
@@ -161,18 +168,18 @@ def enumerate_generators(d: int, n: int, ring: Optional[Ring] = None) -> List[Ge
     Selections with an identically zero minor never appear: the walk
     enumeration only produces in-lattice selections.
     """
-    return expand_walks(d, n, generator_walks(d, n), ring)
+    return expand_walks(d, n, generator_rows(d, n), ring)
 
 
 def generators_for_basis(d: int, n: int, ring: Optional[Ring] = None) -> List[GeneratorRecord]:
     """The records of reduced walks only: the distinguished basis G."""
-    return expand_walks(d, n, enumerate_reduced(d, n), ring)
+    return expand_walks(d, n, reduced_rows(d, n), ring)
 
 
 def top_minor_records(d: int, n: int, ring: Optional[Ring] = None) -> List[GeneratorRecord]:
     """The 2d x 2d minors of M_d alone; their common zero locus is already
     the common-root variety set-theoretically."""
-    return expand_walks(d, n, enumerate_walks(d, n, d), ring)
+    return expand_walks(d, n, ((d, rows) for rows in enumerate_rows(d, n, d)), ring)
 
 
 def all_selections(d: int, n: int, k: int):

@@ -226,10 +226,6 @@ class Monomial:
             merged[v] = merged.get(v, 0) + e
         return Monomial._make(tuple(sorted(merged.items())))
 
-    def divides(self, other: "Monomial") -> bool:
-        it = dict(other.exps)
-        return all(it.get(v, 0) >= e for v, e in self.exps)
-
     def div(self, other: "Monomial") -> "Monomial":
         """Exact quotient self / other; raises if other does not divide self."""
         quot = dict(self.exps)
@@ -342,9 +338,9 @@ class Packing:
     a kind and index (a_j_0 .. a_j_d for polynomial j): each distinct field
     value of a group is decoded or rendered once per packing and style.
     The printers also keep what they finish: text each key's *-joined body
-    per namer, json_terms each key's "m" block and each coefficient's term
-    head. Every printing call builds its own Packing (a gens run, an
-    export, a repr), so nothing rendered outlives the call. A memo that
+    per namer, both printers each coefficient's term head, json_terms each
+    key's "m" block. Every printing call builds its own Packing (a gens
+    run, an export, a repr), so nothing rendered outlives the call. A memo that
     passes RENDER_MEMO_SIZE entries is emptied, which bounds the memory of
     a long stream.
     """
@@ -454,24 +450,25 @@ class Packing:
     def text(self, terms: Mapping[int, Rational], namer=str) -> str:
         """Deterministic human/CAS-readable rendering of packed terms;
         namer maps a Variable to its printed name. Each key's *-joined
-        body is rendered once per namer while it stays in the memo."""
+        body is rendered once per namer, and each coefficient's head of a
+        later term with a body once, while they stay in the memo."""
         if not terms:
             return "0"
-        bodies = self._render_memo(("text", namer))
+        bodies, heads = self._render_memo(("text", namer)), self._render_memo("text heads")
         parts = self._parts(namer, lambda pairs: _product(pairs, namer))
         out = []
         for key in sorted(terms, reverse=True):
             c = terms[key]
-            if out:
-                out.append(" - " if c < 0 else " + ")
-                c = abs(c)
             body = bodies.get(key)
             if body is None:
                 body = bodies[key] = "*".join(parts(key))
-            c = format_rational(c)
-            if body:
-                c = c[:-1] if c in ("1", "-1") else c + "*"  # a unit coefficient prints as its sign
-            out.append(c + body)
+            if out and body:
+                head = heads.get(c)
+                if head is None:
+                    head = heads[c] = _text_head(c, False, True)
+            else:
+                head = _text_head(c, not out, bool(body))
+            out.append(head + body)
         return "".join(out)
 
     def json_terms(self, terms: Mapping[int, Rational]) -> str:
@@ -497,6 +494,20 @@ class Packing:
                 head = heads[c] = f'      {{\n        "c": "{format_rational(c)}",\n        "m": '
             out.append(head + m)
         return "    [\n" + ",\n".join(out) + "\n    ]"
+
+
+def _text_head(c: Rational, first: bool, body: bool) -> str:
+    """What Packing.text writes before a term's body: the sign as a
+    separator unless the term is first, then the coefficient, a unit one
+    as its bare sign when a body follows."""
+    sep = ""
+    if not first:
+        sep = " - " if c < 0 else " + "
+        c = abs(c)
+    c = format_rational(c)
+    if body:
+        c = c[:-1] if c in ("1", "-1") else c + "*"
+    return sep + c
 
 
 def _product(pairs: tuple, namer=str) -> str:
@@ -709,31 +720,54 @@ class Polynomial:
         as [2].m.a_1_0, relative to the term list. A reader of many
         polynomials may pass memoized parsers for names and "c" strings.
         Paths are formatted only on the failing branch, where json_field
-        and json_value raise with the message of each check."""
-        terms = []
+        and json_value raise with the message of each check. The terms are
+        checked as Polynomial(ring, terms) checks them, once: a "0"
+        coefficient is dropped, repeated monomials merge, and after every
+        field has parsed, the first variable outside the ring in a kept
+        term raises RingMismatchError."""
+        names: dict = {}  # name -> (variable, in ring), parsed once per call
+        terms: dict = {}
+        outside = None
         for idx, entry in enumerate(json_value(data, list, "polynomial")):
             exps = entry.get("m") if type(entry) is dict else None
             if type(exps) is not dict:
                 json_field(entry, "m", dict, f"[{idx}]")
             pairs = []  # distinct names parse to distinct variables: nothing to merge
+            foreign = False
             for v, e in exps.items():
-                var = parse_var(v)
+                got = names.get(v)
+                if got is None:
+                    var = parse_var(v)
+                    got = names[v] = (var, var in ring)
                 if type(e) is not int:
                     json_value(e, int, f"[{idx}].m.{v}")
                 if e < 0:
-                    raise ValueError(f"negative exponent {e} for {var}")
+                    raise ValueError(f"negative exponent {e} for {got[0]}")
                 if e:
-                    pairs.append((var, e))
+                    pairs.append((got[0], e))
+                    foreign = foreign or not got[1]
             pairs.sort()
-            mono = Monomial._make(tuple(pairs))
             text = entry.get("c")
             if type(text) is not str:
                 json_field(entry, "c", str, f"[{idx}]")
             try:
-                terms.append((mono, parse_c(text)))
+                c = parse_c(text)
             except ValueError as exc:
                 raise ValueError(f"[{idx}].c {exc}") from None
-        return cls(ring, terms)
+            if not c:
+                continue
+            if foreign and outside is None:
+                outside = next(var for var, _ in pairs if var not in ring)
+            mono = Monomial._make(tuple(pairs))
+            s = terms.get(mono)
+            s = c if s is None else s + c
+            if s:
+                terms[mono] = s
+            else:
+                del terms[mono]
+        if outside is not None:
+            raise RingMismatchError(f"variable {outside.name} not in {ring!r}")
+        return cls(ring, terms, _trusted=True)
 
     def __repr__(self) -> str:
         packing = Packing.over(self.terms)

@@ -2,9 +2,12 @@
 roots: an exact gcd-based root oracle, planted-root substitution, sample
 generators, and evaluation scans.
 
-Evaluation expands no minor symbolically: each generator's minor is
-computed at the tuple by the same band recursion that expands it
-(minors.band_det), over Python ints on rows scaled to integers.
+Evaluation expands no minor symbolically and works over Python ints on
+rows scaled to integers. It decides each depth k by one exact rank: when
+M_k at the tuple has rank below d+k, every maximal minor of it vanishes,
+so every generator of that depth does. Only at a depth of full rank is
+each generator's minor computed, by the same band recursion that expands
+it (minors.band_det).
 
 Sampling uses a fixed 64-bit linear congruential generator (Knuth's MMIX
 constants: state <- state * 6364136223846793005 + 1442695040888963407
@@ -21,7 +24,7 @@ from math import lcm
 from typing import Dict, List, Optional, Sequence
 
 from .cascade import RowSelection
-from .minors import enumerate_generators, generator_walks, walk_minors
+from .minors import enumerate_generators, generator_rows, walk_minors
 from .poly import Polynomial, Ring, Variable, format_rational, json_field, json_value, parse_rational
 
 _LCG_MUL = 6364136223846793005
@@ -188,11 +191,19 @@ def common_root_oracle(c: CoefficientTuple) -> RootReport:
 class MembershipReport:
     """Evaluation of every generator at one coefficient tuple."""
 
+    d: int
+    n: int
     root: RootReport
-    vanishing: List[bool]  # aligned with the selections
-    selections: List[RowSelection]  # in enumerate_generators order
+    vanishing: List[bool]  # aligned with the generators
+    generators: List[tuple]  # (k, rows) in minors.generator_rows order
+    ranks: List[int]  # ranks[k - 1] is the rank of M_k at the tuple
     top_minors_all_vanish: bool
     biconditional_ok: bool
+
+    @property
+    def selections(self) -> List[RowSelection]:
+        """The generators as RowSelections, built on each access."""
+        return [RowSelection(self.d, self.n, k, rows) for k, rows in self.generators]
 
 
 def membership_scan(c: CoefficientTuple) -> MembershipReport:
@@ -200,24 +211,30 @@ def membership_scan(c: CoefficientTuple) -> MembershipReport:
     set-theoretic criterion: the depth-d minors all vanish exactly when
     the polynomials share a root or every leading coefficient is zero.
 
-    Each generator's minor is computed in integers by minors.band_det.
     Scaling f_j by the lcm of its denominators scales every row (i, j) of
-    M_k by the same nonzero factor, so the minor vanishes exactly when the
-    integer one does.
+    M_k by the same nonzero factor, so ranks and the vanishing of minors
+    are those of the integer matrix. A depth whose M_k has rank below d+k
+    has only vanishing maximal minors; at a depth of full rank each
+    generator's minor is computed by minors.band_det.
     """
-    selections: List[RowSelection] = []
-    vanishing: List[bool] = []
-    found = walk_minors(c.d, c.n, generator_walks(c.d, c.n), 1, 0, _integer_times(c.values))
-    for _, sel, det in found:
-        selections.append(sel)
-        vanishing.append(det == 0)
-    top_all = all(vanish for sel, vanish in zip(selections, vanishing) if sel.k == c.d)
+    d, n = c.d, c.n
+    ints = _integer_rows(c.values)
+    gens = generator_rows(d, n)
+    ranks = [_cascade_rank(ints, d, k) for k in range(1, d + 1)]
+    full = [(k, rows) for k, rows in gens if ranks[k - 1] == d + k]
+    dets = walk_minors(d, full, 1, 0, _integer_times(ints))
+    # a rank-deficient depth needs no determinant; dets yields the others' minors in order
+    vanishing = [ranks[k - 1] < d + k or next(dets) == 0 for k, _ in gens]
+    top_all = all(vanish for (k, _), vanish in zip(gens, vanishing) if k == d)
     root = common_root_oracle(c)
     expected = root.has_affine_common_root or root.all_leading_zero
     return MembershipReport(
+        d=d,
+        n=n,
         root=root,
         vanishing=vanishing,
-        selections=selections,
+        generators=gens,
+        ranks=ranks,
         top_minors_all_vanish=top_all,
         biconditional_ok=(top_all == expected),
     )
@@ -304,13 +321,36 @@ def _integer_rows(rows: Sequence[Sequence]) -> List[List[int]]:
     return out
 
 
-def _integer_times(values: Sequence[Sequence]):
+def _integer_times(ints: Sequence[Sequence[int]]):
     """The band_det multiply-accumulate over Python ints: a_j_s is entry s
-    of row j of values, scaled to integers."""
-    ints = _integer_rows(values)
+    of row j of ints."""
 
     def times(acc: Optional[int], sub: int, j: int, s: int, odd: int) -> int:
         v = -sub * ints[j - 1][s] if odd else sub * ints[j - 1][s]
         return v if acc is None else acc + v
 
     return times
+
+
+def _cascade_rank(ints: Sequence[Sequence[int]], d: int, k: int) -> int:
+    """The rank of M_k with a_j_s = ints[j - 1][s], by Bareiss's
+    fraction-free elimination (Math. Comp. 22, 1968): every entry stays,
+    up to sign, a minor of M_k, so each division by the previous pivot is
+    exact."""
+    ncols = d + k
+    grid = [[0] * (i - 1) + list(row) + [0] * (k - i) for i in range(1, k + 1) for row in ints]
+    rank, prev = 0, 1
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(grid)) if grid[r][col]), None)
+        if pivot is None:
+            continue
+        grid[rank], grid[pivot] = grid[pivot], grid[rank]
+        head = grid[rank]
+        p = head[col]
+        for row in grid[rank + 1 :]:
+            f = row[col]
+            for cc in range(col + 1, ncols):
+                row[cc] = (p * row[cc] - f * head[cc]) // prev
+        prev = p
+        rank += 1
+    return rank

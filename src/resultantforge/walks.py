@@ -105,15 +105,21 @@ def rows_to_walk(sel: RowSelection) -> MinorWalk:
     return MinorWalk(steps)
 
 
+def walk_rows(walk: MinorWalk, d: int) -> tuple:
+    """The depth k and row tuple ((i_1, j_1), ...) of a walk's minor:
+    i_s = s - v_s, j_s = u_s, the inverse of rows_to_walk."""
+    return len(walk) - d, tuple((s - v, u) for s, (u, v) in enumerate(walk.steps, start=1))
+
+
 def selection_for_walk(walk: MinorWalk, d: int, n: int) -> RowSelection:
-    """Inverse of rows_to_walk: i_s = s - v_s, j_s = u_s."""
-    k = len(walk) - d
-    pairs = [(s - v, u) for s, (u, v) in enumerate(walk.steps, start=1)]
-    return RowSelection(d, n, k, pairs)
+    """The RowSelection of walk_rows."""
+    return RowSelection(d, n, *walk_rows(walk, d))
 
 
-def enumerate_walks(d: int, n: int, k: int) -> List[MinorWalk]:
-    """All walks of length d+k, depth-first in ascending step order.
+def enumerate_rows(d: int, n: int, k: int) -> List[tuple]:
+    """The row tuple ((i_1, j_1), ..., (i_{d+k}, j_{d+k})) of every walk of
+    length d+k, depth-first in ascending step order, (i_s, j_s) =
+    (s - v_s, u_s) appended as the walk grows.
 
     The recursion only visits positions with s-k <= v_s <= s-1, the exact
     feasibility window for selections of M_k rows, so selections with zero
@@ -122,33 +128,31 @@ def enumerate_walks(d: int, n: int, k: int) -> List[MinorWalk]:
     if d < 1 or n < 2 or not (1 <= k <= d):
         raise ValueError(f"invalid parameters (d={d}, n={n}, k={k})")
     length = d + k
-    out: List[MinorWalk] = []
+    out: List[tuple] = []
     path: List[Step] = []
 
-    def extend() -> None:
+    def extend(u: int, v: int) -> None:
         s = len(path)
         if s == length:
-            if path[-1][1] == d:
-                out.append(MinorWalk(tuple(path)))
+            out.append(tuple(path))  # the window forces v_length = d
             return
-        if s == 0:
-            for u in range(1, n + 1):
-                path.append((u, 0))
-                extend()
-                path.pop()
-            return
-        u, v = path[-1]
-        lo = max(0, (s + 1) - k)
-        hi = min(d, v + 1, s)
-        for v2 in range(lo, hi + 1):
-            first_u = (u + 1) if v2 == v + 1 else 1
-            for u2 in range(first_u, n + 1):
-                path.append((u2, v2))
-                extend()
+        for v2 in range(max(0, (s + 1) - k), min(d, v + 1, s) + 1):
+            i = s + 1 - v2
+            for u2 in range((u + 1) if v2 == v + 1 else 1, n + 1):
+                path.append((i, u2))
+                extend(u2, v2)
                 path.pop()
 
-    extend()
+    for u in range(1, n + 1):
+        path.append((1, u))
+        extend(u, 0)
+        path.pop()
     return out
+
+
+def enumerate_walks(d: int, n: int, k: int) -> List[MinorWalk]:
+    """All walks of length d+k in enumerate_rows order."""
+    return [MinorWalk((j, s - i) for s, (i, j) in enumerate(rows, start=1)) for rows in enumerate_rows(d, n, k)]
 
 
 def enumerate_reduced(d: int, n: int) -> List[MinorWalk]:

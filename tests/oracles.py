@@ -113,6 +113,12 @@ def rank_by_minors(rows) -> int:
     return 0
 
 
+def divides(a: Monomial, b: Monomial) -> bool:
+    """a divides b: no exponent of a exceeds b's."""
+    exps = dict(b.exps)
+    return all(exps.get(v, 0) >= e for v, e in a.exps)
+
+
 class _Reducer:
     """Divisor list for repeated normal-form computations.
 
@@ -152,7 +158,7 @@ class _Reducer:
             c = work.pop(m)
             hit = -1
             for idx, lm in enumerate(lms):
-                if lm.divides(m):
+                if divides(lm, m):
                     hit = idx
                     break
             if hit < 0:
@@ -169,6 +175,13 @@ class _Reducer:
                 elif prev is not None:
                     del work[mm]
         return Polynomial(p.ring, remainder, _trusted=True)
+
+
+def reduces_to_zero(polys: Sequence[Polynomial], basis: Sequence[Polynomial], order: TermOrder) -> bool:
+    """True when every polynomial reduces to zero against the basis under
+    the reference _Reducer."""
+    reducer = _Reducer(order, basis)
+    return all(reducer.reduce(p).is_zero for p in polys)
 
 
 def all_pairs_groebner(basis, order) -> bool:

@@ -434,6 +434,20 @@ class TestSampleAndEval:
         assert code == 0
         assert out == (GOLDEN / golden).read_text()
 
+    @pytest.mark.parametrize(
+        "sampler, digest",
+        [
+            (sample_planted, "7a5636c04afb8dc040782a5401729382e936e79532cae9fa80217bf8020be0d5"),
+            (sample_random, "b60e668c3aff79a342fe71456ab8c007098cadea596c64ab0e7d732aa8684ad2"),
+        ],
+    )
+    def test_eval_at_3_4_matches_pinned_digest(self, capsys, tmp_path, sampler, digest):
+        # each report is about 321 KB, so its SHA-256 is pinned instead of a file
+        blob = tmp_path / "tuple.json"
+        blob.write_text(json.dumps(sampler(3, 4, 11).to_json()))
+        code, out = run(capsys, "eval", "--d", "3", "--n", "4", "--coeffs", str(blob))
+        assert code == 0 and hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
     @pytest.mark.parametrize("dn", GRID + [(2, 1)])
     def test_eval_writer_matches_json_dumps(self, dn):
         for seed in range(3):
@@ -736,16 +750,16 @@ class TestDepthFlag:
 
     @pytest.mark.parametrize("reduced", [[], ["--reduced-only"]])
     def test_only_the_requested_depth_is_expanded(self, capsys, monkeypatch, reduced):
-        lengths = []
+        depths = []
 
-        def recording(ring, walks):
-            lengths.extend(len(w) for w in walks)
-            return expand(ring, walks)
+        def recording(ring, gens):
+            depths.extend(k for k, _ in gens)
+            return expand(ring, gens)
 
         expand = cli.packed_minors
         monkeypatch.setattr(cli, "packed_minors", recording)
         code, out = run(capsys, "gens", "--d", "3", "--n", "3", "--k", "2", *reduced)
-        assert code == 0 and out and lengths and set(lengths) == {5}
+        assert code == 0 and out and depths and set(depths) == {2}
 
     def test_every_depth_in_range_is_accepted(self, capsys):
         for k in ("1", "2"):

@@ -21,11 +21,10 @@ from resultantforge.groebner import (
     ideal_equal,
     is_groebner_basis,
     is_packed_groebner_basis,
-    reduces_to_zero,
     s_polynomial,
     system_polynomials,
 )
-from resultantforge.minors import enumerate_generators, packed_minors
+from resultantforge.minors import enumerate_generators, packed_minors, reduced_rows
 from resultantforge.orders import (
     _FIRST_BITS,
     BlockOrder,
@@ -37,11 +36,10 @@ from resultantforge.orders import (
     normal_form,
 )
 from resultantforge.poly import Monomial, Packing, Polynomial, Ring, ZeroPolynomialError
-from resultantforge.walks import enumerate_reduced
 
 from conftest import GRID
 from oracles import _Reducer as ReferenceReducer
-from oracles import all_pairs_groebner, chart_by_substitution, sylvester_resultant
+from oracles import all_pairs_groebner, chart_by_substitution, reduces_to_zero, sylvester_resultant
 
 
 def xring():
@@ -270,7 +268,7 @@ class TestCertificate:
         assert [is_groebner_basis(c, term_order) for c in cases] == want
         if family == "walks":
             # the same cases as verify groebner feeds them in: packed minors
-            packing, minors = packed_minors(ring, enumerate_reduced(*dn))
+            packing, minors = packed_minors(ring, reduced_rows(*dn))
             packed = list(minors)
             assert [{packing.monomial(key): c for key, c in p.items()} for p in packed] == [g.terms for g in gens]
             packed_cases = [packed]
@@ -480,7 +478,7 @@ ELIMINATED_23 = eliminate_x(2, 3)
 MINORS_23 = IdealPresentation(
     ELIMINATED_23.ring, [rec.poly for rec in enumerate_generators(2, 3)], ELIMINATED_23.order
 )
-PACKING_33, REDUCED_MINORS_33 = packed_minors(Ring(3, 3), enumerate_reduced(3, 3))
+PACKING_33, REDUCED_MINORS_33 = packed_minors(Ring(3, 3), reduced_rows(3, 3))
 REDUCED_MINORS_33 = list(REDUCED_MINORS_33)
 DIAGONAL_33 = diagonal_order(build_diagonal_weights(3, 3), Ring(3, 3))
 

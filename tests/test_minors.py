@@ -14,14 +14,15 @@ from resultantforge.minors import (
     all_selections,
     band_det,
     enumerate_generators,
+    generator_rows,
     generators_for_basis,
     minor_det,
     nonzero_selection,
     top_minor_records,
 )
 from resultantforge.poly import Monomial, Polynomial, Ring
-from resultantforge.roots import CoefficientTuple, _integer_times
-from resultantforge.walks import walk_leading_monomial
+from resultantforge.roots import CoefficientTuple, _integer_rows, _integer_times
+from resultantforge.walks import enumerate_walks, selection_for_walk, walk_leading_monomial
 
 from conftest import GRID
 from oracles import exact_rank, leibniz_det, permutation_det, specialized_rows, sylvester_resultant
@@ -82,6 +83,33 @@ class TestMinorDet:
                 assert nonzero_selection(sel) == (not minor_det(m, sel).is_zero)
 
 
+class TestGeneratorRows:
+    @pytest.mark.parametrize("dn", GRID + [(3, 4), (4, 3), (2, 5)])
+    def test_matches_walks_and_their_selections(self, dn):
+        d, n = dn
+        want = []
+        for k in range(1, d + 1):
+            if n * k >= d + k:
+                want += [(k, selection_for_walk(w, d, n).pairs) for w in enumerate_walks(d, n, k)]
+        assert generator_rows(d, n) == want
+
+    @pytest.mark.parametrize("dn", GRID + [(3, 4), (4, 3), (2, 5)])
+    def test_lists_the_nonzero_selections_in_walk_order(self, dn):
+        # independent of the recursion: filter every selection, then sort by
+        # the walk's (v_s, u_s) sequence, the order the depth-first walk visits
+        d, n = dn
+        want = []
+        for k in range(1, d + 1):
+            if n * k >= d + k:
+                picks = [sel.pairs for sel in all_selections(d, n, k) if nonzero_selection(sel)]
+                picks.sort(key=lambda rows: [(s - i, j) for s, (i, j) in enumerate(rows, start=1)])
+                want += [(k, rows) for rows in picks]
+        assert generator_rows(d, n) == want
+
+    def test_empty_for_one_polynomial(self):
+        assert all(generator_rows(d, 1) == [] for d in range(1, 6))
+
+
 @st.composite
 def integer_tuples(draw):
     """A small (d, n, k) and an integer coefficient tuple for it, zeros
@@ -100,7 +128,7 @@ class TestBandDet:
         k, tup = case
         d, n = tup.d, tup.n
         grid = specialized_rows(CascadeMatrix(d, n, k), tup)
-        times, memo = _integer_times(tup.values), {}
+        times, memo = _integer_times(_integer_rows(tup.values)), {}
         for sel in all_selections(d, n, k):
             rows = [grid[(i - 1) * n + j - 1] for i, j in sel.pairs]
             assert band_det(sel.pairs, d, 1, 0, times, memo) == leibniz_det(rows)

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resultantforge.poly import (
     MONOMIAL_ONE,
@@ -13,7 +15,10 @@ from resultantforge.poly import (
     Ring,
     RingMismatchError,
     Variable,
+    parse_rational,
 )
+
+from oracles import divides
 
 
 def mono(*pairs):
@@ -88,7 +93,7 @@ class TestMonomial:
         assert uv.degree == 3
         assert uv.div(u) == v
         assert u.lcm(v) == uv
-        assert u.divides(uv) and not uv.divides(u)
+        assert divides(u, uv) and not divides(uv, u)
 
     def test_equality_is_exponent_map_equality(self):
         assert mono() == MONOMIAL_ONE
@@ -231,6 +236,32 @@ class TestJson:
         assert p.terms == {m: 2} and next(iter(p.terms)).exps == m.exps
         with pytest.raises(ValueError, match=r"^negative exponent -1 for a_1_0$"):
             Polynomial.from_json(ring, [{"c": "1", "m": {"a_1_1": 0, "a_1_0": -1}}])
+
+    # a_3_0, a_1_2, x and b_1_0 lie outside Ring(1, 2)
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(
+        st.dictionaries(
+            st.sampled_from(["a_1_0", "a_1_1", "a_2_1", "a_3_0", "a_1_2", "x", "b_1_0"]), st.integers(0, 2), max_size=3
+        ),
+        st.sampled_from(["0", "1", "-1", "1/2", "-1/2", "3"]),
+    ), max_size=6))
+    def test_checks_terms_as_the_checked_constructor_does(self, entries):
+        # the reference hands the parsed terms to Polynomial(ring, terms):
+        # zero coefficients dropped, repeats merged, the ring checked
+        ring = Ring(1, 2)
+
+        def outcome(make):
+            try:
+                return make()
+            except ValueError as exc:
+                return type(exc), str(exc)
+
+        data = [{"c": c, "m": m} for m, c in entries]
+        terms = [(Monomial({Variable.parse(v): e for v, e in m.items()}), parse_rational(c)) for m, c in entries]
+        got = outcome(lambda: Polynomial.from_json(ring, data))
+        assert got == outcome(lambda: Polynomial(ring, terms))
+        if isinstance(got, Polynomial):
+            assert all(type(c) is Fraction and c for c in got.terms.values())
 
     def test_canonical_key_matches_dense_exponent_vectors(self, all_records, rings):
         for dn, records in all_records.items():

@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resultantforge.cascade import CascadeMatrix
-from resultantforge.minors import enumerate_generators
+from resultantforge.minors import band_det, enumerate_generators, generator_rows
 from resultantforge.poly import Ring
 from resultantforge.roots import (
     CoefficientTuple,
     Lcg64,
+    _integer_rows,
+    _integer_times,
     common_root_oracle,
     membership_scan,
     planted_assignment,
@@ -153,6 +155,65 @@ class TestExactRank:
     @given(rational_grids())
     def test_matches_largest_nonzero_minor(self, rows):
         assert exact_rank(rows) == rank_by_minors(rows)
+
+
+def decided_one_by_one(tup):
+    """Each generator's vanishing by its own band_det, with no rank shortcut."""
+    times = _integer_times(_integer_rows(tup.values))
+    return [band_det(rows, tup.d, 1, 0, times, {}) == 0 for _, rows in generator_rows(tup.d, tup.n)]
+
+
+@st.composite
+def scan_tuples(draw):
+    """A small (d, n) and a tuple of one kind: planted, random, every
+    leading coefficient zero, a zero row, or the last row a combination of
+    the first two."""
+    d, n = draw(st.sampled_from([(1, 2), (2, 2), (2, 3), (3, 2), (2, 4), (1, 3)]))
+    kind = draw(st.sampled_from(["planted", "random", "leading zero", "zero row", "combination"]))
+    seed = draw(st.integers(0, 10_000))
+    rng = Lcg64(seed)
+    if kind == "planted":
+        return sample_planted(d, n, seed)
+    rows = [list(row) for row in sample_random(d, n, seed).values]
+    if kind == "leading zero":
+        for row in rows:
+            row[0] = 0
+    elif kind == "zero row":
+        rows[draw(st.integers(0, n - 1))] = [0] * (d + 1)
+    elif kind == "combination" and n >= 3:
+        a, b = rng.rational(), rng.rational()
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+    return CoefficientTuple(d, n, rows)
+
+
+class TestRankPerDepth:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(scan_tuples())
+    def test_matches_per_generator_determinants_and_minor_ranks(self, tup):
+        rep = membership_scan(tup)
+        assert rep.generators == generator_rows(tup.d, tup.n)
+        assert rep.vanishing == decided_one_by_one(tup)
+        want = [rank_by_minors(specialized_rows(CascadeMatrix(tup.d, tup.n, k), tup)) for k in range(1, tup.d + 1)]
+        assert rep.ranks == want
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_a_repeated_polynomial_does_not_over_claim(self, d):
+        # f_1 = f_2 and f_3 coprime to them: M_d has full rank 2d, so the
+        # rank cannot decide depth d, yet every generator that holds both
+        # copies (i, 1) and (i, 2) of a row must still vanish
+        rows = [list(row) for row in sample_random(d, 3, 5).values]
+        rows[1] = list(rows[0])
+        tup = CoefficientTuple(d, 3, rows)
+        assert univariate_gcd([rows[0], rows[2]]) == [1]
+        rep = membership_scan(tup)
+        assert rep.ranks[d - 1] == 2 * d
+        assert rep.vanishing == decided_one_by_one(tup)
+        top = [(rows, v) for (k, rows), v in zip(rep.generators, rep.vanishing) if k == d]
+        for rows, vanishes in top:
+            if any((i, 1) in rows and (i, 2) in rows for i in range(1, d + 1)):
+                assert vanishes, rows
+        assert not all(v for _, v in top)
+        assert not rep.root.has_affine_common_root and rep.biconditional_ok
 
 
 class TestMembershipScan:
