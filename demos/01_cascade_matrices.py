@@ -9,8 +9,9 @@ rank. This script builds the matrices for the first interesting case
 d = 2, n = 3 and shows how row selections turn into lattice walks.
 """
 
-from resultantforge import CascadeMatrix, rows_to_walk, selection_for_walk
-from resultantforge.minors import all_selections, nonzero_selection
+from itertools import combinations
+
+from resultantforge import CascadeMatrix, RowSelection, ZeroMinorError, rows_to_walk, selection_for_walk
 
 d, n = 2, 3
 
@@ -25,13 +26,16 @@ for k in (1, 2):
 # nonzero exactly when the walk (u_s, v_s) = (j_s, s - i_s) stays inside
 # the 3 x 3 lattice
 print("row selections of M_2 and their walks:")
-for sel in all_selections(d, n, 2):
-    status = "nonzero" if nonzero_selection(sel) else "zero"
-    walk = rows_to_walk(sel).steps if nonzero_selection(sel) else "-"
+selections = [RowSelection(d, n, 2, pick) for pick in combinations(CascadeMatrix(d, n, 2).rows(), d + 2)]
+for sel in selections:
+    try:
+        status, walk = "nonzero", rows_to_walk(sel).steps
+    except ZeroMinorError:
+        status, walk = "zero", "-"
     print(f"    rows {list(sel.pairs)} -> {status} {walk}")
 
 # the walk determines the selection right back
-first = next(iter(all_selections(d, n, 2)))
+first = selections[0]
 walk = rows_to_walk(first)
 assert selection_for_walk(walk, d, n) == first
 print("\nwalk -> selection round trip holds for", list(first.pairs))

@@ -7,7 +7,7 @@ cascade matrices contribute lower-degree generators that the classical
 construction misses.
 """
 
-from resultantforge import Ring, enumerate_generators
+from resultantforge import enumerate_generators
 
 for (d, n) in [(2, 2), (2, 3), (1, 3)]:
     recs = enumerate_generators(d, n)
@@ -21,8 +21,7 @@ for (d, n) in [(2, 2), (2, 3), (1, 3)]:
     print()
 
 # the n = 2 case really is the Sylvester resultant: one 4x4 determinant
-ring = Ring(2, 2)
-(rec,) = enumerate_generators(2, 2, ring)
+(rec,) = enumerate_generators(2, 2)
 print("resultant of two quadratics, a single 4x4 determinant with 7 terms:")
 print("   ", rec.poly)
 

@@ -29,12 +29,12 @@ order = diagonal_order(dw, ring)
 rev = DegRevLexOrder(ring.coeff_vars_column_major())
 
 print("\nleading monomials of the depth-1 minor under two orders:")
-rec = enumerate_generators(d, n, ring)[0]
+rec = enumerate_generators(d, n)[0]
 print("    diagonal order :", leading_term(rec.poly, order)[0])
 print("    degrevlex      :", leading_term(rec.poly, rev)[0])
 
 print("\nunder the diagonal order, lead = walk product for every minor:")
-for rec in enumerate_generators(d, n, ring)[:5]:
+for rec in enumerate_generators(d, n)[:5]:
     lead = leading_term(rec.poly, order)[0]
     assert lead == walk_leading_monomial(rec.walk, ring)
     print(f"    k={rec.k} rows {list(rec.selection.pairs)}: {lead}")

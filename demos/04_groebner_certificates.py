@@ -28,18 +28,18 @@ from resultantforge.orders import DegRevLexOrder
 d, n = 2, 3
 ring = Ring(d, n)
 
-G = [rec.poly for rec in generators_for_basis(d, n, ring)]
+G = [rec.poly for rec in generators_for_basis(d, n)]
 diag = diagonal_order(build_diagonal_weights(d, n), ring)
 print(f"reduced-walk basis G has {len(G)} elements")
 print("all s-polynomials reduce to zero:", is_groebner_basis(G, diag))
 
 rev = DegRevLexOrder(ring.coeff_vars_column_major())
-pres = buchberger([rec.poly for rec in enumerate_generators(d, n, ring)], rev)
+pres = buchberger([rec.poly for rec in enumerate_generators(d, n)], rev)
 print("\ndegrevlex initial ideal of the full minor family:")
 for g in pres.certified_basis:
     print("   ", leading_term(g, rev)[0])
 
 elim = eliminate_x(d, n)
-minors = IdealPresentation(ring, [rec.poly for rec in enumerate_generators(d, n, ring)], rev)
+minors = IdealPresentation(ring, [rec.poly for rec in enumerate_generators(d, n)], rev)
 print("\neliminated ideal equals the minor ideal:", ideal_equal(minors, elim))
 print(f"(elimination produced {len(elim.generators)} x-free basis elements)")

@@ -4,8 +4,8 @@ degree.
 The leading terms of the reduced-walk basis are square-free monomials, so
 their vanishing locus is a union of coordinate subspaces. Counting and
 sizing those components gives the dimension and degree of the common-root
-locus: both equal n*d. The same degree falls out of a two-line truncated
-Chow-ring computation, which also covers mixed degrees d_1, ..., d_n.
+locus: both equal n*d. The same degree falls out of a truncated Chow-ring
+product, whose closed form, d_1 + ... + d_n, also covers mixed degrees.
 """
 
 from resultantforge import (
@@ -33,7 +33,7 @@ print(f"\n{len(primes)} components, each cut out by {len(primes[0])} variables:"
 for p in primes:
     print("    V(", ", ".join(sorted(v.name for v in p)), ")")
 
-named = {frozenset(c.variables) for c in components(d, n, ring)}
+named = {frozenset(c.variables) for c in components(d, n)}
 print("\ncomponents match the predicted subspaces:", set(primes) == named)
 
 dd = dim_and_degree(lead, n * (d + 1))

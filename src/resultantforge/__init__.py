@@ -12,7 +12,6 @@ from .diagonal import (
     verify_diagonal_property,
 )
 from .geometry import (
-    ChowClass,
     SquareFreeMonomialIdeal,
     chow_degree,
     dim_and_degree,
@@ -35,7 +34,6 @@ from .minors import (
     GeneratorRecord,
     enumerate_generators,
     generators_for_basis,
-    minor_det,
     top_minor_records,
 )
 from .orders import (
@@ -62,7 +60,6 @@ from .roots import (
     RootReport,
     common_root_oracle,
     membership_scan,
-    planted_vanishing,
     sample_planted,
     sample_random,
 )
@@ -73,8 +70,6 @@ from .walks import (
     components,
     enumerate_reduced,
     enumerate_walks,
-    is_minor_walk,
-    is_reduced,
     rows_to_walk,
     selection_for_walk,
     walk_leading_monomial,

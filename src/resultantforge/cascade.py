@@ -26,7 +26,7 @@ class CascadeMatrix:
 
     __slots__ = ("d", "n", "k", "ring")
 
-    def __init__(self, d: int, n: int, k: int, ring: Optional[Ring] = None):
+    def __init__(self, d: int, n: int, k: int):
         if d < 1:
             raise ValueError(f"degree d must be >= 1, got {d}")
         if n < 2:
@@ -36,7 +36,7 @@ class CascadeMatrix:
         self.d = d
         self.n = n
         self.k = k
-        self.ring = Ring.for_system(d, n, ring)
+        self.ring = Ring(d, n)
 
     @property
     def nrows(self) -> int:

@@ -136,6 +136,8 @@ def _cmd_walks(args) -> int:
     _check_k(args)
     if args.reduced:
         walks = enumerate_reduced(args.d, args.n)
+        if args.k is not None:
+            walks = [w for w in walks if len(w) == args.d + args.k]
     else:
         k = args.d if args.k is None else args.k
         walks = enumerate_walks(args.d, args.n, k)
@@ -151,7 +153,7 @@ def _cmd_walks(args) -> int:
 def _cmd_leadterms(args) -> int:
     ring = Ring(args.d, args.n)
     order = _named_order(args.order, ring)
-    records = expand_walks(args.d, args.n, _generators(args), ring)
+    records = expand_walks(args.d, args.n, _generators(args))
     doc = [repr(leading_term(rec.poly, order)[0]) for rec in records]
     _emit(args, json.dumps(doc, indent=2) + "\n")
     return 0

@@ -93,7 +93,7 @@ def verify_diagonal_property(d: int, n: int) -> DiagonalReport:
     dw = build_diagonal_weights(d, n)
     order = diagonal_order(dw, ring)
     report = DiagonalReport(d, n)
-    for rec in enumerate_generators(d, n, ring):
+    for rec in enumerate_generators(d, n):
         report.minors_checked += 1
         expected = walk_leading_monomial(rec.walk, ring)
         lead, _ = leading_term(rec.poly, order)

@@ -6,13 +6,12 @@ coordinate subspaces, one for every inclusion-minimal set of variables
 hitting every generator (Miller & Sturmfels, Combinatorial Commutative
 Algebra, ch. 1), found by Berge's algorithm on int masks. Dimension and
 degree are then read off component sizes. The degree of the common-root
-locus itself comes from a truncated product in the two-factor Chow ring
-and equals the sum of the input degrees.
+locus itself is the closed form of a product in the two-factor Chow ring:
+the sum of the input degrees.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from .poly import Monomial
@@ -110,44 +109,15 @@ def dim_and_degree(ideal: SquareFreeMonomialIdeal, ambient: int) -> DimDegree:
     return DimDegree.of(minimal_primes(ideal), ambient)
 
 
-@dataclass(frozen=True)
-class ChowClass:
-    """An element of Z[H1,H2] / (H1^2, H2^(n+D)), stored sparsely."""
-
-    h2_bound: int  # exponents of H2 live in 0 .. h2_bound-1
-    coeffs: Tuple[Tuple[Tuple[int, int], int], ...]
-
-    @classmethod
-    def make(cls, h2_bound: int, coeffs: Dict[Tuple[int, int], int]) -> "ChowClass":
-        kept = {
-            (e1, e2): c
-            for (e1, e2), c in coeffs.items()
-            if c and e1 < 2 and e2 < h2_bound
-        }
-        return cls(h2_bound, tuple(sorted(kept.items())))
-
-    def mul(self, other: "ChowClass") -> "ChowClass":
-        if self.h2_bound != other.h2_bound:
-            raise ValueError("classes live in different Chow rings")
-        acc: Dict[Tuple[int, int], int] = {}
-        for (e1, e2), c in self.coeffs:
-            for (f1, f2), k in other.coeffs:
-                g = (e1 + f1, e2 + f2)
-                if g[0] < 2 and g[1] < self.h2_bound:
-                    acc[g] = acc.get(g, 0) + c * k
-        return ChowClass.make(self.h2_bound, acc)
-
-    def coefficient(self, e1: int, e2: int) -> int:
-        return dict(self.coeffs).get((e1, e2), 0)
-
-
 def chow_degree(degrees: Sequence[int]) -> int:
     """Degree of the locus of coefficient tuples of forms with degrees
     d_1..d_n sharing a projective root.
 
-    Computed through the truncated ring: the class of the locus upstairs
-    is the product of the n divisor classes d_i*H1 + H2, and capping with
-    H2^D picks out the point count D = d_1 + ... + d_n.
+    The class of the locus upstairs is the product of the n divisor
+    classes d_i*H1 + H2 in the truncated ring Z[H1,H2] / (H1^2, H2^(n+D)),
+    D = d_1 + ... + d_n. As H1^2 = 0 the product is H2^n + D*H1*H2^(n-1),
+    so its H1*H2^(n-1) coefficient is the sum of the degrees, and capping
+    with H2^D picks out that point count D.
     """
     degrees = list(degrees)
     n = len(degrees)
@@ -155,10 +125,4 @@ def chow_degree(degrees: Sequence[int]) -> int:
         raise ValueError(f"need at least two polynomials, got {n}")
     if any(d < 1 for d in degrees):
         raise ValueError(f"degrees must be positive, got {degrees}")
-    D = sum(degrees)
-    bound = n + D
-    acc = ChowClass.make(bound, {(0, 0): 1})
-    for d in degrees:
-        acc = acc.mul(ChowClass.make(bound, {(1, 0): d, (0, 1): 1}))
-    acc = acc.mul(ChowClass.make(bound, {(0, D): 1}))
-    return acc.coefficient(1, n - 1 + D)
+    return sum(degrees)

@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Optional
 
-from .cascade import CascadeMatrix, RowSelection
+from .cascade import RowSelection
 from .poly import Packing, Polynomial, Ring
 from .walks import enumerate_walks  # stays bound here for perfbench/tracing.py
-from .walks import MinorWalk, ZeroMinorError, enumerate_reduced, enumerate_rows, rows_to_walk, walk_rows
+from .walks import MinorWalk, enumerate_reduced, enumerate_rows, rows_to_walk, walk_rows
 
 @dataclass(frozen=True)
 class GeneratorRecord:
@@ -109,16 +109,6 @@ def _symbolic(ring: Ring) -> tuple:
     return {0: 1}, {}, times, packing
 
 
-def minor_det(m: CascadeMatrix, sel: RowSelection) -> Polynomial:
-    """The minor of the selected rows of m, expanded by band_det."""
-    if (sel.d, sel.n, sel.k) != (m.d, m.n, m.k):
-        raise ValueError(f"selection {sel!r} does not fit {m!r}")
-    if len(sel.pairs) != m.ncols:
-        raise ValueError(f"need {m.ncols} rows for a maximal minor, got {len(sel.pairs)}")
-    one, zero, times, packing = _symbolic(m.ring)
-    return packing.polynomial(m.ring, band_det(sel.pairs, m.d, one, zero, times, {}))
-
-
 def walk_minors(d: int, gens: Iterable[tuple], one, zero, times):
     """The minor of each generator (k, rows), in order, by band_det with
     the caller's multiply-accumulate. The minors of one depth share a memo
@@ -137,10 +127,10 @@ def packed_minors(ring: Ring, gens: Iterable[tuple]) -> tuple:
     return packing, walk_minors(ring.d, gens, one, zero, times)
 
 
-def expand_walks(d: int, n: int, gens: Iterable[tuple], ring: Optional[Ring] = None) -> List[GeneratorRecord]:
+def expand_walks(d: int, n: int, gens: Iterable[tuple]) -> List[GeneratorRecord]:
     """One record per generator (k, rows) with its minor expanded
     symbolically."""
-    ring = Ring.for_system(d, n, ring)
+    ring = Ring(d, n)
     gens = list(gens)
     packing, minors = packed_minors(ring, gens)
     out = []
@@ -162,43 +152,21 @@ def reduced_rows(d: int, n: int) -> List[tuple]:
     return [walk_rows(walk, d) for walk in enumerate_reduced(d, n)]
 
 
-def enumerate_generators(d: int, n: int, ring: Optional[Ring] = None) -> List[GeneratorRecord]:
+def enumerate_generators(d: int, n: int) -> List[GeneratorRecord]:
     """One record per nonzero maximal minor of M_k for every k = 1..d.
 
     Selections with an identically zero minor never appear: the walk
     enumeration only produces in-lattice selections.
     """
-    return expand_walks(d, n, generator_rows(d, n), ring)
+    return expand_walks(d, n, generator_rows(d, n))
 
 
-def generators_for_basis(d: int, n: int, ring: Optional[Ring] = None) -> List[GeneratorRecord]:
+def generators_for_basis(d: int, n: int) -> List[GeneratorRecord]:
     """The records of reduced walks only: the distinguished basis G."""
-    return expand_walks(d, n, reduced_rows(d, n), ring)
+    return expand_walks(d, n, reduced_rows(d, n))
 
 
-def top_minor_records(d: int, n: int, ring: Optional[Ring] = None) -> List[GeneratorRecord]:
+def top_minor_records(d: int, n: int) -> List[GeneratorRecord]:
     """The 2d x 2d minors of M_d alone; their common zero locus is already
     the common-root variety set-theoretically."""
-    return expand_walks(d, n, ((d, rows) for rows in enumerate_rows(d, n, d)), ring)
-
-
-def all_selections(d: int, n: int, k: int):
-    """Every size-(d+k) row selection of M_k, zero minors included.
-
-    Mostly useful for cross-checking the walk bijection; the production
-    enumerators skip zero minors up front.
-    """
-    from itertools import combinations
-
-    labels = [(i, j) for i in range(1, k + 1) for j in range(1, n + 1)]
-    for pick in combinations(labels, d + k):
-        yield RowSelection(d, n, k, pick)
-
-
-def nonzero_selection(sel: RowSelection) -> bool:
-    """True when the selection's minor is not identically zero."""
-    try:
-        rows_to_walk(sel)
-    except ZeroMinorError:
-        return False
-    return True
+    return expand_walks(d, n, ((d, rows) for rows in enumerate_rows(d, n, d)))

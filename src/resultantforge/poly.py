@@ -16,7 +16,7 @@ JSON ideal document.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Optional, Union
+from typing import Iterable, Mapping, NamedTuple, Union
 
 Rational = Union[int, Fraction]
 
@@ -79,15 +79,6 @@ class Ring:
         self.with_aux = with_aux
         self._key = (d, n, with_x, with_aux)
         self._rank = None
-
-    @classmethod
-    def for_system(cls, d: int, n: int, ring: Optional["Ring"] = None) -> "Ring":
-        """ring, checked to have degree d and n polynomials; Ring(d, n) when None."""
-        if ring is None:
-            return cls(d, n)
-        if (ring.d, ring.n) != (d, n):
-            raise ValueError(f"ring {ring!r} does not match (d={d}, n={n})")
-        return ring
 
     def coeff(self, i: int, j: int) -> Variable:
         """The coefficient symbol a_i_j, 1 <= i <= n, 0 <= j <= d."""
@@ -641,49 +632,7 @@ class Polynomial:
             and self.terms == other.terms
         )
 
-    # -- substitution and evaluation ---------------------------------------
-
-    def substitute(self, assignment: Mapping[Variable, object], into: Ring = None) -> "Polynomial":
-        """Ring-homomorphic image under var -> polynomial (or constant).
-
-        Variables without an image map to themselves; they must then exist
-        in the target ring, otherwise a RingMismatchError is raised.
-        """
-        target = self.ring if into is None else into
-        images = {}
-        for v, val in assignment.items():
-            if isinstance(val, Polynomial):
-                if val.ring != target:
-                    raise RingMismatchError(f"image of {v.name} lives in {val.ring!r}, not {target!r}")
-                images[v] = val
-            else:
-                images[v] = Polynomial.constant(target, val)
-        pow_cache = {}
-
-        def power(v: Variable, e: int) -> "Polynomial":
-            got = pow_cache.get((v, e))
-            if got is None:
-                base = images[v]
-                got = base
-                for _ in range(e - 1):
-                    got = got * base
-                pow_cache[(v, e)] = got
-            return got
-
-        out = Polynomial.zero(target)
-        for mono, c in self.terms.items():
-            acc = Polynomial.constant(target, c)
-            for v, e in mono.exps:
-                if v in images:
-                    acc = acc * power(v, e)
-                elif v in target:
-                    acc = acc.mul_term(Monomial(((v, e),)), 1)
-                else:
-                    raise RingMismatchError(
-                        f"variable {v.name} has no image and is absent from {target!r}"
-                    )
-            out = out + acc
-        return out
+    # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, assignment: Mapping[Variable, Rational]):
         """Exact value at a total assignment of the support variables.

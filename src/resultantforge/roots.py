@@ -1,6 +1,6 @@
 """Semantic checks tying the determinantal generators to actual common
-roots: an exact gcd-based root oracle, planted-root substitution, sample
-generators, and evaluation scans.
+roots: an exact gcd-based root oracle, sample generators, and evaluation
+scans.
 
 Evaluation expands no minor symbolically and works over Python ints on
 rows scaled to integers. It decides each depth k by one exact rank: when
@@ -23,9 +23,9 @@ from fractions import Fraction
 from math import lcm
 from typing import Dict, List, Optional, Sequence
 
-from .cascade import RowSelection
-from .minors import enumerate_generators, generator_rows, walk_minors
-from .poly import Polynomial, Ring, Variable, format_rational, json_field, json_value, parse_rational
+from .minors import enumerate_generators  # stays bound here for perfbench/tracing.py
+from .minors import generator_rows, walk_minors
+from .poly import Ring, Variable, format_rational, json_field, json_value, parse_rational
 
 _LCG_MUL = 6364136223846793005
 _LCG_ADD = 1442695040888963407
@@ -200,11 +200,6 @@ class MembershipReport:
     top_minors_all_vanish: bool
     biconditional_ok: bool
 
-    @property
-    def selections(self) -> List[RowSelection]:
-        """The generators as RowSelections, built on each access."""
-        return [RowSelection(self.d, self.n, k, rows) for k, rows in self.generators]
-
 
 def membership_scan(c: CoefficientTuple) -> MembershipReport:
     """Decide every generator at the tuple and cross-check the
@@ -238,53 +233,6 @@ def membership_scan(c: CoefficientTuple) -> MembershipReport:
         top_minors_all_vanish=top_all,
         biconditional_ok=(top_all == expected),
     )
-
-
-def planted_assignment(ring: Ring) -> Dict[Variable, Polynomial]:
-    """a_i_j as the x^(d-j) coefficient of (x - r) * (b_i_0 x^(d-1) + ... +
-    b_i_(d-1)): a_i_0 = b_i_0, a_i_j = b_i_j - r b_i_(j-1), a_i_d =
-    -r b_i_(d-1)."""
-    if not ring.with_aux:
-        raise ValueError("need a ring with auxiliary symbols")
-    d, n = ring.d, ring.n
-    r = Polynomial.variable(ring, ring.root)
-    out = {}
-    for i in range(1, n + 1):
-        b = [Polynomial.variable(ring, ring.aux(i, j)) for j in range(d)]
-        out[ring.coeff(i, 0)] = b[0]
-        for j in range(1, d):
-            out[ring.coeff(i, j)] = b[j] - r * b[j - 1]
-        out[ring.coeff(i, d)] = -(r * b[d - 1])
-    return out
-
-
-@dataclass
-class PlantedReport:
-    d: int
-    n: int
-    generators_checked: int
-    nonzero_images: List[tuple]
-
-    @property
-    def ok(self) -> bool:
-        return not self.nonzero_images
-
-
-def planted_vanishing(d: int, n: int) -> PlantedReport:
-    """Substitute the planted-root parametrization into every generator and
-    record any image that fails to be the zero polynomial. A common root
-    forces every cascade matrix to drop rank, so all images must vanish
-    identically in r and the b variables."""
-    ring = Ring(d, n)
-    aux_ring = Ring(d, n, with_aux=True)
-    sub = planted_assignment(aux_ring)
-    report = PlantedReport(d, n, 0, [])
-    for rec in enumerate_generators(d, n, ring):
-        report.generators_checked += 1
-        image = Polynomial(aux_ring, rec.poly.terms, _trusted=True).substitute(sub)
-        if not image.is_zero:
-            report.nonzero_images.append((rec.k, rec.selection.pairs))
-    return report
 
 
 def sample_planted(d: int, n: int, seed: int) -> CoefficientTuple:

@@ -22,7 +22,8 @@ and u_{s+2} <= u_s.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterable, List, Tuple
 
 from .cascade import RowSelection
 from .poly import Monomial, Ring
@@ -59,35 +60,6 @@ class MinorWalk:
 
     def __repr__(self) -> str:
         return "MinorWalk(" + ", ".join(f"({u},{v})" for u, v in self.steps) + ")"
-
-
-def _legal_step(u1: int, v1: int, u2: int, v2: int) -> bool:
-    return v2 <= v1 or (v2 == v1 + 1 and u2 > u1)
-
-
-def is_minor_walk(steps: Sequence[Step], d: int, n: int) -> bool:
-    steps = list(steps)
-    if not steps:
-        return False
-    if any(not (1 <= u <= n and 0 <= v <= d) for u, v in steps):
-        return False
-    if steps[0][1] != 0 or steps[-1][1] != d:
-        return False
-    return all(
-        _legal_step(steps[s][0], steps[s][1], steps[s + 1][0], steps[s + 1][1])
-        for s in range(len(steps) - 1)
-    )
-
-
-def is_reduced(steps: Sequence[Step], d: int, n: int) -> bool:
-    """True when the steps form a walk from which no vertex can be deleted."""
-    steps = list(steps)
-    if not is_minor_walk(steps, d, n):
-        return False
-    for s in range(len(steps)):
-        if is_minor_walk(steps[:s] + steps[s + 1 :], d, n):
-            return False
-    return True
 
 
 def rows_to_walk(sel: RowSelection) -> MinorWalk:
@@ -159,7 +131,8 @@ def enumerate_reduced(d: int, n: int) -> List[MinorWalk]:
     """All reduced walks, spanning lengths d+1 .. 2d.
 
     Enumerated directly from the local conditions; cross-validated in the
-    test suite against filtering enumerate_walks through is_reduced.
+    test suite against filtering enumerate_walks through the brute-force
+    is_reduced of tests/oracles.py.
     """
     if d < 1 or n < 2:
         raise ValueError(f"invalid parameters (d={d}, n={n})")
@@ -212,6 +185,7 @@ def walk_leading_monomial(walk: MinorWalk, ring: Ring) -> Monomial:
     return Monomial(exps)
 
 
+@dataclass(frozen=True)
 class CoordinateSubspace:
     """The variable set {a_i_(t-1) : i < s} + {a_i_t : i > s}.
 
@@ -221,30 +195,14 @@ class CoordinateSubspace:
     codimension of the common-root locus.
     """
 
-    __slots__ = ("s", "t", "variables")
-
-    def __init__(self, s: int, t: int, variables: frozenset):
-        self.s = s
-        self.t = t
-        self.variables = variables
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CoordinateSubspace)
-            and (self.s, self.t, self.variables) == (other.s, other.t, other.variables)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.s, self.t, self.variables))
-
-    def __repr__(self) -> str:
-        names = ",".join(sorted(v.name for v in self.variables))
-        return f"CoordinateSubspace(s={self.s}, t={self.t}, {{{names}}})"
+    s: int
+    t: int
+    variables: frozenset
 
 
-def components(d: int, n: int, ring: Optional[Ring] = None) -> List[CoordinateSubspace]:
+def components(d: int, n: int) -> List[CoordinateSubspace]:
     """All n*d coordinate subspaces S_(s,t), s in 1..n, t in 1..d."""
-    ring = Ring.for_system(d, n, ring)
+    ring = Ring(d, n)
     out = []
     for s in range(1, n + 1):
         for t in range(1, d + 1):

@@ -15,13 +15,13 @@ def rings():
 
 
 @pytest.fixture(scope="session")
-def all_records(rings):
-    return {dn: enumerate_generators(*dn, rings[dn]) for dn in GRID}
+def all_records():
+    return {dn: enumerate_generators(*dn) for dn in GRID}
 
 
 @pytest.fixture(scope="session")
-def basis_records(rings):
-    return {dn: generators_for_basis(*dn, rings[dn]) for dn in GRID}
+def basis_records():
+    return {dn: generators_for_basis(*dn) for dn in GRID}
 
 
 @pytest.fixture(scope="session")

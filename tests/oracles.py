@@ -12,22 +12,38 @@ specialized cascade matrices come from Bareiss elimination, not from the
 library's band recursion. polynomial_text and reference_export print by
 walking each Monomial's sorted exponents in canonical_key order, against
 the library's packed printer; the JSON reference is json.dumps of
-Polynomial.to_json. chart_by_substitution dehomogenizes every minor with
-Polynomial.substitute, against the library's reduction by a_1_0 - 1 over
-one expansion.
+Polynomial.to_json. substitute is the ring homomorphism var -> image,
+multiplied out term by term; chart_by_substitution dehomogenizes every
+minor with it, against the library's reduction by a_1_0 - 1 over one
+expansion, and planted_vanishing substitutes the planted-root
+parametrization into every expanded minor. all_selections lists every row
+choice of M_k, zero minors included, for the walk bijection;
+is_minor_walk and is_reduced test walks step by step and by deleting each
+vertex in turn, against the library's direct enumeration. ChowClass
+multiplies out the class of the common-root locus in the truncated Chow
+ring, against the closed form of geometry.chow_degree.
 """
 
 import functools
 import json
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
-from typing import List, Sequence
+from typing import Dict, List, Mapping, Sequence, Tuple
 
-from resultantforge.cascade import CascadeMatrix
+from resultantforge.cascade import CascadeMatrix, RowSelection
 from resultantforge.groebner import DEFAULT_LIMITS, IdealPresentation, Limits, ideal_equal, s_polynomial
 from resultantforge.minors import enumerate_generators, top_minor_records
 from resultantforge.orders import DegRevLexOrder, TermOrder, leading_term
-from resultantforge.poly import Monomial, Polynomial, Ring, ZeroPolynomialError, format_rational
+from resultantforge.poly import (
+    Monomial,
+    Polynomial,
+    Ring,
+    RingMismatchError,
+    Variable,
+    ZeroPolynomialError,
+    format_rational,
+)
 from resultantforge.roots import CoefficientTuple, _integer_rows
 
 
@@ -197,6 +213,49 @@ def all_pairs_groebner(basis, order) -> bool:
     return True
 
 
+def substitute(p: Polynomial, assignment: Mapping[Variable, object], into: Ring = None) -> Polynomial:
+    """Ring-homomorphic image of p under var -> polynomial (or constant).
+
+    Variables without an image map to themselves; they must then exist
+    in the target ring, otherwise a RingMismatchError is raised.
+    """
+    target = p.ring if into is None else into
+    images = {}
+    for v, val in assignment.items():
+        if isinstance(val, Polynomial):
+            if val.ring != target:
+                raise RingMismatchError(f"image of {v.name} lives in {val.ring!r}, not {target!r}")
+            images[v] = val
+        else:
+            images[v] = Polynomial.constant(target, val)
+    pow_cache = {}
+
+    def power(v: Variable, e: int) -> Polynomial:
+        got = pow_cache.get((v, e))
+        if got is None:
+            base = images[v]
+            got = base
+            for _ in range(e - 1):
+                got = got * base
+            pow_cache[(v, e)] = got
+        return got
+
+    out = Polynomial.zero(target)
+    for mono, c in p.terms.items():
+        acc = Polynomial.constant(target, c)
+        for v, e in mono.exps:
+            if v in images:
+                acc = acc * power(v, e)
+            elif v in target:
+                acc = acc.mul_term(Monomial(((v, e),)), 1)
+            else:
+                raise RingMismatchError(
+                    f"variable {v.name} has no image and is absent from {target!r}"
+                )
+        out = out + acc
+    return out
+
+
 def chart_by_substitution(d: int, n: int, limits: Limits = DEFAULT_LIMITS, skip=frozenset()) -> bool:
     """Reference for groebner.chart_equal: expand the depth-d minors and the
     whole family separately, substitute a_1_0 = 1 into every term, and
@@ -204,8 +263,8 @@ def chart_by_substitution(d: int, n: int, limits: Limits = DEFAULT_LIMITS, skip=
     minors of the walks in skip are left out of the depth-d family."""
     ring = Ring(d, n)
     sub = {ring.coeff(1, 0): 1}
-    top = [rec.poly.substitute(sub) for rec in top_minor_records(d, n, ring) if rec.walk not in skip]
-    full = [rec.poly.substitute(sub) for rec in enumerate_generators(d, n, ring)]
+    top = [substitute(rec.poly, sub) for rec in top_minor_records(d, n) if rec.walk not in skip]
+    full = [substitute(rec.poly, sub) for rec in enumerate_generators(d, n)]
     order = DegRevLexOrder(ring.coeff_vars_column_major())
     pres_top = IdealPresentation(ring, top, order)
     pres_full = IdealPresentation(ring, full, order)
@@ -309,3 +368,138 @@ def reference_export(ring: Ring, polys: Sequence[Polynomial], fmt: str, alias=No
         decl = ",".join(namer(v) for v in columns)
     body = ",\n".join(f"  {polynomial_text(p, namer)}" for p in polys)
     return f"R = QQ[{decl}];\nI = ideal(\n{body}\n);\n"
+
+
+def planted_assignment(ring: Ring) -> Dict[Variable, Polynomial]:
+    """a_i_j as the x^(d-j) coefficient of (x - r) * (b_i_0 x^(d-1) + ... +
+    b_i_(d-1)): a_i_0 = b_i_0, a_i_j = b_i_j - r b_i_(j-1), a_i_d =
+    -r b_i_(d-1)."""
+    if not ring.with_aux:
+        raise ValueError("need a ring with auxiliary symbols")
+    d, n = ring.d, ring.n
+    r = Polynomial.variable(ring, ring.root)
+    out = {}
+    for i in range(1, n + 1):
+        b = [Polynomial.variable(ring, ring.aux(i, j)) for j in range(d)]
+        out[ring.coeff(i, 0)] = b[0]
+        for j in range(1, d):
+            out[ring.coeff(i, j)] = b[j] - r * b[j - 1]
+        out[ring.coeff(i, d)] = -(r * b[d - 1])
+    return out
+
+
+@dataclass
+class PlantedReport:
+    d: int
+    n: int
+    generators_checked: int
+    nonzero_images: List[tuple]
+
+    @property
+    def ok(self) -> bool:
+        return not self.nonzero_images
+
+
+def planted_vanishing(d: int, n: int) -> PlantedReport:
+    """Substitute the planted-root parametrization into every generator and
+    record any image that fails to be the zero polynomial. A common root
+    forces every cascade matrix to drop rank, so all images must vanish
+    identically in r and the b variables."""
+    aux_ring = Ring(d, n, with_aux=True)
+    sub = planted_assignment(aux_ring)
+    report = PlantedReport(d, n, 0, [])
+    for rec in enumerate_generators(d, n):
+        report.generators_checked += 1
+        image = substitute(Polynomial(aux_ring, rec.poly.terms, _trusted=True), sub)
+        if not image.is_zero:
+            report.nonzero_images.append((rec.k, rec.selection.pairs))
+    return report
+
+
+def all_selections(d: int, n: int, k: int):
+    """Every size-(d+k) row selection of M_k, zero minors included."""
+    labels = [(i, j) for i in range(1, k + 1) for j in range(1, n + 1)]
+    for pick in combinations(labels, d + k):
+        yield RowSelection(d, n, k, pick)
+
+
+def nonzero_selection(sel: RowSelection) -> bool:
+    """True when the selection's minor is not identically zero: its s-th
+    row (i_s, j_s) meets the diagonal column s, i_s <= s <= i_s + d."""
+    return all(0 <= s - i <= sel.d for s, (i, _) in enumerate(sel.pairs, start=1))
+
+
+def _legal_step(u1: int, v1: int, u2: int, v2: int) -> bool:
+    return v2 <= v1 or (v2 == v1 + 1 and u2 > u1)
+
+
+def is_minor_walk(steps: Sequence[Tuple[int, int]], d: int, n: int) -> bool:
+    """True when the steps stay in the n x (d+1) lattice, run from v = 0 to
+    v = d, and each step keeps or lowers v or raises v by one while
+    raising u."""
+    steps = list(steps)
+    if not steps:
+        return False
+    if any(not (1 <= u <= n and 0 <= v <= d) for u, v in steps):
+        return False
+    if steps[0][1] != 0 or steps[-1][1] != d:
+        return False
+    return all(
+        _legal_step(steps[s][0], steps[s][1], steps[s + 1][0], steps[s + 1][1])
+        for s in range(len(steps) - 1)
+    )
+
+
+def is_reduced(steps: Sequence[Tuple[int, int]], d: int, n: int) -> bool:
+    """True when the steps form a walk from which no vertex can be deleted."""
+    steps = list(steps)
+    if not is_minor_walk(steps, d, n):
+        return False
+    for s in range(len(steps)):
+        if is_minor_walk(steps[:s] + steps[s + 1 :], d, n):
+            return False
+    return True
+
+
+@dataclass(frozen=True)
+class ChowClass:
+    """An element of Z[H1,H2] / (H1^2, H2^(n+D)), stored sparsely."""
+
+    h2_bound: int  # exponents of H2 live in 0 .. h2_bound-1
+    coeffs: Tuple[Tuple[Tuple[int, int], int], ...]
+
+    @classmethod
+    def make(cls, h2_bound: int, coeffs: Dict[Tuple[int, int], int]) -> "ChowClass":
+        kept = {
+            (e1, e2): c
+            for (e1, e2), c in coeffs.items()
+            if c and e1 < 2 and e2 < h2_bound
+        }
+        return cls(h2_bound, tuple(sorted(kept.items())))
+
+    def mul(self, other: "ChowClass") -> "ChowClass":
+        if self.h2_bound != other.h2_bound:
+            raise ValueError("classes live in different Chow rings")
+        acc: Dict[Tuple[int, int], int] = {}
+        for (e1, e2), c in self.coeffs:
+            for (f1, f2), k in other.coeffs:
+                g = (e1 + f1, e2 + f2)
+                if g[0] < 2 and g[1] < self.h2_bound:
+                    acc[g] = acc.get(g, 0) + c * k
+        return ChowClass.make(self.h2_bound, acc)
+
+    def coefficient(self, e1: int, e2: int) -> int:
+        return dict(self.coeffs).get((e1, e2), 0)
+
+
+def chow_product_degree(degrees: Sequence[int]) -> int:
+    """The degree of the common-root locus multiplied out in the truncated
+    ring: the product of the divisor classes d_i*H1 + H2, capped with H2^D,
+    read at H1*H2^(n-1+D)."""
+    n, D = len(degrees), sum(degrees)
+    bound = n + D
+    acc = ChowClass.make(bound, {(0, 0): 1})
+    for d in degrees:
+        acc = acc.mul(ChowClass.make(bound, {(1, 0): d, (0, 1): 1}))
+    acc = acc.mul(ChowClass.make(bound, {(0, D): 1}))
+    return acc.coefficient(1, n - 1 + D)

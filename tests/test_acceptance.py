@@ -24,14 +24,20 @@ from resultantforge.roots import (
     CoefficientTuple,
     common_root_oracle,
     membership_scan,
-    planted_vanishing,
     sample_planted,
     sample_random,
 )
 from resultantforge.walks import components, walk_leading_monomial
 
 from conftest import GRID
-from oracles import all_pairs_groebner, exact_rank, specialized_rows, sylvester_resultant
+from oracles import (
+    all_pairs_groebner,
+    chow_product_degree,
+    exact_rank,
+    planted_vanishing,
+    specialized_rows,
+    sylvester_resultant,
+)
 
 
 @contextmanager
@@ -105,7 +111,7 @@ def test_05_initial_ideal_geometry(rings, basis_records):
                 walk_leading_monomial(rec.walk, ring) for rec in basis_records[(d, n)]
             )
             primes = set(minimal_primes(lead))
-            assert primes == {c.variables for c in components(d, n, ring)}, (d, n)
+            assert primes == {c.variables for c in components(d, n)}, (d, n)
             assert len(primes) == n * d
             assert all(len(p) == n - 1 for p in primes)
             dd = dim_and_degree(lead, n * (d + 1))
@@ -119,7 +125,7 @@ def test_06_sylvester_equivalence():
     with criterion("AC-06 Sylvester resultant equivalence for d = 1, 2, 3"):
         for d in (1, 2, 3):
             ring = Ring(d, 2)
-            recs = enumerate_generators(d, 2, ring)
+            recs = enumerate_generators(d, 2)
             assert len(recs) == 1
             got = recs[0].poly
             oracle = sylvester_resultant(ring)
@@ -170,8 +176,9 @@ def test_09_chart_agreement():
 
 
 def test_10_chow_degree_random_tuples():
-    """The truncated Chow-ring computation returns the degree sum for 100
-    random degree tuples."""
+    """chow_degree, the closed form, equals the truncated Chow-ring product
+    multiplied out (tests/oracles.py) and the degree sum for 100 random
+    degree tuples."""
     with criterion("AC-10 Chow-ring degree equals the degree sum"):
         from resultantforge.roots import Lcg64
 
@@ -179,7 +186,7 @@ def test_10_chow_degree_random_tuples():
         for _ in range(100):
             n = 2 + rng.randint(0, 4)
             degrees = [1 + rng.randint(0, 8) for _ in range(n)]
-            assert chow_degree(degrees) == sum(degrees), degrees
+            assert chow_degree(degrees) == chow_product_degree(degrees) == sum(degrees), degrees
 
 
 def test_11_rank_cascade():

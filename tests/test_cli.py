@@ -117,7 +117,7 @@ class TestPrinterBytes:
     def test_matches_reference(self, capsys, command, dn, fmt, alias, reduced):
         d, n = dn
         ring = Ring(d, n)
-        records = (generators_for_basis if reduced else enumerate_generators)(d, n, ring)
+        records = (generators_for_basis if reduced else enumerate_generators)(d, n)
         flags = ["--format", fmt] + {None: [], True: ["--alias"], False: ["--no-alias"]}[alias]
         flags += ["--reduced-only"] * reduced
         for k in [None, *range(1, d + 1)]:
@@ -174,6 +174,31 @@ class TestWalks:
         code, out = run(capsys, "walks", "--d", "2", "--n", "3", "--reduced", "--format", "monomials")
         assert code == 0
         assert len(json.loads(out)) == 7
+
+    @pytest.mark.parametrize(
+        "golden, flags",
+        [("walks_d2_n3.txt", []), ("walks_d2_n3_reduced_monomials.txt", ["--reduced", "--format", "monomials"])],
+    )
+    def test_matches_golden(self, capsys, golden, flags):
+        code, out = run(capsys, "walks", "--d", "2", "--n", "3", *flags)
+        assert code == 0
+        assert out == (GOLDEN / golden).read_text()
+
+    @pytest.mark.parametrize("dn", GRID)
+    @pytest.mark.parametrize("fmt", ["pairs", "monomials"])
+    def test_reduced_depth_equals_filtered_full_output(self, capsys, dn, fmt):
+        # --k keeps the reduced walks of length d+k, in the order of the full output
+        d, n = dn
+        argv = ["walks", "--d", str(d), "--n", str(n), "--reduced"]
+        _, pairs = run(capsys, *argv)
+        code, full = run(capsys, *argv, "--format", fmt)
+        assert code == 0
+        lengths = [len(walk) for walk in json.loads(pairs)]
+        for k in range(1, d + 1):
+            code, out = run(capsys, *argv, "--format", fmt, "--k", str(k))
+            assert code == 0
+            kept = [item for item, length in zip(json.loads(full), lengths) if length == d + k]
+            assert out == json.dumps(kept, indent=2) + "\n"
 
 
 class TestLeadterms:
@@ -460,8 +485,8 @@ class TestSampleAndEval:
                         "gcd_degree": report.root.gcd_degree,
                     },
                     "generators": [
-                        {"k": sel.k, "rows": [list(p) for p in sel.pairs], "vanishes": v}
-                        for sel, v in zip(report.selections, report.vanishing)
+                        {"k": k, "rows": [list(p) for p in rows], "vanishes": v}
+                        for (k, rows), v in zip(report.generators, report.vanishing)
                     ],
                     "top_minors_all_vanish": report.top_minors_all_vanish,
                     "biconditional_ok": report.biconditional_ok,

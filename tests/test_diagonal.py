@@ -7,8 +7,8 @@ from resultantforge.diagonal import (
     diagonal_order,
     verify_diagonal_property,
 )
-from resultantforge.cascade import CascadeMatrix, RowSelection
-from resultantforge.minors import minor_det
+from resultantforge.cascade import CascadeMatrix
+from resultantforge.minors import packed_minors
 from resultantforge.poly import Monomial, Ring
 
 from conftest import GRID
@@ -55,7 +55,8 @@ class TestDiagonalOrder:
         ring = Ring(2, 3)
         dw = build_diagonal_weights(2, 3)
         order = diagonal_order(dw, ring)
-        det = minor_det(CascadeMatrix(2, 3, 1, ring), RowSelection(2, 3, 1, [(1, 1), (1, 2), (1, 3)]))
+        packing, minors = packed_minors(ring, [(1, ((1, 1), (1, 2), (1, 3)))])
+        det = packing.polynomial(ring, next(minors))
         diag = Monomial({ring.coeff(1, 0): 1, ring.coeff(2, 1): 1, ring.coeff(3, 2): 1})
         assert order.weight(diag) == 17
         for mono in det.terms:

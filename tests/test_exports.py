@@ -25,7 +25,7 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 def gens23():
     ring = Ring(2, 3)
-    return ring, [rec.poly for rec in enumerate_generators(2, 3, ring)]
+    return ring, [rec.poly for rec in enumerate_generators(2, 3)]
 
 
 def dumped(ring, polys):
@@ -44,7 +44,7 @@ class TestJsonWriter:
     @pytest.mark.parametrize("dn", GRID + [(1, 10), (1, 11), (2, 1)])
     def test_matches_json_dumps(self, dn):
         ring = Ring(*dn)
-        polys = [rec.poly for rec in enumerate_generators(*dn, ring)]
+        polys = [rec.poly for rec in enumerate_generators(*dn)]
         assert export_ideal(ring, polys, "json") == dumped(ring, polys)
 
     def test_zero_polynomial_and_constant_term(self):
@@ -264,7 +264,7 @@ class TestStreaming:
         assert len(taken) == 1 and first.startswith('{\n  "d": 2,\n  "generators": [\n    [')
         rest = list(pieces)
         assert len(taken) == 16 and len(rest) == 16
-        polys = [rec.poly for rec in enumerate_generators(2, 3, ring)]
+        polys = [rec.poly for rec in enumerate_generators(2, 3)]
         assert first + "".join(rest) == export_ideal(ring, polys, "json")
 
     @pytest.mark.parametrize("fmt", FORMATS)
@@ -272,7 +272,7 @@ class TestStreaming:
         # (2, 4) has 72 minors over more distinct monomials than a memo of
         # 8 entries holds, so every memo is emptied many times
         ring = Ring(2, 4)
-        polys = [rec.poly for rec in enumerate_generators(2, 4, ring)]
+        polys = [rec.poly for rec in enumerate_generators(2, 4)]
         monkeypatch.setattr(poly, "RENDER_MEMO_SIZE", 8)
         packing, minors = packed_minors(ring, generator_rows(2, 4))
         assert "".join(ideal_pieces(ring, packing, minors, fmt)) == reference_export(ring, polys, fmt)

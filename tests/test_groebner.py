@@ -97,7 +97,7 @@ class TestBuchberger:
         # degrevlex: initial ideal generated by seven square-free monomials
         ring = Ring(2, 3)
         order = DegRevLexOrder(ring.coeff_vars_column_major())
-        pres = buchberger([rec.poly for rec in enumerate_generators(2, 3, ring)], order)
+        pres = buchberger([rec.poly for rec in enumerate_generators(2, 3)], order)
         lms = {leading_term(g, order)[0] for g in pres.certified_basis}
         a = ring.coeff
         expected = {
@@ -117,7 +117,7 @@ class TestBuchberger:
     def test_reduced_basis_is_certified_and_deterministic(self):
         ring = Ring(2, 2)
         order = DegRevLexOrder(ring.coeff_vars_column_major())
-        gens = [rec.poly for rec in enumerate_generators(2, 2, ring)]
+        gens = [rec.poly for rec in enumerate_generators(2, 2)]
         first = buchberger(gens, order)
         second = buchberger(gens, order)
         assert first.certified_basis == second.certified_basis
@@ -126,7 +126,7 @@ class TestBuchberger:
     def test_certified_basis_generates_the_input_ideal(self):
         ring = Ring(2, 3)
         order = DegRevLexOrder(ring.coeff_vars_column_major())
-        gens = [rec.poly for rec in enumerate_generators(2, 3, ring)]
+        gens = [rec.poly for rec in enumerate_generators(2, 3)]
         pres = buchberger(gens, order)
         # every input generator reduces to zero against the certified basis
         assert reduces_to_zero(gens, pres.certified_basis, order)
@@ -139,8 +139,8 @@ class TestBuchberger:
         for (d, n) in [(1, 2), (2, 2), (2, 3), (3, 2)]:
             ring = Ring(d, n)
             order = diagonal_order(build_diagonal_weights(d, n), ring)
-            G = [rec.poly for rec in generators_for_basis(d, n, ring)]
-            minors = [rec.poly for rec in enumerate_generators(d, n, ring)]
+            G = [rec.poly for rec in generators_for_basis(d, n)]
+            minors = [rec.poly for rec in enumerate_generators(d, n)]
             assert reduces_to_zero(minors, G, order)
 
     def test_basis_for_reduced_walk_minors_under_diagonal_order(self):
@@ -148,7 +148,7 @@ class TestBuchberger:
 
         ring = Ring(2, 3)
         order = diagonal_order(build_diagonal_weights(2, 3), ring)
-        G = [rec.poly for rec in generators_for_basis(2, 3, ring)]
+        G = [rec.poly for rec in generators_for_basis(2, 3)]
         assert all_pairs_groebner(G, order)
         # Buchberger started from G keeps the same initial ideal
         pres = buchberger(G, order)
@@ -159,14 +159,14 @@ class TestBuchberger:
     def test_pair_limit_raises(self):
         ring = Ring(2, 3)
         order = DegRevLexOrder(ring.coeff_vars_column_major())
-        gens = [rec.poly for rec in enumerate_generators(2, 3, ring)]
+        gens = [rec.poly for rec in enumerate_generators(2, 3)]
         with pytest.raises(ResourceExhaustedError, match=r"^pair limit 1 exceeded$"):
             buchberger(gens, order, Limits(max_pairs=1))
 
     def test_basis_size_limit_raises(self):
         ring = Ring(2, 3)
         order = DegRevLexOrder(ring.coeff_vars_column_major())
-        gens = [rec.poly for rec in enumerate_generators(2, 3, ring)]
+        gens = [rec.poly for rec in enumerate_generators(2, 3)]
         with pytest.raises(ResourceExhaustedError, match=r"^basis size limit 3 exceeded$"):
             buchberger(gens, order, Limits(max_basis=3))
 
@@ -393,7 +393,7 @@ class TestEliminateX:
         elim = eliminate_x(1, 2)
         assert len(elim.generators) == 1
         ring = Ring(1, 2)
-        det = enumerate_generators(1, 2, ring)[0].poly
+        det = enumerate_generators(1, 2)[0].poly
         g = elim.generators[0]
         assert g == det or g == -det
 
@@ -416,7 +416,7 @@ class TestIdealEqual:
     def test_same_presentation(self):
         ring = Ring(1, 2)
         order = DegRevLexOrder(ring.coeff_vars_row_major())
-        gens = [rec.poly for rec in enumerate_generators(1, 2, ring)]
+        gens = [rec.poly for rec in enumerate_generators(1, 2)]
         a = IdealPresentation(ring, gens, order)
         assert ideal_equal(a, a)
 
@@ -442,7 +442,7 @@ class TestIdealEqual:
             ring = Ring(d, n)
             order = DegRevLexOrder(ring.coeff_vars_column_major())
             minors = IdealPresentation(
-                ring, [rec.poly for rec in enumerate_generators(d, n, ring)], order
+                ring, [rec.poly for rec in enumerate_generators(d, n)], order
             )
             assert ideal_equal(minors, eliminate_x(d, n))
 
@@ -568,7 +568,7 @@ class TestDeadlineOnEntry:
 
     def test_no_generator_is_reduced(self, monkeypatch):
         ring = Ring(2, 3)
-        gens = [rec.poly for rec in enumerate_generators(2, 3, ring)]
+        gens = [rec.poly for rec in enumerate_generators(2, 3)]
         divided = []
         divide = groebner._Run.divide
         monkeypatch.setattr(groebner._Run, "divide", lambda run, *args: divided.append(1) or divide(run, *args))

@@ -19,8 +19,7 @@ from resultantforge.orders import (
     leading_term,
     normal_form,
 )
-from resultantforge.cascade import CascadeMatrix, RowSelection
-from resultantforge.minors import minor_det
+from resultantforge.minors import packed_minors
 from resultantforge.poly import (
     MONOMIAL_ONE,
     Monomial,
@@ -129,7 +128,8 @@ class TestLeadingTerm:
 
     def test_three_by_three_minor_rev_and_diag(self):
         ring = Ring(2, 3)
-        det = minor_det(CascadeMatrix(2, 3, 1, ring), RowSelection(2, 3, 1, [(1, 1), (1, 2), (1, 3)]))
+        packing, minors = packed_minors(ring, [(1, ((1, 1), (1, 2), (1, 3)))])
+        det = packing.polynomial(ring, next(minors))
         # column-letter reading: lead a_3*b_2*c_1 under the column-major degrevlex
         rev = DegRevLexOrder(ring.coeff_vars_column_major())
         assert leading_term(det, rev)[0] == mono(
@@ -157,7 +157,8 @@ class TestNormalForm:
 
     def test_determinant_self_reduction(self):
         ring = Ring(1, 2)
-        det = minor_det(CascadeMatrix(1, 2, 1, ring), RowSelection(1, 2, 1, [(1, 1), (1, 2)]))
+        packing, minors = packed_minors(ring, [(1, ((1, 1), (1, 2)))])
+        det = packing.polynomial(ring, next(minors))
         order = DegRevLexOrder(ring.coeff_vars_row_major())
         assert normal_form(det, [det], order).is_zero
 

@@ -16,15 +16,13 @@ from resultantforge.roots import (
     _integer_times,
     common_root_oracle,
     membership_scan,
-    planted_assignment,
-    planted_vanishing,
     sample_planted,
     sample_random,
     univariate_gcd,
 )
 
 from conftest import GRID
-from oracles import exact_rank, rank_by_minors, specialized_rows
+from oracles import exact_rank, planted_assignment, planted_vanishing, rank_by_minors, specialized_rows
 
 
 class TestLcg:
@@ -93,6 +91,8 @@ class TestCommonRootOracle:
 
 
 class TestPlantedVanishing:
+    """The oracle planted-root check on the library's expanded minors."""
+
     @pytest.mark.parametrize("dn", [(1, 2), (2, 2), (2, 3), (3, 2)])
     def test_all_images_zero(self, dn):
         report = planted_vanishing(*dn)
@@ -235,7 +235,7 @@ class TestMembershipScan:
             tuples.append(CoefficientTuple(d, n, rows))
             for tup in tuples:
                 rep = membership_scan(tup)
-                assert rep.selections == [rec.selection for rec in records]
+                assert rep.generators == [(rec.k, rec.selection.pairs) for rec in records]
                 point = tup.assignment(rings[(d, n)])
                 assert rep.vanishing == [rec.poly.evaluate(point) == 0 for rec in records]
 
@@ -255,8 +255,8 @@ class TestMembershipScan:
             grids = {k: specialized_rows(m, tup) for k, m in matrices.items()}
             rep = membership_scan(tup)
             want = [
-                exact_rank([grids[sel.k][(i - 1) * n + j - 1] for i, j in sel.pairs]) < d + sel.k
-                for sel in rep.selections
+                exact_rank([grids[k][(i - 1) * n + j - 1] for i, j in rows]) < d + k
+                for k, rows in rep.generators
             ]
             assert rep.vanishing == want
         assert len(set(want)) == 2  # the combination tuple splits the generators
@@ -330,7 +330,7 @@ class TestMembershipScan:
         ]
         tup = CoefficientTuple(2, 3, [[Fraction(v) for v in row] for row in values])
         rep = membership_scan(tup)
-        depth_one = [v for sel, v in zip(rep.selections, rep.vanishing) if sel.k == 1]
+        depth_one = [v for (k, _), v in zip(rep.generators, rep.vanishing) if k == 1]
         assert depth_one == [True]
         assert rep.root.gcd_degree == 0 and not rep.root.all_leading_zero
         assert not rep.top_minors_all_vanish
