@@ -25,7 +25,7 @@ print("weights on the coefficient variables (row i, column j):")
 for i in range(1, n + 1):
     print("   ", [dw.weights[(i, j)] for j in range(d + 1)])
 
-order = diagonal_order(dw, ring)
+order = diagonal_order(dw)
 rev = DegRevLexOrder(ring.coeff_vars_column_major())
 
 print("\nleading monomials of the depth-1 minor under two orders:")

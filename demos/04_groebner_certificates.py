@@ -29,7 +29,7 @@ d, n = 2, 3
 ring = Ring(d, n)
 
 G = [rec.poly for rec in generators_for_basis(d, n)]
-diag = diagonal_order(build_diagonal_weights(d, n), ring)
+diag = diagonal_order(build_diagonal_weights(d, n))
 print(f"reduced-walk basis G has {len(G)} elements")
 print("all s-polynomials reduce to zero:", is_groebner_basis(G, diag))
 

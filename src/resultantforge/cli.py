@@ -105,7 +105,7 @@ def _write_generators(args) -> None:
 
 def _named_order(name: str, ring: Ring):
     if name == "diag":
-        return diagonal_order(build_diagonal_weights(ring.d, ring.n), ring)
+        return diagonal_order(build_diagonal_weights(ring.d, ring.n))
     if name == "degrevlex":
         return DegRevLexOrder(ring.coeff_vars_column_major())
     if name == "lex":
@@ -197,7 +197,7 @@ def _cmd_verify(args) -> int:
     limits = _limits(args)
     if args.check == "groebner":
         ring = Ring(args.d, args.n)
-        order = diagonal_order(build_diagonal_weights(args.d, args.n), ring)
+        order = diagonal_order(build_diagonal_weights(args.d, args.n))
         gens = reduced_rows(args.d, args.n)
         ok = is_packed_groebner_basis(*packed_minors(ring, gens), order, limits)
         return _verify_report(
@@ -310,7 +310,7 @@ def _cascade_options(p):
 
 def _walks_options(p):
     _dn_options(p)
-    p.add_argument("--k", type=int, help="walk length d+k (defaults to k=d)")
+    p.add_argument("--k", type=int, help="walk length d+k (default: k=d, or every length with --reduced)")
     p.add_argument("--reduced", action="store_true", help="reduced walks of every length")
     p.add_argument("--format", choices=("pairs", "monomials"), default="pairs")
 

@@ -17,10 +17,10 @@ raises the weight.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from .minors import enumerate_generators
-from .orders import BlockOrder, DegRevLexOrder, TermOrder, WeightedOrder, leading_term
+from .orders import DegRevLexOrder, TermOrder, WeightedOrder, leading_term
 from .poly import Ring
 
 
@@ -50,22 +50,12 @@ def build_diagonal_weights(d: int, n: int) -> DiagonalWeights:
     return DiagonalWeights(d, n, increments, weights)
 
 
-def diagonal_order(dw: DiagonalWeights, ring: Optional[Ring] = None) -> TermOrder:
-    """Weighted order with degrevlex tiebreak over the row-major ranking.
-
-    On a ring with extra symbols (eliminand, auxiliaries) those rank above
-    all coefficient variables in a block.
-    """
-    ring = ring if ring is not None else Ring(dw.d, dw.n)
-    if ring.d != dw.d or ring.n != dw.n:
-        raise ValueError(f"ring {ring!r} does not match weights for (d={dw.d}, n={dw.n})")
-    row_major = ring.coeff_vars_row_major()
+def diagonal_order(dw: DiagonalWeights) -> TermOrder:
+    """Weighted order with degrevlex tiebreak over the row-major ranking of
+    Ring(dw.d, dw.n)."""
+    ring = Ring(dw.d, dw.n)
     weights = {ring.coeff(i, j): dw.weights[(i, j)] for i in range(1, dw.n + 1) for j in range(dw.d + 1)}
-    weighted = WeightedOrder(weights, DegRevLexOrder(row_major))
-    extras = [v for v in ring.variables if v.kind != "a"]
-    if not extras:
-        return weighted
-    return BlockOrder(extras, DegRevLexOrder(tuple(sorted(extras))), weighted)
+    return WeightedOrder(weights, DegRevLexOrder(ring.coeff_vars_row_major()))
 
 
 @dataclass
@@ -91,7 +81,7 @@ def verify_diagonal_property(d: int, n: int) -> DiagonalReport:
 
     ring = Ring(d, n)
     dw = build_diagonal_weights(d, n)
-    order = diagonal_order(dw, ring)
+    order = diagonal_order(dw)
     report = DiagonalReport(d, n)
     for rec in enumerate_generators(d, n):
         report.minors_checked += 1

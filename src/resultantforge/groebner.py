@@ -399,16 +399,13 @@ def eliminate_x(d: int, n: int, limits: Limits = DEFAULT_LIMITS) -> IdealPresent
     return IdealPresentation(ring_a, restricted, DegRevLexOrder(ring_a.coeff_vars_column_major()), restricted)
 
 
-def _equal(sides: Sequence[tuple], limits: Limits, budget: Optional[tuple]) -> bool:
-    """Mutual membership of two ideals: every generator of each side
-    reduces to zero mod the other's basis, and a side with no nonzero
-    generator is the zero ideal. A side is (order, generators, basis):
-    (source, terms) pairs and a _Reducer holding a basis certified for
-    order, or None for Buchberger to compute one within limits and budget.
-    The deadline is checked before each generator is reduced."""
-    bases = [_basis_run(order, gens, limits, budget) if basis is None else basis for order, gens, basis in sides]
-    (_, gens_a, _), (_, gens_b, _) = sides
-    pending = [(bases[1], gen) for gen in gens_a] + [(bases[0], gen) for gen in gens_b]
+def _members(tasks: Sequence[tuple], budget: Optional[tuple]) -> bool:
+    """Does <generators> lie in <basis> for each (basis, generators) task?
+    Each (source, terms) generator, in task order and after a deadline
+    check, must reduce to zero mod basis, a _Reducer holding a Groebner
+    basis (empty: the zero ideal) of the ideal tested against, the only
+    one a membership test needs (Cox, Little & O'Shea, IVA, 2.6)."""
+    pending = [(basis, gen) for basis, gens in tasks for gen in gens]
     for done, (basis, gen) in enumerate(pending):
         _check_deadline(budget, done, len(pending), "membership reductions")
         if not basis.reduces_to_zero([gen]):
@@ -417,23 +414,23 @@ def _equal(sides: Sequence[tuple], limits: Limits, budget: Optional[tuple]) -> b
 
 
 def ideal_equal(a: IdealPresentation, b: IdealPresentation, limits: Limits = DEFAULT_LIMITS) -> bool:
-    """Mutual membership: every generator of each reduces to zero mod the
-    other's certified basis, which Buchberger computes within limits where
-    a presentation has none, all before one deadline."""
+    """Mutual membership: a's generators mod b's certified basis, then b's
+    mod a's. Where a presentation has none, Buchberger computes it within
+    limits, a's first, all before one deadline."""
     budget = _deadline(limits)
     if a.ring != b.ring:
         raise ValueError("presentations live in different rings")
-    sides = [
-        (p.order, _packed(p.generators), None if p.certified_basis is None else _Reducer(p.order, p.certified_basis))
-        for p in (a, b)
-    ]
-    return _equal(sides, limits, budget)
+    gens = [_packed(p.generators) for p in (a, b)]
+    bases = [_basis_run(p.order, g, limits, budget) if p.certified_basis is None else _Reducer(p.order, p.certified_basis)
+             for p, g in zip((a, b), gens)]
+    return _members([(bases[1], gens[0]), (bases[0], gens[1])], budget)
 
 
 def elimination_equal(d: int, n: int, limits: Limits = DEFAULT_LIMITS) -> tuple:
     """Do the cascade minors generate the ideal eliminate_x computes? The
     answer, the number of minors and the size of the eliminated basis, by
-    mutual membership as in ideal_equal, with nothing decoded."""
+    mutual membership with nothing decoded: the minors mod the eliminated
+    basis, then its elements mod the minors' basis."""
     budget = _deadline(limits)
     ring = Ring(d, n)
     order = DegRevLexOrder(ring.coeff_vars_column_major())
@@ -441,8 +438,8 @@ def elimination_equal(d: int, n: int, limits: Limits = DEFAULT_LIMITS) -> tuple:
     minors = [(packing, minor) for minor in minors]
     elim = _Reducer(order)
     elim.extend(_eliminated(d, n, limits, budget))
-    ok = _equal([(order, minors, None), (order, elim.divisors(), elim)], limits, budget)
-    return ok, len(minors), len(elim.polys)
+    tasks = [(elim, minors), (_basis_run(order, minors, limits, budget), elim.divisors())]
+    return _members(tasks, budget), len(minors), len(elim.polys)
 
 
 def chart_equal(d: int, n: int, limits: Limits = DEFAULT_LIMITS) -> bool:
@@ -451,6 +448,8 @@ def chart_equal(d: int, n: int, limits: Limits = DEFAULT_LIMITS) -> bool:
     reduction sets a_1_0 = 1 in each minor as it enters: J + <a_1_0 - 1> is
     the preimage of J's chart. The projective schemes coincide exactly when
     this holds on every chart; the remaining charts follow by symmetry.
+    The top family is part of the full one, so <top> lies in <full>; every
+    full generator, top's included, is reduced mod the one basis, top's.
     """
     budget = _deadline(limits)
     ring = Ring(d, n)
@@ -460,4 +459,4 @@ def chart_equal(d: int, n: int, limits: Limits = DEFAULT_LIMITS) -> bool:
     full = [chart, *((packing, minor) for minor in minors)]
     top = [chart, *(g for (k, _), g in zip(gens, full[1:]) if k == d)]
     order = DegRevLexOrder(ring.coeff_vars_column_major())
-    return _equal([(order, top, None), (order, full, None)], limits, budget)
+    return _members([(_basis_run(order, top, limits, budget), full)], budget)

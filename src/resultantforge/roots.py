@@ -191,8 +191,6 @@ def common_root_oracle(c: CoefficientTuple) -> RootReport:
 class MembershipReport:
     """Evaluation of every generator at one coefficient tuple."""
 
-    d: int
-    n: int
     root: RootReport
     vanishing: List[bool]  # aligned with the generators
     generators: List[tuple]  # (k, rows) in minors.generator_rows order
@@ -224,8 +222,6 @@ def membership_scan(c: CoefficientTuple) -> MembershipReport:
     root = common_root_oracle(c)
     expected = root.has_affine_common_root or root.all_leading_zero
     return MembershipReport(
-        d=d,
-        n=n,
         root=root,
         vanishing=vanishing,
         generators=gens,

@@ -25,5 +25,5 @@ def basis_records():
 
 
 @pytest.fixture(scope="session")
-def diag_orders(rings):
-    return {dn: diagonal_order(build_diagonal_weights(*dn), rings[dn]) for dn in GRID}
+def diag_orders():
+    return {dn: diagonal_order(build_diagonal_weights(*dn)) for dn in GRID}

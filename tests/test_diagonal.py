@@ -54,7 +54,7 @@ class TestDiagonalOrder:
     def test_diagonal_beats_every_other_term(self):
         ring = Ring(2, 3)
         dw = build_diagonal_weights(2, 3)
-        order = diagonal_order(dw, ring)
+        order = diagonal_order(dw)
         packing, minors = packed_minors(ring, [(1, ((1, 1), (1, 2), (1, 3)))])
         det = packing.polynomial(ring, next(minors))
         diag = Monomial({ring.coeff(1, 0): 1, ring.coeff(2, 1): 1, ring.coeff(3, 2): 1})
@@ -67,21 +67,12 @@ class TestDiagonalOrder:
     def test_degree_one_determinant(self):
         ring = Ring(1, 2)
         dw = build_diagonal_weights(1, 2)
-        order = diagonal_order(dw, ring)
+        order = diagonal_order(dw)
         u = Monomial({ring.coeff(1, 0): 1, ring.coeff(2, 1): 1})
         v = Monomial({ring.coeff(1, 1): 1, ring.coeff(2, 0): 1})
         assert order.weight(u) == 4 and order.weight(v) == 3
         assert order.key(u) > order.key(v)
         assert order.key(u) == order.key(Monomial({ring.coeff(2, 1): 1, ring.coeff(1, 0): 1}))
-
-    def test_extended_ring_ranks_extras_on_top(self):
-        # on a ring with the eliminand or planted-root symbols, those sit in
-        # a block above every coefficient monomial
-        for ring in (Ring(2, 2, with_x=True), Ring(2, 2, with_aux=True)):
-            order = diagonal_order(build_diagonal_weights(2, 2), ring)
-            heavy_a = Monomial({ring.coeff(1, 0): 5, ring.coeff(2, 0): 5})
-            extra = ring.x if ring.with_x else ring.root
-            assert order.key(Monomial({extra: 1})) > order.key(heavy_a)
 
 
 class TestSwapInequality:

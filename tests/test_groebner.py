@@ -138,7 +138,7 @@ class TestBuchberger:
 
         for (d, n) in [(1, 2), (2, 2), (2, 3), (3, 2)]:
             ring = Ring(d, n)
-            order = diagonal_order(build_diagonal_weights(d, n), ring)
+            order = diagonal_order(build_diagonal_weights(d, n))
             G = [rec.poly for rec in generators_for_basis(d, n)]
             minors = [rec.poly for rec in enumerate_generators(d, n)]
             assert reduces_to_zero(minors, G, order)
@@ -147,7 +147,7 @@ class TestBuchberger:
         from resultantforge.minors import generators_for_basis
 
         ring = Ring(2, 3)
-        order = diagonal_order(build_diagonal_weights(2, 3), ring)
+        order = diagonal_order(build_diagonal_weights(2, 3))
         G = [rec.poly for rec in generators_for_basis(2, 3)]
         assert all_pairs_groebner(G, order)
         # Buchberger started from G keeps the same initial ideal
@@ -472,6 +472,24 @@ class TestChartEqual:
         monkeypatch.setattr(groebner, "_basis_run", dropped)
         assert chart_equal(2, 3) is expected
 
+    def test_full_family_with_a_minor_perturbed(self, monkeypatch, capsys):
+        # the first depth-1 minor plus 1 lies outside the chart ideal of the
+        # depth-2 minors: only reducing the full family against their basis
+        # sees it, since <top> lies in <full> whatever the full family holds
+        from resultantforge.cli import main
+
+        def perturbed(ring, rows):
+            packing, minors = packed_minors(ring, rows)
+            minors = list(minors)
+            first = next(i for i, (k, _) in enumerate(rows) if k == 1)
+            minors[first] = {**minors[first], 0: minors[first].get(0, 0) + 1}
+            return packing, iter(minors)
+
+        monkeypatch.setattr(groebner, "packed_minors", perturbed)
+        assert chart_equal(2, 3) is False
+        assert main(["verify", "chart", "--d", "2", "--n", "3"]) == 1
+        assert '"status": "fail"' in capsys.readouterr().out
+
 
 # inputs of the budget cases, built once so that each case makes one call
 ELIMINATED_23 = eliminate_x(2, 3)
@@ -480,7 +498,7 @@ MINORS_23 = IdealPresentation(
 )
 PACKING_33, REDUCED_MINORS_33 = packed_minors(Ring(3, 3), reduced_rows(3, 3))
 REDUCED_MINORS_33 = list(REDUCED_MINORS_33)
-DIAGONAL_33 = diagonal_order(build_diagonal_weights(3, 3), Ring(3, 3))
+DIAGONAL_33 = diagonal_order(build_diagonal_weights(3, 3))
 
 
 class TestTimeBudget:
@@ -598,7 +616,7 @@ class TestDeadlineOnEntry:
 
 
 class TestDeadlineInMembership:
-    """The mutual-membership step of an ideal comparison checks the
+    """The membership step of an ideal comparison checks the
     deadline before each generator is reduced, under a clock that reads 0
     until the call's last Buchberger run has finished and 10 after it."""
 
@@ -620,24 +638,25 @@ class TestDeadlineInMembership:
         return reduced
 
     @pytest.mark.parametrize(
-        "call, runs",
+        "call, runs, total",
         [
-            (lambda limits: chart_equal(2, 3, limits), 2),
-            (lambda limits: elimination_equal(2, 3, limits), 2),
-            (lambda limits: ideal_equal(MINORS_23, ELIMINATED_23, limits), 1),
+            # at (2, 3) the full family is a_1_0 - 1 and the 16 minors
+            (lambda limits: chart_equal(2, 3, limits), 1, "17"),
+            (lambda limits: elimination_equal(2, 3, limits), 2, r"\d+"),
+            (lambda limits: ideal_equal(MINORS_23, ELIMINATED_23, limits), 1, r"\d+"),
         ],
         ids=["chart_equal", "elimination_equal", "ideal_equal"],
     )
-    def test_no_generator_is_reduced(self, monkeypatch, call, runs):
+    def test_no_generator_is_reduced(self, monkeypatch, call, runs, total):
         reduced = self.jump_after(monkeypatch, runs)
-        with pytest.raises(ResourceExhaustedError, match=r"^timeout of 1.0s exceeded after 0 of \d+ membership reductions$"):
+        with pytest.raises(ResourceExhaustedError, match=rf"^timeout of 1.0s exceeded after 0 of {total} membership reductions$"):
             call(Limits(timeout=1.0))
         assert reduced == []
 
     def test_verify_exits_3(self, monkeypatch, capsys):
         from resultantforge.cli import main
 
-        self.jump_after(monkeypatch, 2)
+        self.jump_after(monkeypatch, 1)
         assert main(["verify", "chart", "--d", "2", "--n", "3", "--timeout", "1"]) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and "timeout of 1.0s exceeded after 0 of " in captured.err
@@ -704,10 +723,10 @@ class TestPairSelection:
     def test_degrevlex_runs_keep_their_sequence(self, monkeypatch):
         # degrevlex ranks by degree first, so on homogeneous minors the sugar
         # of a pair is the degree of its lcm; with a_1_0 - 1 among them
-        # both chart runs still reduce as many pairs as smallest lcm first
+        # the one chart run still reduces as many pairs as smallest lcm first
         runs = self.spied_runs(monkeypatch)
         assert chart_equal(3, 3)
-        assert [run.pairs_processed for run in runs] == [29, 29]
+        assert [run.pairs_processed for run in runs] == [29]
 
     @pytest.mark.parametrize("kind", ["lex", "elimination", "diagonal"])
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -718,7 +737,8 @@ class TestPairSelection:
         order = {
             "lex": LexOrder(ring.variables),
             "elimination": elimination_order(ring),
-            "diagonal": diagonal_order(build_diagonal_weights(1, 2), ring),
+            # the eliminand in a block above the diagonal order of the coefficients
+            "diagonal": BlockOrder((ring.x,), DegRevLexOrder((ring.x,)), diagonal_order(build_diagonal_weights(1, 2))),
         }[kind]
         gens = data.draw(st.lists(fraction_polynomials(ring, 2), min_size=1, max_size=2))
         basis = buchberger(gens, order).certified_basis

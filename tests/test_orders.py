@@ -58,7 +58,7 @@ class TestCompare:
 
     def test_weighted_diagonal_weights(self):
         ring = Ring(2, 3)
-        order = diagonal_order(build_diagonal_weights(2, 3), ring)
+        order = diagonal_order(build_diagonal_weights(2, 3))
         u = mono((ring.coeff(1, 0), 1), (ring.coeff(2, 1), 1), (ring.coeff(3, 2), 1))
         v = mono((ring.coeff(3, 0), 1), (ring.coeff(2, 1), 1), (ring.coeff(1, 2), 1))
         assert isinstance(order, WeightedOrder)
@@ -89,7 +89,7 @@ class TestOrderAxioms:
         return [
             (LexOrder(ring.coeff_vars_row_major()), ring.coeff_vars_row_major()),
             (DegRevLexOrder(ring.coeff_vars_column_major()), ring.coeff_vars_column_major()),
-            (diagonal_order(dw, ring), ring.coeff_vars_row_major()),
+            (diagonal_order(dw), ring.coeff_vars_row_major()),
             (
                 BlockOrder(
                     (ring_x.x,),
@@ -135,7 +135,7 @@ class TestLeadingTerm:
         assert leading_term(det, rev)[0] == mono(
             (ring.coeff(3, 0), 1), (ring.coeff(2, 1), 1), (ring.coeff(1, 2), 1)
         )
-        diag = diagonal_order(build_diagonal_weights(2, 3), ring)
+        diag = diagonal_order(build_diagonal_weights(2, 3))
         assert leading_term(det, diag)[0] == mono(
             (ring.coeff(1, 0), 1), (ring.coeff(2, 1), 1), (ring.coeff(3, 2), 1)
         )
@@ -197,7 +197,7 @@ RING_X = Ring(2, 2, with_x=True)
 DIFFERENTIAL_ORDERS = {
     "lex": (LexOrder(RING.coeff_vars_row_major()), RING),
     "degrevlex": (DegRevLexOrder(RING.coeff_vars_column_major()), RING),
-    "diagonal": (diagonal_order(build_diagonal_weights(2, 2), RING), RING),
+    "diagonal": (diagonal_order(build_diagonal_weights(2, 2)), RING),
     "elimination": (elimination_order(RING_X), RING_X),
 }
 COEFFS = st.fractions(min_value=-9, max_value=9, max_denominator=6).filter(bool)
