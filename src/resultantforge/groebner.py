@@ -438,25 +438,54 @@ def elimination_equal(d: int, n: int, limits: Limits = DEFAULT_LIMITS) -> tuple:
     minors = [(packing, minor) for minor in minors]
     elim = _Reducer(order)
     elim.extend(_eliminated(d, n, limits, budget))
-    tasks = [(elim, minors), (_basis_run(order, minors, limits, budget), elim.divisors())]
-    return _members(tasks, budget), len(minors), len(elim.polys)
+    run = _basis_run(order, minors, limits, budget)
+    # both are reduced bases, primitive and in ascending lead order: equal lists are one ideal
+    same = run.packing.width == elim.packing.width and run.polys == elim.polys
+    return same or _members([(elim, minors), (run, elim.divisors())], budget), len(minors), len(elim.polys)
+
+
+def _lift(d: int, k: int, rows: tuple) -> tuple:
+    """The M_d rows lifting M_k rows: (1,1) .. (d-k,1), then (i+d-k, j) per (i, j)."""
+    return tuple((i, 1) for i in range(1, d - k + 1)) + tuple((i + d - k, j) for i, j in rows)
 
 
 def chart_equal(d: int, n: int, limits: Limits = DEFAULT_LIMITS) -> bool:
     """Do the depth-d minors and the full generator set agree on the affine
-    chart a_1_0 = 1? Both families, expanded once, lead with a_1_0 - 1, so
-    reduction sets a_1_0 = 1 in each minor as it enters: J + <a_1_0 - 1> is
-    the preimage of J's chart. The projective schemes coincide exactly when
-    this holds on every chart; the remaining charts follow by symmetry.
-    The top family is part of the full one, so <top> lies in <full>; every
-    full generator, top's included, is reduced mod the one basis, top's.
+    chart a_1_0 = 1: is <top> + <a_1_0 - 1> = <full> + <a_1_0 - 1>? The
+    projective schemes coincide exactly when this holds on every chart; the
+    others follow by symmetry. <top> lies in <full> by construction. For the
+    other inclusion, lift each generator (k, rows), k < d, with minor m: the
+    first d-k columns of its lift meet only f_1 rows, an upper triangular
+    block with diagonal a_1_0, so the lift's minor is a_1_0^(d-k) m, sign +.
+    A depth-d lift then gives m = (1 - a_1_0^(d-k)) m + lift in
+    <a_1_0 - 1> + <top>, with no Groebner basis. Each lift is looked up and
+    compared with m shifted by d-k steps of a_1_0, after one deadline check
+    and one before each comparison. On any mismatch _chart_by_basis answers
+    on the same expansion; only it is bound by the other limits.
     """
     budget = _deadline(limits)
     ring = Ring(d, n)
     gens = generator_rows(d, n)
     packing, minors = packed_minors(ring, gens)
+    family = list(zip(gens, minors))
+    top = {rows: minor for (k, rows), minor in family if k == d}
+    lower = [(k, rows, minor) for (k, rows), minor in family if k < d]
+    _check_deadline(budget, 0, len(lower), "lifted minors")
+    for done, (k, rows, minor) in enumerate(lower):
+        _check_deadline(budget, done, len(lower), "lifted minors")
+        shift = (d - k) << packing.shifts[ring.coeff(1, 0)]
+        if top.get(_lift(d, k, rows)) != {key + shift: c for key, c in minor.items()}:
+            return _chart_by_basis(ring, packing, family, limits, budget)
+    return True
+
+
+def _chart_by_basis(ring: Ring, packing: Packing, family: list, limits: Limits, budget: Optional[tuple]) -> bool:
+    """chart_equal by Buchberger on the expanded family, ((k, rows), minor)
+    pairs. Both families lead with a_1_0 - 1, so reduction sets a_1_0 = 1
+    in each minor as it enters: J + <a_1_0 - 1> is the preimage of J's
+    chart. Every full generator is reduced mod the one basis, top's."""
     chart = (packing, {1 << packing.shifts[ring.coeff(1, 0)]: 1, 0: -1})
-    full = [chart, *((packing, minor) for minor in minors)]
-    top = [chart, *(g for (k, _), g in zip(gens, full[1:]) if k == d)]
+    top = [chart, *((packing, minor) for (k, _), minor in family if k == ring.d)]
+    full = [chart, *((packing, minor) for _, minor in family)]
     order = DegRevLexOrder(ring.coeff_vars_column_major())
     return _members([(_basis_run(order, top, limits, budget), full)], budget)

@@ -24,7 +24,7 @@ from resultantforge.groebner import (
     s_polynomial,
     system_polynomials,
 )
-from resultantforge.minors import enumerate_generators, packed_minors, reduced_rows
+from resultantforge.minors import enumerate_generators, generator_rows, packed_minors, reduced_rows
 from resultantforge.orders import (
     _FIRST_BITS,
     BlockOrder,
@@ -54,6 +54,26 @@ def xy_setup():
     y = Polynomial.variable(ring, ring.coeff(1, 1))
     order = LexOrder(ring.coeff_vars_row_major())
     return ring, x, y, order
+
+
+def chart_by_basis(d, n, limits=Limits()):
+    """chart_equal's Buchberger route, called on one expansion of the family."""
+    ring, gens = Ring(d, n), generator_rows(d, n)
+    packing, minors = packed_minors(ring, gens)
+    return groebner._chart_by_basis(ring, packing, list(zip(gens, minors)), limits, groebner._deadline(limits))
+
+
+def perturb_first_minor(monkeypatch):
+    """groebner expands the first depth-1 minor plus 1 in place of that minor."""
+
+    def perturbed(ring, rows):
+        packing, minors = packed_minors(ring, rows)
+        minors = list(minors)
+        first = next(i for i, (k, _) in enumerate(rows) if k == 1)
+        minors[first] = {**minors[first], 0: minors[first].get(0, 0) + 1}
+        return packing, iter(minors)
+
+    monkeypatch.setattr(groebner, "packed_minors", perturbed)
 
 
 class TestSPolynomial:
@@ -460,8 +480,9 @@ class TestChartEqual:
         records = enumerate_generators(2, 3)
         walk = [rec.walk for rec in records if rec.k == 2][drop]
         assert chart_by_substitution(2, 3, skip={walk}) is expected
-        # the packed depth-d family, a_1_0 - 1 and its 15 minors, loses that
-        # minor where its basis is computed; the full family keeps it
+        # on the Buchberger route the packed depth-d family, a_1_0 - 1 and
+        # its 15 minors, loses that minor where its basis is computed; the
+        # full family keeps it
         basis_run = groebner._basis_run
 
         def dropped(order, gens, limits, budget, self_check=True):
@@ -470,7 +491,7 @@ class TestChartEqual:
             return basis_run(order, gens, limits, budget, self_check)
 
         monkeypatch.setattr(groebner, "_basis_run", dropped)
-        assert chart_equal(2, 3) is expected
+        assert chart_by_basis(2, 3) is expected
 
     def test_full_family_with_a_minor_perturbed(self, monkeypatch, capsys):
         # the first depth-1 minor plus 1 lies outside the chart ideal of the
@@ -489,6 +510,96 @@ class TestChartEqual:
         assert chart_equal(2, 3) is False
         assert main(["verify", "chart", "--d", "2", "--n", "3"]) == 1
         assert '"status": "fail"' in capsys.readouterr().out
+
+    @pytest.mark.parametrize("dn", GRID)
+    def test_lift_route_agrees_with_the_basis_route(self, monkeypatch, dn):
+        # every lower minor lifts to a depth-d generator: no basis is computed
+        runs = TestPairSelection.spied_runs(monkeypatch)
+        assert chart_equal(*dn) is True
+        assert runs == []
+        assert chart_by_basis(*dn) is True
+
+    @pytest.mark.parametrize("dn", [(2, 3), (3, 3), (2, 4)])
+    def test_lift_from_another_polynomial_falls_back(self, monkeypatch, dn):
+        # with f_2's rows in place of f_1's, no lift is a depth-d generator
+        # whose minor is a_1_0^(d-k) times the lower minor
+        def lift(d, k, rows):
+            return tuple((i, 2) for i in range(1, d - k + 1)) + tuple((i + d - k, j) for i, j in rows)
+
+        d, n = dn
+        ring, gens = Ring(d, n), generator_rows(d, n)
+        packing, minors = packed_minors(ring, gens)
+        family = list(zip(gens, minors))
+        top = {rows: minor for (k, rows), minor in family if k == d}
+        step = 1 << packing.shifts[ring.coeff(1, 0)]
+        for (k, rows), minor in family:
+            if k < d:
+                assert top.get(groebner._lift(d, k, rows)) == {key + (d - k) * step: c for key, c in minor.items()}
+                assert top.get(lift(d, k, rows)) != {key + (d - k) * step: c for key, c in minor.items()}
+        monkeypatch.setattr(groebner, "_lift", lift)
+        runs = TestPairSelection.spied_runs(monkeypatch)
+        assert chart_equal(d, n) is True
+        assert len(runs) == 1
+
+    @pytest.mark.parametrize("dn", GRID)
+    def test_verify_at_timeout_zero_exits_3(self, capsys, dn):
+        # the deadline is checked after expansion, also where no minor lifts
+        from resultantforge.cli import main
+
+        d, n = dn
+        lower = sum(k < d for k, _ in generator_rows(d, n))
+        assert main(["verify", "chart", "--d", str(d), "--n", str(n), "--timeout", "0"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"timeout of 0.0s exceeded after 0 of {lower} lifted minors" in captured.err
+
+    def test_pair_basis_and_degree_limits_bind_only_the_basis_route(self, monkeypatch, capsys):
+        from resultantforge.cli import main
+
+        limits = Limits(max_pairs=0, max_basis=0, max_degree=0)
+        args = ["verify", "chart", "--d", "2", "--n", "3", "--max-pairs", "0"]
+        assert chart_equal(2, 3, limits) is True
+        assert main(args) == 0
+        perturb_first_minor(monkeypatch)
+        with pytest.raises(ResourceExhaustedError, match="^basis size limit 0 exceeded$"):
+            chart_equal(2, 3, limits)
+        capsys.readouterr()
+        assert main(args) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "pair limit 0 exceeded" in captured.err
+
+    @pytest.mark.parametrize("d, n", [(3, 4), (4, 3), (4, 4), pytest.param(5, 3, marks=pytest.mark.slow)])
+    def test_verify_passes_beyond_the_oracle_grid(self, monkeypatch, capsys, d, n):
+        # by Buchberger (4, 4) took 90.6 s and (5, 3) 213 s; lifting needs
+        # no basis. (5, 3) is slow for its peak memory of about 2 GB.
+        from resultantforge.cli import main
+
+        runs = TestPairSelection.spied_runs(monkeypatch)
+        assert main(["verify", "chart", "--d", str(d), "--n", str(n)]) == 0
+        assert '"status": "pass"' in capsys.readouterr().out
+        assert runs == []
+
+
+class TestEliminationEqual:
+    @staticmethod
+    def spied_members(monkeypatch) -> list:
+        calls, members = [], groebner._members
+        monkeypatch.setattr(groebner, "_members", lambda tasks, budget: calls.append(tasks) or members(tasks, budget))
+        return calls
+
+    @pytest.mark.parametrize("dn", [(1, 2), (2, 2), (2, 3), (3, 2), (2, 4)])
+    def test_equal_bases_need_no_membership(self, monkeypatch, dn):
+        calls = self.spied_members(monkeypatch)
+        assert elimination_equal(*dn)[0] is True
+        assert calls == []
+
+    def test_a_perturbed_minor_is_decided_by_membership(self, monkeypatch):
+        # the first depth-1 minor plus 1 changes the minors' basis, and it
+        # does not reduce to zero mod the eliminated basis
+        calls = self.spied_members(monkeypatch)
+        perturb_first_minor(monkeypatch)
+        assert elimination_equal(2, 3)[0] is False
+        assert len(calls) == 1
 
 
 # inputs of the budget cases, built once so that each case makes one call
@@ -544,6 +655,16 @@ class TestTimeBudget:
         with pytest.raises(ResourceExhaustedError, match=rf"^timeout of {n - 1.5}s exceeded after \d+ "):
             call(Limits(timeout=n - 1.5))
 
+    @pytest.mark.parametrize("dn", [(3, 2), (2, 3), (3, 3)])
+    def test_lift_route_reads_the_clock_after_expansion_and_before_each_lift(self, monkeypatch, dn):
+        d, n = dn
+        lower = sum(k < d for k, _ in generator_rows(d, n))
+        assert self.readings(monkeypatch, lambda limits: chart_equal(d, n, limits)) == 2 + lower
+        self.clock(monkeypatch)
+        last = rf"after {max(lower - 1, 0)} of {lower} lifted minors$"
+        with pytest.raises(ResourceExhaustedError, match=rf"^timeout of {lower + 0.5}s exceeded {last}"):
+            chart_equal(d, n, Limits(timeout=lower + 0.5))
+
     def test_self_check_reads_the_clock(self, monkeypatch):
         gens = [rec.poly for rec in enumerate_generators(2, 3)]
         order = DegRevLexOrder(Ring(2, 3).coeff_vars_column_major())
@@ -595,8 +716,13 @@ class TestDeadlineOnEntry:
             buchberger(gens, DegRevLexOrder(ring.coeff_vars_column_major()), Limits(timeout=1.0))
         assert divided == []
 
-    @pytest.mark.parametrize("call", [chart_equal, elimination_equal])
-    def test_deadline_starts_before_the_minors(self, monkeypatch, call):
+    @pytest.mark.parametrize(
+        "call, after",
+        # at (2, 3) one depth-1 minor lifts; the elimination's first run checks before its first pair
+        [(chart_equal, "0 of 1 lifted minors"), (elimination_equal, "0 pairs")],
+        ids=["chart_equal", "elimination_equal"],
+    )
+    def test_deadline_starts_before_the_minors(self, monkeypatch, call, after):
         # the clock reads 10 from the call for the minors on: expansion
         # counts against the timeout of a library call too
         now = [0.0]
@@ -607,7 +733,7 @@ class TestDeadlineOnEntry:
 
         monkeypatch.setattr(groebner.time, "monotonic", lambda: now[0])
         monkeypatch.setattr(groebner, "packed_minors", expand)
-        with pytest.raises(ResourceExhaustedError, match=r"^timeout of 1.0s exceeded after 0 pairs$"):
+        with pytest.raises(ResourceExhaustedError, match=rf"^timeout of 1.0s exceeded after {after}$"):
             call(2, 3, Limits(timeout=1.0))
 
     def test_pair_limit_is_not_checked_on_entry(self):
@@ -638,16 +764,21 @@ class TestDeadlineInMembership:
         return reduced
 
     @pytest.mark.parametrize(
-        "call, runs, total",
+        "call, runs, total, perturb",
         [
-            # at (2, 3) the full family is a_1_0 - 1 and the 16 minors
-            (lambda limits: chart_equal(2, 3, limits), 1, "17"),
-            (lambda limits: elimination_equal(2, 3, limits), 2, r"\d+"),
-            (lambda limits: ideal_equal(MINORS_23, ELIMINATED_23, limits), 1, r"\d+"),
+            # at (2, 3) the full family is a_1_0 - 1 and the 16 minors; the
+            # lift route reduces nothing, so chart_equal's Buchberger route
+            # is called directly
+            (lambda limits: chart_by_basis(2, 3, limits), 1, "17", False),
+            # equal bases need no membership step: a perturbed minor forces it
+            (lambda limits: elimination_equal(2, 3, limits), 2, r"\d+", True),
+            (lambda limits: ideal_equal(MINORS_23, ELIMINATED_23, limits), 1, r"\d+", False),
         ],
         ids=["chart_equal", "elimination_equal", "ideal_equal"],
     )
-    def test_no_generator_is_reduced(self, monkeypatch, call, runs, total):
+    def test_no_generator_is_reduced(self, monkeypatch, call, runs, total, perturb):
+        if perturb:
+            perturb_first_minor(monkeypatch)
         reduced = self.jump_after(monkeypatch, runs)
         with pytest.raises(ResourceExhaustedError, match=rf"^timeout of 1.0s exceeded after 0 of {total} membership reductions$"):
             call(Limits(timeout=1.0))
@@ -656,6 +787,9 @@ class TestDeadlineInMembership:
     def test_verify_exits_3(self, monkeypatch, capsys):
         from resultantforge.cli import main
 
+        # a perturbed minor fails its lifted identity and sends the check
+        # to the Buchberger route, whose one run precedes the membership step
+        perturb_first_minor(monkeypatch)
         self.jump_after(monkeypatch, 1)
         assert main(["verify", "chart", "--d", "2", "--n", "3", "--timeout", "1"]) == 3
         captured = capsys.readouterr()
@@ -722,10 +856,11 @@ class TestPairSelection:
 
     def test_degrevlex_runs_keep_their_sequence(self, monkeypatch):
         # degrevlex ranks by degree first, so on homogeneous minors the sugar
-        # of a pair is the degree of its lcm; with a_1_0 - 1 among them
-        # the one chart run still reduces as many pairs as smallest lcm first
+        # of a pair is the degree of its lcm; with a_1_0 - 1 among them the
+        # one run of chart_equal's Buchberger route still reduces as many
+        # pairs as smallest lcm first
         runs = self.spied_runs(monkeypatch)
-        assert chart_equal(3, 3)
+        assert chart_by_basis(3, 3)
         assert [run.pairs_processed for run in runs] == [29]
 
     @pytest.mark.parametrize("kind", ["lex", "elimination", "diagonal"])
