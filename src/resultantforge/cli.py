@@ -97,7 +97,12 @@ def _write_generators(args) -> None:
     """Stream the requested generators: each minor is printed as it is
     expanded and written before the next one is."""
     ring = Ring(args.d, args.n)
-    packing, minors = packed_minors(ring, _generators(args))
+    _write_pieces(args, ring, *packed_minors(ring, _generators(args)))
+
+
+def _write_pieces(args, ring: Ring, packing, minors) -> None:
+    """Write the ideal document of packed minors in the requested format;
+    the format is checked before the output is opened."""
     pieces = exports.ideal_pieces(ring, packing, minors, args.format, args.alias)
     with _output(args) as out:
         out.writelines(pieces)
@@ -279,8 +284,8 @@ def _cmd_export(args) -> int:
         if given:
             raise UsageError(f"--input does not combine with {', '.join(given)}")
         with open(args.input, "r", encoding="utf-8") as fh:
-            ring, polys = exports.from_json_doc(fh.read())
-        _emit(args, exports.export_ideal(ring, polys, args.format, args.alias))
+            text = fh.read()
+        _write_pieces(args, *exports.from_json_doc(text))
     elif args.d is not None and args.n is not None:
         _write_generators(args)
     else:

@@ -8,17 +8,18 @@ column-major order (all leading coefficients first). Every format is
 printed from packed terms by poly.Packing, the one printer of terms, which
 also backs reprs; this module only chooses the variable names and the
 script around them. ideal_pieces writes a document generator by
-generator, so `gens` streams each minor from its expansion to the output;
-export_ideal packs Polynomials and joins the same pieces.
+generator, so `gens` streams each minor from its expansion to the output.
+`export --input` reads a document straight into packed terms
+(from_json_doc) and prints them the same way; export_ideal packs
+Polynomials for library callers and joins the same pieces.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .poly import Packing, Polynomial, Ring, Variable, json_field, parse_rational
+from .poly import Packing, Polynomial, Ring, Variable, json_field, read_terms
 
 FORMATS = ("json", "m2", "singular", "text")
 
@@ -37,20 +38,14 @@ def alias_name(var: Variable, d: int) -> str:
     return f"{_LETTERS[var.j]}_{var.i}"
 
 
-def from_json_doc(text: str):
-    """The ring and generators of an ideal document; a malformed document
-    raises ValueError naming the bad field, e.g. generators[0][1].c."""
+def from_json_doc(text: str) -> tuple:
+    """The ring of an ideal document, the Packing of its variables and its
+    generators as packed terms, read by poly.read_terms with no Monomial
+    built; a malformed document raises ValueError naming the bad field,
+    e.g. generators[0]: [1].c."""
     doc = json.loads(text)
     ring = Ring(json_field(doc, "d", int), json_field(doc, "n", int))
-    # one memo per field kind: a name "1" and a "c" of "1" parse differently
-    parse_var, parse_c = functools.cache(Variable.parse), functools.cache(parse_rational)
-    polys = []
-    for idx, entry in enumerate(json_field(doc, "generators", list)):
-        try:
-            polys.append(Polynomial.from_json(ring, entry, parse_var, parse_c))
-        except ValueError as exc:
-            raise ValueError(f"generators[{idx}]: {exc}") from None
-    return ring, polys
+    return (ring, *read_terms(ring, json_field(doc, "generators", list), "generators"))
 
 
 def ideal_pieces(ring: Ring, packing: Packing, minors: Iterable[dict], fmt: str, alias: Optional[bool] = None) -> Iterator[str]:

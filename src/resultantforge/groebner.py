@@ -458,32 +458,48 @@ def chart_equal(d: int, n: int, limits: Limits = DEFAULT_LIMITS) -> bool:
     first d-k columns of its lift meet only f_1 rows, an upper triangular
     block with diagonal a_1_0, so the lift's minor is a_1_0^(d-k) m, sign +.
     A depth-d lift then gives m = (1 - a_1_0^(d-k)) m + lift in
-    <a_1_0 - 1> + <top>, with no Groebner basis. Each lift is looked up and
-    compared with m shifted by d-k steps of a_1_0, after one deadline check
-    and one before each comparison. On any mismatch _chart_by_basis answers
-    on the same expansion; only it is bound by the other limits.
+    <a_1_0 - 1> + <top>, with no Groebner basis. _lifts_hold checks every
+    lift; on any mismatch _chart_by_basis answers, and only it is bound by
+    the other limits.
     """
     budget = _deadline(limits)
     ring = Ring(d, n)
-    gens = generator_rows(d, n)
-    packing, minors = packed_minors(ring, gens)
-    family = list(zip(gens, minors))
-    top = {rows: minor for (k, rows), minor in family if k == d}
-    lower = [(k, rows, minor) for (k, rows), minor in family if k < d]
+    return _lifts_hold(ring, budget) or _chart_by_basis(ring, limits, budget)
+
+
+def _lifts_hold(ring: Ring, budget: Optional[tuple]) -> bool:
+    """Is the lift of every generator (k, rows), k < d, a depth-d generator
+    whose minor is the minor of (k, rows) shifted by d-k steps of a_1_0?
+    Only the lifts are expanded at depth d, no other depth-d minor, and the
+    lower minors and their lifts stream side by side, one pair held at a
+    time. The deadline is checked once both streams are set up and once
+    before each comparison."""
+    d = ring.d
+    gens = generator_rows(d, ring.n)
+    lower = [g for g in gens if g[0] < d]
+    lifted = [(d, _lift(d, k, rows)) for k, rows in lower]
+    if not {rows for _, rows in lifted} <= {rows for k, rows in gens if k == d}:
+        return False
+    packing, minors = packed_minors(ring, lower)
+    lifts = packed_minors(ring, lifted)[1]
+    step = 1 << packing.shifts[ring.coeff(1, 0)]
     _check_deadline(budget, 0, len(lower), "lifted minors")
-    for done, (k, rows, minor) in enumerate(lower):
+    for done, ((k, _), minor, lift) in enumerate(zip(lower, minors, lifts)):
         _check_deadline(budget, done, len(lower), "lifted minors")
-        shift = (d - k) << packing.shifts[ring.coeff(1, 0)]
-        if top.get(_lift(d, k, rows)) != {key + shift: c for key, c in minor.items()}:
-            return _chart_by_basis(ring, packing, family, limits, budget)
+        shift = (d - k) * step
+        if lift != {key + shift: c for key, c in minor.items()}:
+            return False
     return True
 
 
-def _chart_by_basis(ring: Ring, packing: Packing, family: list, limits: Limits, budget: Optional[tuple]) -> bool:
-    """chart_equal by Buchberger on the expanded family, ((k, rows), minor)
-    pairs. Both families lead with a_1_0 - 1, so reduction sets a_1_0 = 1
-    in each minor as it enters: J + <a_1_0 - 1> is the preimage of J's
-    chart. Every full generator is reduced mod the one basis, top's."""
+def _chart_by_basis(ring: Ring, limits: Limits, budget: Optional[tuple]) -> bool:
+    """chart_equal by Buchberger on one fresh expansion of the family. Both
+    families lead with a_1_0 - 1, so reduction sets a_1_0 = 1 in each minor
+    as it enters: J + <a_1_0 - 1> is the preimage of J's chart. Every full
+    generator is reduced mod the one basis, top's."""
+    gens = generator_rows(ring.d, ring.n)
+    packing, minors = packed_minors(ring, gens)
+    family = list(zip(gens, minors))
     chart = (packing, {1 << packing.shifts[ring.coeff(1, 0)]: 1, 0: -1})
     top = [chart, *((packing, minor) for (k, _), minor in family if k == ring.d)]
     full = [chart, *((packing, minor) for _, minor in family)]

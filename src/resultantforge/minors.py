@@ -111,11 +111,14 @@ def _symbolic(ring: Ring) -> tuple:
 
 def walk_minors(d: int, gens: Iterable[tuple], one, zero, times):
     """The minor of each generator (k, rows), in order, by band_det with
-    the caller's multiply-accumulate. The minors of one depth share a memo
-    that lives no longer than this loop."""
-    memos = {}
+    the caller's multiply-accumulate. A run of minors of one depth shares a
+    memo, dropped when the depth changes: every caller lists its generators
+    depth by depth."""
+    depth, memo = None, None
     for k, rows in gens:
-        yield band_det(rows, d, one, zero, times, memos.setdefault(k, {}))
+        if k != depth:
+            depth, memo = k, {}
+        yield band_det(rows, d, one, zero, times, memo)
 
 
 def packed_minors(ring: Ring, gens: Iterable[tuple]) -> tuple:

@@ -10,7 +10,8 @@ exponent maps; neither changes after construction, so polynomials can be
 shared freely between threads. Packing, here, is the one int layout of a
 monomial, which minor expansion, term-order keys and division share, and
 the one printer of terms: reprs, the text format, the CAS scripts and the
-JSON ideal document.
+JSON ideal document. read_terms is the one reader of that document's
+term lists, straight into packed terms.
 """
 
 from __future__ import annotations
@@ -327,7 +328,8 @@ class Packing:
     and singular formats, json_terms its term list in the JSON ideal
     document. Each builds a monomial from its groups, the variables sharing
     a kind and index (a_j_0 .. a_j_d for polynomial j): each distinct field
-    value of a group is decoded or rendered once per packing and style.
+    value of a group is decoded or rendered once per packing and style, and
+    each distinct half of a key's groups (fragments) is looked up whole.
     The printers also keep what they finish: text each key's *-joined body
     per namer, both printers each coefficient's term head, json_terms each
     key's "m" block. Every printing call builds its own Packing (a gens
@@ -392,26 +394,54 @@ class Packing:
         return parts
 
     def fragments(self, render, by_name: bool = False):
-        """key -> the rendered nonempty groups of the key, most significant
-        first or, by_name, in the name order of json.dumps(sort_keys=True),
-        where a_10_* comes before a_1_*. render maps a group's (variable,
-        exponent) pairs, in canonical order, to its fragment; each distinct
-        field value of a group is rendered once per returned function."""
+        """key -> the rendered nonempty groups of the key, as a tuple, most
+        significant first or, by_name, in the name order of
+        json.dumps(sort_keys=True), where a_10_* comes before a_1_*. render
+        maps a group's (variable, exponent) pairs, in canonical order, to
+        its fragment. The groups, in that order, are cut into a first and a
+        second half, and each half's fragments are memoized on the key's
+        bits in that half, so a key whose halves were both seen costs two
+        dict lookups. Each distinct field value of a group is rendered once
+        per returned function. A half memo that passes RENDER_MEMO_SIZE
+        entries is emptied."""
         mask = self.emax
         groups = sorted(self._groups) if by_name else self._groups
-        table = [(low, fields, {}, spec) for _, low, fields, spec in groups]
+        cut = len(groups) // 2
 
-        def parts(key: int) -> list:
-            out = []
-            for low, fields, memo, spec in table:
-                f = (key >> low) & fields
-                if f:
-                    got = memo.get(f)
-                    if got is None:
-                        exps = ((v, (f >> off) & mask) for v, off in spec)
-                        got = memo[f] = render(tuple((v, e) for v, e in exps if e))
-                    out.append(got)
-            return out
+        def half(part: list) -> tuple:
+            """The mask of part's groups in a key, and fill(bits, memo),
+            which renders the groups of bits and keeps them in memo."""
+            table = [(low, fields, {}, spec) for _, low, fields, spec in part]
+
+            def fill(bits: int, memo: dict) -> tuple:
+                out = []
+                for low, fields, seen, spec in table:
+                    f = (bits >> low) & fields
+                    if f:
+                        got = seen.get(f)
+                        if got is None:
+                            exps = ((v, (f >> off) & mask) for v, off in spec)
+                            got = seen[f] = render(tuple((v, e) for v, e in exps if e))
+                        out.append(got)
+                if len(memo) > RENDER_MEMO_SIZE:
+                    memo.clear()
+                out = memo[bits] = tuple(out)
+                return out
+
+            return sum(fields << low for _, low, fields, _ in part), fill
+
+        (high, fill_high), (low, fill_low) = half(groups[:cut]), half(groups[cut:])
+        high_memo, low_memo = {}, {}
+
+        def parts(key: int) -> tuple:
+            h, l = key & high, key & low
+            a = high_memo.get(h)
+            if a is None:
+                a = fill_high(h, high_memo)
+            b = low_memo.get(l)
+            if b is None:
+                b = fill_low(l, low_memo)
+            return a + b
 
         return parts
 
@@ -504,6 +534,117 @@ def _text_head(c: Rational, first: bool, body: bool) -> str:
 def _product(pairs: tuple, namer=str) -> str:
     """A monomial's pairs, in canonical order, as Packing.text prints them."""
     return "*".join(namer(v) if e == 1 else f"{namer(v)}^{e}" for v, e in pairs)
+
+
+class _Wider(Exception):
+    """An exponent outgrew the reader's packing; args[0] bits fit it."""
+
+
+def read_terms(ring: Ring, lists: list, path: str = "") -> tuple:
+    """The one reader of the JSON term-list format, [{"c": "num/den", "m":
+    {name: exp}}, ...] as Polynomial.to_json writes it: one Packing, and
+    each list of lists as {key of that packing: int or Fraction}, with no
+    Monomial built.
+
+    Per term it checks "m" and its names and exponents in document order,
+    then "c"; the first check to fail raises ValueError naming the field by
+    its path in the list, such as [2].m.a_1_0, after "{path}[i]: " for list
+    i when path is given. A JSON float or boolean exponent is rejected,
+    never coerced. The terms are checked as Polynomial(ring, terms) checks
+    them, once: a "0" coefficient is dropped, repeated monomials merge, and
+    after every field of a list has parsed, the first variable outside the
+    ring in a term with a nonzero coefficient raises RingMismatchError.
+    The packing holds the ring's variables that the lists name, so its
+    cost follows the document, not the declared ring. Its fields start as
+    wide as minors.packed_minors makes them and double, the lists read
+    again, until the largest exponent fits."""
+    named = set()  # every name of a well-formed "m"; the rest is checked in order below
+    for data in lists:
+        if type(data) is list:
+            for entry in data:
+                exps = entry.get("m") if type(entry) is dict else None
+                if type(exps) is dict:
+                    named.update(exps)
+    inside = {}  # name -> variable, for the names of ring variables
+    for name in named:
+        try:
+            var = Variable.parse(name)
+        except ValueError:
+            continue
+        if var in ring:
+            inside[name] = var
+    width = (ring.d + 1).bit_length()
+    while True:
+        try:
+            return _read_terms(ring, lists, Packing(inside.values(), width), inside, path)
+        except _Wider as exc:
+            width = max(2 * width, exc.args[0])
+
+
+def _read_terms(ring: Ring, lists: list, packing: Packing, inside: dict, path: str) -> tuple:
+    """read_terms at the width of packing, over the variables named in
+    inside; _Wider when an exponent does not fit."""
+    emax = packing.emax
+    shifts = {name: packing.shifts[var] for name, var in inside.items()}
+    coeffs: dict = {}  # "c" string -> int or Fraction; names and "c"s parse apart
+    out = []
+    for idx, data in enumerate(lists):
+        try:
+            terms: dict = {}
+            outside = None
+            for t, entry in enumerate(json_value(data, list, "polynomial")):
+                exps = entry.get("m") if type(entry) is dict else None
+                if type(exps) is not dict:
+                    json_field(entry, "m", dict, f"[{t}]")
+                key, foreign = 0, None  # foreign: the term's first variable outside the ring
+                for name, e in exps.items():
+                    shift = shifts.get(name)
+                    if shift is not None and type(e) is int and 0 < e <= emax:
+                        key += e << shift
+                        continue
+                    # every other pair takes each check in order
+                    var = Variable.parse(name)
+                    if type(e) is not int:
+                        json_value(e, int, f"[{t}].m.{name}")
+                    if e < 0:
+                        raise ValueError(f"negative exponent {e} for {name}")
+                    if not e:
+                        continue
+                    if shift is None:
+                        if foreign is None or var < foreign:
+                            foreign = var
+                    else:
+                        raise _Wider(e.bit_length())
+                text = entry.get("c")
+                if type(text) is not str:
+                    json_field(entry, "c", str, f"[{t}]")
+                c = coeffs.get(text)
+                if c is None:
+                    try:
+                        c = parse_rational(text)
+                    except ValueError as exc:
+                        raise ValueError(f"[{t}].c {exc}") from None
+                    c = coeffs[text] = c.numerator if c.denominator == 1 else c
+                if not c:
+                    continue
+                if foreign is not None:  # the list is refused once its fields have parsed
+                    if outside is None:
+                        outside = foreign
+                    continue
+                s = terms.get(key)
+                s = c if s is None else s + c
+                if s:
+                    terms[key] = s
+                else:
+                    del terms[key]
+            if outside is not None:
+                raise RingMismatchError(f"variable {outside.name} not in {ring!r}")
+        except ValueError as exc:
+            if path:
+                raise type(exc)(f"{path}[{idx}]: {exc}") from None
+            raise
+        out.append(terms)
+    return packing, out
 
 
 class Polynomial:
@@ -662,61 +803,15 @@ class Polynomial:
         return out
 
     @classmethod
-    def from_json(
-        cls, ring: Ring, data: list, parse_var=Variable.parse, parse_c=parse_rational
-    ) -> "Polynomial":
-        """Inverse of to_json; errors name the bad field by its path, such
-        as [2].m.a_1_0, relative to the term list. A reader of many
-        polynomials may pass memoized parsers for names and "c" strings.
-        Paths are formatted only on the failing branch, where json_field
-        and json_value raise with the message of each check. The terms are
-        checked as Polynomial(ring, terms) checks them, once: a "0"
-        coefficient is dropped, repeated monomials merge, and after every
-        field has parsed, the first variable outside the ring in a kept
-        term raises RingMismatchError."""
-        names: dict = {}  # name -> (variable, in ring), parsed once per call
-        terms: dict = {}
-        outside = None
-        for idx, entry in enumerate(json_value(data, list, "polynomial")):
-            exps = entry.get("m") if type(entry) is dict else None
-            if type(exps) is not dict:
-                json_field(entry, "m", dict, f"[{idx}]")
-            pairs = []  # distinct names parse to distinct variables: nothing to merge
-            foreign = False
-            for v, e in exps.items():
-                got = names.get(v)
-                if got is None:
-                    var = parse_var(v)
-                    got = names[v] = (var, var in ring)
-                if type(e) is not int:
-                    json_value(e, int, f"[{idx}].m.{v}")
-                if e < 0:
-                    raise ValueError(f"negative exponent {e} for {got[0]}")
-                if e:
-                    pairs.append((got[0], e))
-                    foreign = foreign or not got[1]
-            pairs.sort()
-            text = entry.get("c")
-            if type(text) is not str:
-                json_field(entry, "c", str, f"[{idx}]")
-            try:
-                c = parse_c(text)
-            except ValueError as exc:
-                raise ValueError(f"[{idx}].c {exc}") from None
-            if not c:
-                continue
-            if foreign and outside is None:
-                outside = next(var for var, _ in pairs if var not in ring)
-            mono = Monomial._make(tuple(pairs))
-            s = terms.get(mono)
-            s = c if s is None else s + c
-            if s:
-                terms[mono] = s
-            else:
-                del terms[mono]
-        if outside is not None:
-            raise RingMismatchError(f"variable {outside.name} not in {ring!r}")
-        return cls(ring, terms, _trusted=True)
+    def from_json(cls, ring: Ring, data: list) -> "Polynomial":
+        """Inverse of to_json: the decode, by Packing.polynomial, of what
+        read_terms reads from the one term list. Errors name the bad field
+        by its path in the list, such as [2].m.a_1_0; a "0" coefficient is
+        dropped, repeated monomials merge, and after every field has parsed,
+        the first variable outside the ring in a kept term raises
+        RingMismatchError."""
+        packing, (terms,) = read_terms(ring, [data])
+        return packing.polynomial(ring, terms)
 
     def __repr__(self) -> str:
         packing = Packing.over(self.terms)

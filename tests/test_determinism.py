@@ -24,12 +24,15 @@ SRC = str(pathlib.Path(resultantforge.__file__).resolve().parents[1])
         ["gens", "--d", "1", "--n", "10", "--format", "json"],
         ["verify", "chart", "--d", "3", "--n", "3"],
         ["verify", "elimination", "--d", "3", "--n", "3"],
+        ["export", "--input", "{doc}", "--format", "m2"],
+        ["export", "--input", "{doc}", "--format", "text"],
     ],
 )
 def test_stdout_identical_across_hash_seeds(argv, tmp_path):
-    tup = tmp_path / "tuple.json"
+    tup, doc = tmp_path / "tuple.json", tmp_path / "gens.json"
     assert main(["sample", "--d", "3", "--n", "3", "--seed", "5", "-o", str(tup)]) == 0
-    argv = [arg.replace("{tuple}", str(tup)) for arg in argv]
+    assert main(["gens", "--d", "3", "--n", "3", "--format", "json", "-o", str(doc)]) == 0
+    argv = [arg.replace("{tuple}", str(tup)).replace("{doc}", str(doc)) for arg in argv]
     outputs = set()
     for seed in ("0", "1", "2"):
         env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=SRC)

@@ -13,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resultantforge import poly
+from resultantforge.cli import main
 from resultantforge.exports import FORMATS, alias_name, export_ideal, from_json_doc, ideal_pieces
 from resultantforge.minors import _symbolic, enumerate_generators, generator_rows, packed_minors
-from resultantforge.poly import Monomial, Packing, Polynomial, Ring, Variable
+from resultantforge.poly import Monomial, Packing, Polynomial, Ring, RingMismatchError, Variable
 
 from conftest import GRID
 from oracles import divides, polynomial_text, reference_export
@@ -62,9 +63,9 @@ class TestJsonRoundTrip:
     def test_structural_identity(self):
         ring, polys = gens23()
         text = export_ideal(ring, polys, "json")
-        ring2, polys2 = from_json_doc(text)
+        ring2, packing, minors = from_json_doc(text)
         assert ring2 == ring
-        assert polys2 == polys
+        assert [packing.polynomial(ring, m) for m in minors] == polys
 
     def test_byte_stable(self):
         ring, polys = gens23()
@@ -283,3 +284,83 @@ class TestStreaming:
         ring = Ring(26, 1)
         with pytest.raises(ValueError, match="alias naming needs d"):
             ideal_pieces(ring, Packing((), 1), iter(()), "m2", True)
+
+
+def export_input(capsys, tmp_path, doc, fmt, *flags):
+    """(exit code, stdout, stderr) of export --input of doc, a JSON text or
+    an object to dump."""
+    blob = tmp_path / "ideal.json"
+    blob.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    capsys.readouterr()
+    code = main(["export", "--input", str(blob), "--format", fmt, *flags])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestPackedReader:
+    """export --input reads a document straight into packed terms; its
+    bytes are those of the reference printer of the same Polynomials."""
+
+    @pytest.mark.parametrize("dn", GRID)
+    def test_grid_documents_in_every_format(self, capsys, tmp_path, all_records, dn):
+        ring = Ring(*dn)
+        polys = [rec.poly for rec in all_records[dn]]
+        doc = reference_export(ring, polys, "json")
+        for fmt in FORMATS:
+            assert export_input(capsys, tmp_path, doc, fmt) == (0, reference_export(ring, polys, fmt), "")
+        assert export_input(capsys, tmp_path, doc, "m2", "--no-alias") == (0, reference_export(ring, polys, "m2", False), "")
+
+    @pytest.mark.parametrize("top", [2, 4, 2**70], ids=["2", "4", "2**70"])
+    def test_exponents_above_d_widen_the_packing(self, capsys, tmp_path, top):
+        # at d = 1 the reader starts with 2-bit fields: 4 and 2**70 outgrow them
+        ring = Ring(1, 2)
+        a10, a11, a21 = ring.coeff(1, 0), ring.coeff(1, 1), ring.coeff(2, 1)
+        polys = [
+            Polynomial(ring, {Monomial({a10: top}): -2, Monomial({a10: 1, a21: top}): Fraction(3, 5)}),
+            Polynomial(ring, {Monomial({a11: 1}): 1, Monomial(): 7}),
+        ]
+        doc = reference_export(ring, polys, "json")
+        packing, _ = poly.read_terms(ring, json.loads(doc)["generators"])
+        assert packing.emax >= top
+        for fmt in FORMATS:
+            assert export_input(capsys, tmp_path, doc, fmt) == (0, reference_export(ring, polys, fmt), "")
+
+    @pytest.mark.parametrize("bad", [True, 1.0], ids=["true", "1.0"])
+    def test_non_integer_exponent_after_an_accepted_one(self, capsys, tmp_path, bad):
+        doc = {"d": 1, "n": 2, "generators": [[{"c": "1", "m": {"a_1_0": 1}}, {"c": "1", "m": {"a_1_0": bad}}]]}
+        assert export_input(capsys, tmp_path, doc, "text") == (
+            2, "", f"error: generators[0]: [1].m.a_1_0 must be an integer, got {bad!r}\n"
+        )
+
+    def test_repeated_monomials_that_cancel_are_dropped(self, capsys, tmp_path):
+        kept = [{"c": "1/2", "m": {"a_1_0": 1}}, {"c": "2", "m": {"a_2_0": 1}}, {"c": "-1/2", "m": {"a_1_0": 1}}]
+        gone = [{"c": "3", "m": {"a_1_1": 1, "a_2_0": 0}}, {"c": "-3", "m": {"a_1_1": 1}}]
+        doc = {"d": 1, "n": 2, "generators": [kept, gone]}
+        assert export_input(capsys, tmp_path, doc, "text") == (0, "2*a_2_0\n0\n", "")
+
+    def test_foreign_variable_then_a_bad_c(self, capsys, tmp_path):
+        # the fields of a generator parse before its ring check; a later
+        # generator is not read once one is refused
+        foreign, bad = {"c": "1", "m": {"a_3_0": 1}}, {"c": "1/0", "m": {}}
+        same = {"d": 1, "n": 2, "generators": [[foreign, bad]]}
+        assert export_input(capsys, tmp_path, same, "text") == (
+            2, "", "error: generators[0]: [1].c must be a \"num/den\" string with a nonzero denominator, got '1/0'\n"
+        )
+        later = {"d": 1, "n": 2, "generators": [[foreign], [bad]]}
+        assert export_input(capsys, tmp_path, later, "text") == (
+            2, "", "error: generators[0]: variable a_3_0 not in Ring(d=1, n=2)\n"
+        )
+        with pytest.raises(RingMismatchError, match=r"^generators\[0\]: variable a_3_0 not in Ring\(d=1, n=2\)$"):
+            from_json_doc(json.dumps(later))
+
+    def test_no_monomial_or_polynomial_is_built(self, capsys, tmp_path, monkeypatch):
+        doc = (GOLDEN / "gens_d2_n3.json").read_text()
+        want = (GOLDEN / "gens_d2_n3.m2").read_text()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a Monomial or a Polynomial")
+
+        monkeypatch.setattr(Monomial, "__init__", refuse)
+        monkeypatch.setattr(Monomial, "_make", refuse)
+        monkeypatch.setattr(Polynomial, "__init__", refuse)
+        assert export_input(capsys, tmp_path, doc, "m2") == (0, want, "")

@@ -57,20 +57,20 @@ def xy_setup():
 
 
 def chart_by_basis(d, n, limits=Limits()):
-    """chart_equal's Buchberger route, called on one expansion of the family."""
-    ring, gens = Ring(d, n), generator_rows(d, n)
-    packing, minors = packed_minors(ring, gens)
-    return groebner._chart_by_basis(ring, packing, list(zip(gens, minors)), limits, groebner._deadline(limits))
+    """chart_equal's Buchberger route, which expands the family once."""
+    return groebner._chart_by_basis(Ring(d, n), limits, groebner._deadline(limits))
 
 
 def perturb_first_minor(monkeypatch):
-    """groebner expands the first depth-1 minor plus 1 in place of that minor."""
+    """groebner expands the first depth-1 minor plus 1 in place of that
+    minor, in each call that lists a depth-1 generator."""
 
     def perturbed(ring, rows):
         packing, minors = packed_minors(ring, rows)
         minors = list(minors)
-        first = next(i for i, (k, _) in enumerate(rows) if k == 1)
-        minors[first] = {**minors[first], 0: minors[first].get(0, 0) + 1}
+        first = next((i for i, (k, _) in enumerate(rows) if k == 1), None)
+        if first is not None:
+            minors[first] = {**minors[first], 0: minors[first].get(0, 0) + 1}
         return packing, iter(minors)
 
     monkeypatch.setattr(groebner, "packed_minors", perturbed)
@@ -502,14 +502,62 @@ class TestChartEqual:
         def perturbed(ring, rows):
             packing, minors = packed_minors(ring, rows)
             minors = list(minors)
-            first = next(i for i, (k, _) in enumerate(rows) if k == 1)
-            minors[first] = {**minors[first], 0: minors[first].get(0, 0) + 1}
+            first = next((i for i, (k, _) in enumerate(rows) if k == 1), None)
+            if first is not None:
+                minors[first] = {**minors[first], 0: minors[first].get(0, 0) + 1}
             return packing, iter(minors)
 
         monkeypatch.setattr(groebner, "packed_minors", perturbed)
         assert chart_equal(2, 3) is False
         assert main(["verify", "chart", "--d", "2", "--n", "3"]) == 1
         assert '"status": "fail"' in capsys.readouterr().out
+
+    @staticmethod
+    def spied_expansions(monkeypatch) -> tuple:
+        """The generators of each groebner.packed_minors call, and the
+        number of minors taken so far from each call's stream."""
+        calls, taken = [], []
+        expand = groebner.packed_minors
+
+        def spied(ring, gens):
+            gens = list(gens)
+            calls.append(gens)
+            taken.append(0)
+            idx = len(taken) - 1
+            packing, minors = expand(ring, gens)
+
+            def counted():
+                for minor in minors:
+                    taken[idx] += 1
+                    yield minor
+
+            return packing, counted()
+
+        monkeypatch.setattr(groebner, "packed_minors", spied)
+        return calls, taken
+
+    @pytest.mark.parametrize("perturb", [False, True], ids=["pass", "perturbed"])
+    def test_only_the_lifts_are_expanded_at_depth_d(self, monkeypatch, perturb):
+        # the lower minors, then the lift of each, and the full family
+        # only once a comparison fails
+        if perturb:
+            perturb_first_minor(monkeypatch)
+        calls, _ = self.spied_expansions(monkeypatch)
+        assert chart_equal(2, 4) is not perturb
+        gens = generator_rows(2, 4)
+        lower = [g for g in gens if g[0] < 2]
+        lifted = [(2, groebner._lift(2, k, rows)) for k, rows in lower]
+        assert len(lifted) < sum(k == 2 for k, _ in gens)
+        assert calls == [lower, lifted] + [gens] * perturb
+
+    def test_lower_minors_and_lifts_stream_one_pair_at_a_time(self, monkeypatch):
+        calls, taken = self.spied_expansions(monkeypatch)
+        seen, check = [], groebner._check_deadline
+        monkeypatch.setattr(groebner, "_check_deadline", lambda *args: seen.append(tuple(taken)) or check(*args))
+        assert chart_equal(3, 3, Limits(timeout=60.0))
+        lower = len(calls[0])
+        # once after both streams are set up, then before each comparison
+        assert seen == [(0, 0)] + [(i, i) for i in range(1, lower + 1)]
 
     @pytest.mark.parametrize("dn", GRID)
     def test_lift_route_agrees_with_the_basis_route(self, monkeypatch, dn):
@@ -568,10 +616,10 @@ class TestChartEqual:
         captured = capsys.readouterr()
         assert captured.out == "" and "pair limit 0 exceeded" in captured.err
 
-    @pytest.mark.parametrize("d, n", [(3, 4), (4, 3), (4, 4), pytest.param(5, 3, marks=pytest.mark.slow)])
+    @pytest.mark.parametrize("d, n", [(3, 4), (4, 3), (4, 4), (5, 3)])
     def test_verify_passes_beyond_the_oracle_grid(self, monkeypatch, capsys, d, n):
         # by Buchberger (4, 4) took 90.6 s and (5, 3) 213 s; lifting needs
-        # no basis. (5, 3) is slow for its peak memory of about 2 GB.
+        # no basis, and expands no depth-d minor but the lifts
         from resultantforge.cli import main
 
         runs = TestPairSelection.spied_runs(monkeypatch)
