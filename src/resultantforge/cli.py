@@ -247,13 +247,12 @@ def _eval_doc(report) -> str:
     """The eval report, written directly: the bytes of json.dumps(indent=2,
     sort_keys=True) + "\n" for {"biconditional_ok", "generators": [{"k",
     "rows", "vanishes"}, ...], "root_report", "top_minors_all_vanish"}. Each
-    [i, j] row block is rendered once."""
-    blocks, gens = {}, []
+    [i, j] row block is rendered once, before the generators."""
+    pairs = set().union(*(rows for _, rows in report.generators))
+    block_of = {(i, j): f"        [\n          {i},\n          {j}\n        ]" for i, j in pairs}.__getitem__
+    gens = []
     for (k, rows), vanishes in zip(report.generators, report.vanishing):
-        for pair in rows:
-            if pair not in blocks:
-                blocks[pair] = f"        [\n          {pair[0]},\n          {pair[1]}\n        ]"
-        block = ",\n".join(blocks[pair] for pair in rows)
+        block = ",\n".join(map(block_of, rows))
         gens.append(f'    {{\n      "k": {k},\n      "rows": [\n{block}\n      ],\n      "vanishes": {_json_bool(vanishes)}\n    }}')
     body = "[\n" + ",\n".join(gens) + "\n  ]" if gens else "[]"
     root = report.root

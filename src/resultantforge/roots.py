@@ -5,9 +5,9 @@ scans.
 Evaluation expands no minor symbolically and works over Python ints on
 rows scaled to integers. It decides each depth k by one exact rank: when
 M_k at the tuple has rank below d+k, every maximal minor of it vanishes,
-so every generator of that depth does. Only at a depth of full rank is
-each generator's minor computed, by the same band recursion that expands
-it (minors.band_det).
+so every generator of that depth does. Only at a depth of full rank are
+minors computed, all of that depth's at once, by one column sweep of
+Laplace expansions with no recursion (_column_sweep).
 
 Sampling uses a fixed 64-bit linear congruential generator (Knuth's MMIX
 constants: state <- state * 6364136223846793005 + 1442695040888963407
@@ -21,10 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from .minors import enumerate_generators  # stays bound here for perfbench/tracing.py
-from .minors import generator_rows, walk_minors
+from .minors import generator_rows
 from .poly import Ring, Variable, format_rational, json_field, json_value, parse_rational
 
 _LCG_MUL = 6364136223846793005
@@ -207,17 +207,16 @@ def membership_scan(c: CoefficientTuple) -> MembershipReport:
     Scaling f_j by the lcm of its denominators scales every row (i, j) of
     M_k by the same nonzero factor, so ranks and the vanishing of minors
     are those of the integer matrix. A depth whose M_k has rank below d+k
-    has only vanishing maximal minors; at a depth of full rank each
-    generator's minor is computed by minors.band_det.
+    has only vanishing maximal minors; at a depth of full rank every
+    minor comes from one _column_sweep, looked up by its rows' bitmask.
     """
     d, n = c.d, c.n
     ints = _integer_rows(c.values)
     gens = generator_rows(d, n)
     ranks = [_cascade_rank(ints, d, k) for k in range(1, d + 1)]
-    full = [(k, rows) for k, rows in gens if ranks[k - 1] == d + k]
-    dets = walk_minors(d, full, 1, 0, _integer_times(ints))
-    # a rank-deficient depth needs no determinant; dets yields the others' minors in order
-    vanishing = [ranks[k - 1] < d + k or next(dets) == 0 for k, _ in gens]
+    bits = {(i, j): 1 << (i - 1) * n + j - 1 for i in range(1, d + 1) for j in range(1, n + 1)}.__getitem__
+    minors = {k: _column_sweep(ints, d, k) for k in range(1, d + 1) if ranks[k - 1] == d + k}
+    vanishing = [k not in minors or not minors[k][sum(map(bits, rows))] for k, rows in gens]
     top_all = all(vanish for (k, _), vanish in zip(gens, vanishing) if k == d)
     root = common_root_oracle(c)
     expected = root.has_affine_common_root or root.all_leading_zero
@@ -265,15 +264,28 @@ def _integer_rows(rows: Sequence[Sequence]) -> List[List[int]]:
     return out
 
 
-def _integer_times(ints: Sequence[Sequence[int]]):
-    """The band_det multiply-accumulate over Python ints: a_j_s is entry s
-    of row j of ints."""
-
-    def times(acc: Optional[int], sub: int, j: int, s: int, odd: int) -> int:
-        v = -sub * ints[j - 1][s] if odd else sub * ints[j - 1][s]
-        return v if acc is None else acc + v
-
-    return times
+def _column_sweep(ints: Sequence[Sequence[int]], d: int, k: int) -> Dict[int, int]:
+    """Every maximal minor of M_k with a_j_s = ints[j - 1][s], keyed by its
+    rows as a bitmask, row (i, j) bit (i - 1) * n + j - 1: Laplace
+    expansion along the columns, pushing each set of c rows to every row
+    it lacks that meets column c+1, negated per row of the set above the
+    new one (band_det's Leibniz sign). Zeros are pushed too, so the keys
+    are exactly the walks of length d+k, whatever the values."""
+    n, layer = len(ints), {0: 1}
+    for col in range(1, d + k + 1):
+        # the rows meeting column col, top first; no row of a set lies above them
+        rows = [(i, j) for i in range(max(0, col - 1 - d), min(k, col)) for j in range(n)]
+        pushes = [(1 << i * n + j, ints[j][col - 1 - i]) for i, j in reversed(rows)]
+        nxt: Dict[int, int] = {}
+        for mask, minor in layer.items():
+            signed, other = minor, -minor  # the minor times the sign of the next push
+            for bit, entry in pushes:
+                if mask & bit:
+                    signed, other = other, signed
+                else:
+                    nxt[mask | bit] = nxt.get(mask | bit, 0) + signed * entry
+        layer = nxt
+    return layer
 
 
 def _cascade_rank(ints: Sequence[Sequence[int]], d: int, k: int) -> int:

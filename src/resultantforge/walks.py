@@ -90,36 +90,37 @@ def selection_for_walk(walk: MinorWalk, d: int, n: int) -> RowSelection:
 
 def enumerate_rows(d: int, n: int, k: int) -> List[tuple]:
     """The row tuple ((i_1, j_1), ..., (i_{d+k}, j_{d+k})) of every walk of
-    length d+k, depth-first in ascending step order, (i_s, j_s) =
-    (s - v_s, u_s) appended as the walk grows.
+    length d+k, (i_s, j_s) = (s - v_s, u_s), in ascending step order: the
+    nonzero selections of M_k sorted by (s - i_s, j_s) per position.
 
-    The recursion only visits positions with s-k <= v_s <= s-1, the exact
+    Only positions with s-k <= v_s <= s-1 are visited, the exact
     feasibility window for selections of M_k rows, so selections with zero
-    diagonal are never generated at all.
+    diagonal are never generated at all. Each row tuple is a prefix tuple
+    joined to a shared completion of its last 3 positions.
     """
     if d < 1 or n < 2 or not (1 <= k <= d):
         raise ValueError(f"invalid parameters (d={d}, n={n}, k={k})")
     length = d + k
-    out: List[tuple] = []
-    path: List[Step] = []
+    tails: dict = {}
 
-    def extend(u: int, v: int) -> None:
-        s = len(path)
-        if s == length:
-            out.append(tuple(path))  # the window forces v_length = d
-            return
-        for v2 in range(max(0, (s + 1) - k), min(d, v + 1, s) + 1):
-            i = s + 1 - v2
-            for u2 in range((u + 1) if v2 == v + 1 else 1, n + 1):
-                path.append((i, u2))
-                extend(u2, v2)
-                path.pop()
+    def grow(prefix: tuple, s: int, u: int, v: int, out: List[tuple]) -> List[tuple]:
+        """Append prefix + each completion of positions s+1 .. length after
+        (u, v) at position s to out. The completions of the last 3
+        positions are listed once per (s, u, v), as grow from an empty prefix."""
+        if s == length:  # the window forces v_length = d
+            out.append(prefix)
+        elif prefix and s + 3 >= length:
+            got = tails.get((s, u, v))
+            if got is None:
+                got = tails[s, u, v] = grow((), s, u, v, [])
+            out.extend([prefix + rest for rest in got])
+        else:
+            for v2 in range(max(0, (s + 1) - k), min(d, v + 1, s) + 1):
+                for u2 in range((u + 1) if v2 == v + 1 else 1, n + 1):
+                    grow(prefix + ((s + 1 - v2, u2),), s + 1, u2, v2, out)
+        return out
 
-    for u in range(1, n + 1):
-        path.append((1, u))
-        extend(u, 0)
-        path.pop()
-    return out
+    return grow((), 0, 0, -1, [])  # position 1 is (1, u) for every u: a move from (0, -1)
 
 
 def enumerate_walks(d: int, n: int, k: int) -> List[MinorWalk]:

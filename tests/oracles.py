@@ -9,10 +9,12 @@ library's packed, fraction-free, heap-driven reducer. The all-pairs
 Groebner check reduces with it and shares only the library's
 Polynomial-level s-polynomial, none of its pair selection. Ranks of
 specialized cascade matrices come from Bareiss elimination, not from the
-library's band recursion. polynomial_text and reference_export print by
-walking each Monomial's sorted exponents in canonical_key order, against
-the library's packed printer; the JSON reference is json.dumps of
-Polynomial.to_json. substitute is the ring homomorphism var -> image,
+library's band recursion, and integer_times lets band_det decide integer
+minors one by one, against the library's column sweep of a whole depth.
+polynomial_text and reference_export print by walking each Monomial's
+sorted exponents in canonical_key order, against the library's packed
+printer; the JSON reference is json.dumps of Polynomial.to_json.
+substitute is the ring homomorphism var -> image,
 multiplied out term by term; chart_by_substitution dehomogenizes every
 minor with it, against the library's reduction by a_1_0 - 1 over one
 expansion, and planted_vanishing substitutes the planted-root
@@ -29,7 +31,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from resultantforge.cascade import CascadeMatrix, RowSelection
 from resultantforge.groebner import DEFAULT_LIMITS, IdealPresentation, Limits, ideal_equal, s_polynomial
@@ -315,6 +317,18 @@ def exact_rank(rows: Sequence[Sequence]) -> int:
         if rank == nrows:
             break
     return rank
+
+
+def integer_times(ints: Sequence[Sequence[int]]):
+    """The band_det multiply-accumulate over Python ints: a_j_s is entry s
+    of row j of ints. With it band_det decides one integer minor at a time,
+    against the library's column sweep of a whole depth."""
+
+    def times(acc: Optional[int], sub: int, j: int, s: int, odd: int) -> int:
+        v = -sub * ints[j - 1][s] if odd else sub * ints[j - 1][s]
+        return v if acc is None else acc + v
+
+    return times
 
 
 def _term_text(mono: Monomial, coeff, namer) -> str:

@@ -16,13 +16,14 @@ from resultantforge.minors import (
     packed_minors,
 )
 from resultantforge.poly import Monomial, Polynomial, Ring
-from resultantforge.roots import CoefficientTuple, _integer_rows, _integer_times
+from resultantforge.roots import CoefficientTuple, _integer_rows
 from resultantforge.walks import enumerate_walks, selection_for_walk, walk_leading_monomial
 
 from conftest import GRID
 from oracles import (
     all_selections,
     exact_rank,
+    integer_times,
     leibniz_det,
     nonzero_selection,
     permutation_det,
@@ -141,7 +142,7 @@ class TestBandDet:
         k, tup = case
         d, n = tup.d, tup.n
         grid = specialized_rows(CascadeMatrix(d, n, k), tup)
-        times, memo = _integer_times(_integer_rows(tup.values)), {}
+        times, memo = integer_times(_integer_rows(tup.values)), {}
         for sel in all_selections(d, n, k):
             rows = [grid[(i - 1) * n + j - 1] for i, j in sel.pairs]
             assert band_det(sel.pairs, d, 1, 0, times, memo) == leibniz_det(rows)

@@ -6,23 +6,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from resultantforge import roots
 from resultantforge.cascade import CascadeMatrix
-from resultantforge.minors import band_det, enumerate_generators, generator_rows
+from resultantforge.minors import enumerate_generators, generator_rows, walk_minors
 from resultantforge.poly import Ring
 from resultantforge.roots import (
     CoefficientTuple,
     Lcg64,
+    _column_sweep,
     _integer_rows,
-    _integer_times,
     common_root_oracle,
     membership_scan,
     sample_planted,
     sample_random,
     univariate_gcd,
 )
+from resultantforge.walks import enumerate_rows
 
 from conftest import GRID
-from oracles import exact_rank, planted_assignment, planted_vanishing, rank_by_minors, specialized_rows
+from oracles import (
+    all_selections,
+    exact_rank,
+    integer_times,
+    leibniz_det,
+    planted_assignment,
+    planted_vanishing,
+    rank_by_minors,
+    specialized_rows,
+)
 
 
 class TestLcg:
@@ -158,9 +169,71 @@ class TestExactRank:
 
 
 def decided_one_by_one(tup):
-    """Each generator's vanishing by its own band_det, with no rank shortcut."""
-    times = _integer_times(_integer_rows(tup.values))
-    return [band_det(rows, tup.d, 1, 0, times, {}) == 0 for _, rows in generator_rows(tup.d, tup.n)]
+    """Each generator's vanishing by its own band_det recursion over ints,
+    sub-minors shared within a depth, with no rank shortcut and no sweep."""
+    times = integer_times(_integer_rows(tup.values))
+    return [det == 0 for det in walk_minors(tup.d, generator_rows(tup.d, tup.n), 1, 0, times)]
+
+
+def row_mask(rows, n):
+    """The sweep's key for a row tuple: bit (i - 1) * n + j - 1 per row."""
+    return sum(1 << (i - 1) * n + j - 1 for i, j in rows)
+
+
+def tuples_of_each_kind(d, n, seed):
+    """A planted, a random, an every-leading-coefficient-zero and a
+    zero-row tuple."""
+    random = [list(row) for row in sample_random(d, n, seed).values]
+    leading_zero = [[0] + row[1:] for row in random]
+    zero_row = [[0] * (d + 1)] + random[1:]
+    return [
+        sample_planted(d, n, seed),
+        CoefficientTuple(d, n, random),
+        CoefficientTuple(d, n, leading_zero),
+        CoefficientTuple(d, n, zero_row),
+    ]
+
+
+class TestColumnSweep:
+    @pytest.mark.parametrize("dn", GRID + [(3, 4), (4, 4)])
+    def test_keys_are_the_walks_whatever_the_values(self, dn):
+        d, n = dn
+        for tup in tuples_of_each_kind(d, n, 3) + [CoefficientTuple(d, n, [[0] * (d + 1)] * n)]:
+            ints = _integer_rows(tup.values)
+            for k in range(1, d + 1):
+                if n * k >= d + k:
+                    want = {row_mask(rows, n) for rows in enumerate_rows(d, n, k)}
+                    assert set(_column_sweep(ints, d, k)) == want
+
+    @pytest.mark.parametrize("dnk", [(1, 2, 1), (2, 2, 2), (2, 3, 1), (2, 3, 2), (3, 3, 2), (2, 4, 2), (3, 2, 3)])
+    def test_values_match_leibniz_on_every_selection(self, dnk):
+        # selections off the walks are absent from the sweep: their minor is 0
+        d, n, k = dnk
+        matrix = CascadeMatrix(d, n, k)
+        for seed in range(2):
+            for tup in tuples_of_each_kind(d, n, seed)[1:]:
+                ints = _integer_rows(tup.values)
+                grid = specialized_rows(matrix, CoefficientTuple(d, n, ints))
+                minors = _column_sweep(ints, d, k)
+                for sel in all_selections(d, n, k):
+                    rows = [grid[(i - 1) * n + j - 1] for i, j in sel.pairs]
+                    assert minors.get(row_mask(sel.pairs, n), 0) == leibniz_det(rows), sel.pairs
+
+    @pytest.mark.parametrize("dn", GRID + [(3, 4)])
+    def test_a_planted_tuple_runs_no_sweep(self, dn, monkeypatch):
+        calls = []
+        monkeypatch.setattr(roots, "_column_sweep", lambda *args: calls.append(args) or _column_sweep(*args))
+        for seed in range(3):
+            rep = membership_scan(sample_planted(*dn, seed))
+            assert all(rep.vanishing) and rep.biconditional_ok
+        assert calls == []
+        membership_scan(sample_random(*dn, 0))
+        assert len(calls) == sum(1 for k in range(1, dn[0] + 1) if dn[1] * k >= dn[0] + k)
+
+    @pytest.mark.parametrize("dn", [(3, 4), (4, 4)])
+    def test_scan_matches_band_det_one_by_one(self, dn):
+        for tup in tuples_of_each_kind(*dn, 5):
+            assert membership_scan(tup).vanishing == decided_one_by_one(tup)
 
 
 @st.composite

@@ -9,6 +9,7 @@ from resultantforge.walks import (
     ZeroMinorError,
     components,
     enumerate_reduced,
+    enumerate_rows,
     enumerate_walks,
     rows_to_walk,
     selection_for_walk,
@@ -96,6 +97,16 @@ class TestEnumeration:
                     if nonzero_selection(sel):
                         from_selections.add(rows_to_walk(sel))
                 assert set(walks) == from_selections
+
+    @pytest.mark.parametrize("dn", GRID + [(1, 3), (3, 4)])
+    def test_rows_in_walk_key_order(self, dn):
+        # the nonzero selections sorted by (s - i_s, j_s) per position; at
+        # (1, 2) and (1, 3) a walk has fewer positions than the shared tails
+        d, n = dn
+        for k in range(1, d + 1):
+            picks = [sel.pairs for sel in all_selections(d, n, k) if nonzero_selection(sel)]
+            want = sorted(picks, key=lambda rows: [(s - i, j) for s, (i, j) in enumerate(rows, start=1)])
+            assert enumerate_rows(d, n, k) == want
 
     def test_reduced_counts_frozen(self):
         for dn, count in REDUCED_COUNTS.items():
