@@ -42,7 +42,7 @@ from .minors import (  # enumerate_generators and generators_for_basis stay boun
 from .orders import DegRevLexOrder, LexOrder, leading_term
 from .poly import Ring, parse_number
 from .roots import CoefficientTuple, membership_scan, sample_planted, sample_random
-from .walks import enumerate_reduced, enumerate_walks, walk_leading_monomial
+from .walks import enumerate_reduced, enumerate_rows, enumerate_walks, walk_leading_monomial
 
 LIMITS_ENV = "RESULTANT_FORGE_LIMITS"
 
@@ -84,13 +84,16 @@ def _check_k(args) -> None:
 
 
 def _generators(args) -> list:
-    """(k, rows) of the requested generators in output order, --k picking
-    one depth before any minor is expanded."""
+    """(k, rows) of the requested generators in output order. --k lists
+    that depth's rows alone; with --reduced-only it filters reduced_rows."""
     _check_k(args)
-    gens = (reduced_rows if args.reduced_only else generator_rows)(args.d, args.n)
-    if args.k is not None:
-        gens = [g for g in gens if g[0] == args.k]
-    return gens
+    d, n, k = args.d, args.n, args.k
+    if args.reduced_only:
+        return [g for g in reduced_rows(d, n) if k in (None, g[0])]
+    if k is None:
+        return generator_rows(d, n)
+    # generator_rows' rule: a depth too flat for maximal minors (n*k < d+k) has none
+    return [(k, rows) for rows in enumerate_rows(d, n, k)] if n * k >= d + k else []
 
 
 def _write_generators(args) -> None:
@@ -146,11 +149,10 @@ def _cmd_walks(args) -> int:
     else:
         k = args.d if args.k is None else args.k
         walks = enumerate_walks(args.d, args.n, k)
+    doc = walks  # a walk is a tuple of (u, v) steps, written as [u, v] lists
     if args.format == "monomials":
         ring = Ring(args.d, args.n)
         doc = [repr(walk_leading_monomial(w, ring)) for w in walks]
-    else:
-        doc = [[[u, v] for u, v in w.steps] for w in walks]
     _emit(args, json.dumps(doc, indent=2) + "\n")
     return 0
 

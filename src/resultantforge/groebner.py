@@ -384,12 +384,12 @@ def _eliminated(d: int, n: int, limits: Limits, budget: Optional[tuple]) -> list
 
 
 def eliminate_x(d: int, n: int, limits: Limits = DEFAULT_LIMITS) -> IdealPresentation:
-    """Eliminate x from the system ideal: certified basis of the ideal of
+    """Eliminate x from the system ideal: a Groebner basis of the ideal of
     coefficient relations forced by a common root.
 
-    Runs Buchberger over the extended ring under the elimination order and
-    keeps the x-free basis elements; those are a certified basis of the
-    contraction for the induced degrevlex order on the coefficients. On
+    Runs Buchberger over the extended ring under the elimination order, with
+    no self-check, and keeps the x-free basis elements: a Groebner basis of
+    the contraction for the induced degrevlex order on the coefficients. On
     x-free polynomials the elimination order is that degrevlex order, so
     they keep the ascending lead order of the full basis.
     """

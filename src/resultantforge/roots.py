@@ -1,6 +1,7 @@
 """Semantic checks tying the determinantal generators to actual common
-roots: an exact gcd-based root oracle, sample generators, and evaluation
-scans.
+roots: an exact root oracle, Euclid's algorithm over the rationals on
+coefficient lists trimmed of leading zeros, which shares no code with the
+cascade matrices; sample generators; and evaluation scans.
 
 Evaluation expands no minor symbolically and works over Python ints on
 rows scaled to integers. It decides each depth k by one exact rank: when
@@ -122,51 +123,32 @@ class RootReport:
     gcd_degree: int
 
 
-def _poly_degree(coeffs: Sequence[Fraction]) -> int:
+def _trim(coeffs: List[Fraction]) -> List[Fraction]:
+    """coeffs without its leading zeros, so that its degree is len - 1."""
     for idx, c in enumerate(coeffs):
         if c:
-            return len(coeffs) - 1 - idx
-    return -1
+            return coeffs[idx:]
+    return []
 
 
-def _poly_rem(u: List[Fraction], v: List[Fraction]) -> List[Fraction]:
-    """Remainder of u mod v, both dense with leading coefficient first."""
-    u = list(u)
-    dv = _poly_degree(v)
-    lead = v[len(v) - 1 - dv]
-    while True:
-        du = _poly_degree(u)
-        if du < dv:
-            return u[len(u) - 1 - du :] if du >= 0 else []
-        factor = u[len(u) - 1 - du] / lead
-        for idx in range(dv + 1):
-            u[len(u) - 1 - du + idx] -= factor * v[len(v) - 1 - dv + idx]
+def univariate_gcd(polys: Sequence[Sequence]) -> List[Fraction]:
+    """Monic gcd of the nonzero inputs over the rationals, leading
+    coefficient first; [] when all are zero. A gcd of positive degree
+    certifies a common root in the algebraic closure.
 
-
-def univariate_gcd(polys: Sequence[Sequence[Fraction]]) -> List[Fraction]:
-    """Monic gcd of the nonzero inputs over the rationals; [] when all are
-    zero. A gcd of positive degree certifies a common root in the
-    algebraic closure."""
+    Euclid on trimmed coefficient lists: g mod v subtracts
+    (g[0] / v[0]) * x^(len g - len v) * v until g is shorter than v."""
     g: List[Fraction] = []
     for coeffs in polys:
-        coeffs = [Fraction(c) for c in coeffs]
-        if _poly_degree(coeffs) < 0:
-            continue
-        g = coeffs if not g else _gcd_pair(g, coeffs)
-        if _poly_degree(g) == 0:
+        v = _trim([Fraction(c) for c in coeffs])
+        while v:  # (g, v) <- (v, g mod v)
+            while len(g) >= len(v):
+                f = g[0] / v[0]
+                g = _trim([a - f * b for a, b in zip(g, v)] + g[len(v) :])
+            g, v = v, g
+        if len(g) == 1:
             break
-    if not g:
-        return []
-    dg = _poly_degree(g)
-    g = g[len(g) - 1 - dg :]
-    lead = g[0]
-    return [c / lead for c in g]
-
-
-def _gcd_pair(u: List[Fraction], v: List[Fraction]) -> List[Fraction]:
-    while _poly_degree(v) >= 0:
-        u, v = v, _poly_rem(u, v)
-    return u
+    return [c / g[0] for c in g]
 
 
 def common_root_oracle(c: CoefficientTuple) -> RootReport:
@@ -176,10 +158,10 @@ def common_root_oracle(c: CoefficientTuple) -> RootReport:
     algebraic closure without any isolation.
     """
     rows = [c.row_polynomial(i) for i in range(1, c.n + 1)]
-    if all(all(v == 0 for v in row) for row in rows):
-        raise ValueError("degenerate input: the all-zero coefficient tuple")
     g = univariate_gcd(rows)
-    gcd_degree = _poly_degree(g) if g else 0
+    if not g:
+        raise ValueError("degenerate input: the all-zero coefficient tuple")
+    gcd_degree = len(g) - 1
     return RootReport(
         has_affine_common_root=gcd_degree >= 1,
         all_leading_zero=all(row[0] == 0 for row in rows),

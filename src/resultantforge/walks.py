@@ -5,7 +5,7 @@ mapped to the sequence of lattice points (u_s, v_s) = (j_s, s - i_s). The
 selection has a nonzero minor exactly when every point lands inside the
 n x (d+1) lattice, and then the sequence is a walk: each step either keeps
 or decreases v, or increases v by one while increasing u. Walks start at
-v = 0 and end at v = d.
+v = 0 and end at v = d. A MinorWalk is the tuple of its (u, v) steps.
 
 A walk is reduced when no single vertex can be deleted leaving a shorter
 walk. Reduced walks visit each vertex at most once, their vertex products
@@ -35,31 +35,22 @@ class ZeroMinorError(ValueError):
     """The row selection corresponds to an identically zero minor."""
 
 
-class MinorWalk:
-    """An in-lattice walk (u_1, v_1), ..., (u_L, v_L) with v_1=0, v_L=d."""
+class MinorWalk(tuple):
+    """An in-lattice walk (u_1, v_1), ..., (u_L, v_L) with v_1=0, v_L=d:
+    the tuple of its steps, each made a pair of ints when it is built."""
 
-    __slots__ = ("steps",)
+    __slots__ = ()
 
-    def __init__(self, steps: Iterable[Step]):
-        self.steps = tuple((int(u), int(v)) for u, v in steps)
+    def __new__(cls, steps: Iterable[Step]):
+        return tuple.__new__(cls, [(int(u), int(v)) for u, v in steps])
 
-    def __len__(self) -> int:
-        return len(self.steps)
-
-    def __iter__(self):
-        return iter(self.steps)
-
-    def __getitem__(self, s):
-        return self.steps[s]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, MinorWalk) and self.steps == other.steps
-
-    def __hash__(self) -> int:
-        return hash(self.steps)
+    @property
+    def steps(self) -> tuple:
+        """The steps as a plain tuple."""
+        return tuple(self)
 
     def __repr__(self) -> str:
-        return "MinorWalk(" + ", ".join(f"({u},{v})" for u, v in self.steps) + ")"
+        return "MinorWalk(" + ", ".join(f"({u},{v})" for u, v in self) + ")"
 
 
 def rows_to_walk(sel: RowSelection) -> MinorWalk:
@@ -80,7 +71,7 @@ def rows_to_walk(sel: RowSelection) -> MinorWalk:
 def walk_rows(walk: MinorWalk, d: int) -> tuple:
     """The depth k and row tuple ((i_1, j_1), ...) of a walk's minor:
     i_s = s - v_s, j_s = u_s, the inverse of rows_to_walk."""
-    return len(walk) - d, tuple((s - v, u) for s, (u, v) in enumerate(walk.steps, start=1))
+    return len(walk) - d, tuple((s - v, u) for s, (u, v) in enumerate(walk, start=1))
 
 
 def selection_for_walk(walk: MinorWalk, d: int, n: int) -> RowSelection:
@@ -180,7 +171,7 @@ def walk_leading_monomial(walk: MinorWalk, ring: Ring) -> Monomial:
     order, i.e. the product of the diagonal entries of the submatrix.
     """
     exps: dict = {}
-    for u, v in walk.steps:
+    for u, v in walk:
         var = ring.coeff(u, v)
         exps[var] = exps.get(var, 0) + 1
     return Monomial(exps)

@@ -19,10 +19,10 @@ from hypothesis import strategies as st
 from resultantforge import cli, geometry
 from resultantforge.cli import LIMITS_ENV, main
 from resultantforge.exports import export_ideal
-from resultantforge.minors import enumerate_generators, generators_for_basis
+from resultantforge.minors import enumerate_generators, generator_rows, generators_for_basis
 from resultantforge.poly import Packing, Ring
 from resultantforge.roots import CoefficientTuple, membership_scan, sample_planted, sample_random
-from resultantforge.walks import components, enumerate_reduced, walk_leading_monomial
+from resultantforge.walks import components, enumerate_reduced, enumerate_rows, walk_leading_monomial
 
 from conftest import GRID
 from oracles import reference_export
@@ -785,6 +785,37 @@ class TestDepthFlag:
         monkeypatch.setattr(cli, "packed_minors", recording)
         code, out = run(capsys, "gens", "--d", "3", "--n", "3", "--k", "2", *reduced)
         assert code == 0 and out and depths and set(depths) == {2}
+
+    # leadterms needs n >= 2 for the diagonal order; gens and export print an empty ideal at n = 1
+    @pytest.mark.parametrize(
+        "command, dn",
+        [(cmd, dn) for cmd in ("gens", "export", "leadterms") for dn in GRID] + [("gens", (2, 1)), ("export", (2, 1))],
+    )
+    def test_only_the_requested_depth_is_enumerated(self, capsys, monkeypatch, command, dn):
+        # --k lists the rows of depth k alone, none for a depth too flat for
+        # maximal minors, and writes the depth-k part of the full output
+        d, n = dn
+        argv = [command, "--d", str(d), "--n", str(n)] + ["--format", "json"] * (command != "leadterms")
+        code, full = run(capsys, *argv)
+        doc = json.loads(full)
+        assert code == 0 and full == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        items = doc if command == "leadterms" else doc["generators"]
+        listed = []
+
+        def spy(*args):
+            listed.append(args[2])
+            return enumerate_rows(*args)
+
+        for module in ("cli", "minors", "walks"):
+            monkeypatch.setattr(f"resultantforge.{module}.enumerate_rows", spy)
+        depths = [k for k, _ in generator_rows(d, n)]
+        for k in range(1, d + 1):
+            listed.clear()
+            code, out = run(capsys, *argv, "--k", str(k))
+            part = [item for item, depth in zip(items, depths) if depth == k]
+            want = part if command == "leadterms" else dict(doc, generators=part)
+            assert code == 0 and out == json.dumps(want, indent=2, sort_keys=True) + "\n"
+            assert listed == ([k] if n * k >= d + k else [])
 
     def test_every_depth_in_range_is_accepted(self, capsys):
         for k in ("1", "2"):

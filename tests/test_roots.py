@@ -157,6 +157,53 @@ def rational_grids(draw):
     return draw(st.permutations(rows))
 
 
+def times(p, q):
+    """The product of two coefficient lists, leading coefficient first."""
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+@st.composite
+def known_gcd(draw):
+    """A polynomial p and the products p * q_i, each with up to two leading
+    zeros prepended, in shuffled order and with zero polynomials among
+    them. The q_i have gcd 1: two of them are x - r and x - s, r != s."""
+    p = [draw(_ENTRY.filter(bool))] + draw(st.lists(_ENTRY, max_size=3))
+    r, s = draw(st.lists(st.integers(-5, 5), min_size=2, max_size=2, unique=True))
+    others = st.lists(st.lists(_ENTRY, min_size=1, max_size=3).filter(any), max_size=2)
+    qs = [[1, -r], [1, -s]] + draw(others)
+    polys = [[0] * draw(st.integers(0, 2)) + times(p, q) for q in qs]
+    polys += [[0] * draw(st.integers(1, 3)) for _ in range(draw(st.integers(0, 2)))]
+    return p, draw(st.permutations(polys))
+
+
+class TestUnivariateGcd:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(known_gcd())
+    def test_known_gcd_comes_back_monic(self, case):
+        p, polys = case
+        assert univariate_gcd(polys) == [Fraction(c) / p[0] for c in p]
+
+    @pytest.mark.parametrize("polys", [[], [[]], [[0]], [[0, 0], [0, 0, 0]]])
+    def test_all_zero_inputs_have_no_gcd(self, polys):
+        assert univariate_gcd(polys) == []
+
+    @pytest.mark.parametrize(
+        "polys",
+        [
+            [[0, 0, 5]],
+            [[0, 0, 5], [1, 2]],
+            [[2, 0, -2], [3, 0, 3], [0, 1, 1]],  # coprime after two; x + 1 is never read
+            [[1, -3, 2], [0, 1, -1], [0, 0, 1, 0, 1]],
+        ],
+    )
+    def test_constant_gcd_is_one(self, polys):
+        assert univariate_gcd(polys) == [1]
+
+
 class TestExactRank:
     def test_integer_rows_stay_exact(self):
         # row 3 = row 1 - row 2; float division used to report full rank
