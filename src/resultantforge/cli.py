@@ -29,7 +29,7 @@ from .groebner import (  # eliminate_x, ideal_equal and is_groebner_basis stay b
     elimination_equal,
     ideal_equal,
     is_groebner_basis,
-    is_packed_groebner_basis,
+    minors_are_groebner_basis,
 )
 from .minors import (  # enumerate_generators and generators_for_basis stay bound here for perfbench/tracing.py
     enumerate_generators,
@@ -158,9 +158,9 @@ def _cmd_walks(args) -> int:
 
 
 def _cmd_leadterms(args) -> int:
-    ring = Ring(args.d, args.n)
-    order = _named_order(args.order, ring)
     records = expand_walks(args.d, args.n, _generators(args))
+    # an order only for a generator to order: the diagonal weights need n >= 2
+    order = _named_order(args.order, Ring(args.d, args.n)) if records else None
     doc = [repr(leading_term(rec.poly, order)[0]) for rec in records]
     _emit(args, json.dumps(doc, indent=2) + "\n")
     return 0
@@ -203,10 +203,9 @@ def _verify_report(args, claim: str, status: bool, witnesses: dict) -> int:
 def _cmd_verify(args) -> int:
     limits = _limits(args)
     if args.check == "groebner":
-        ring = Ring(args.d, args.n)
         order = diagonal_order(build_diagonal_weights(args.d, args.n))
         gens = reduced_rows(args.d, args.n)
-        ok = is_packed_groebner_basis(*packed_minors(ring, gens), order, limits)
+        ok = minors_are_groebner_basis(Ring(args.d, args.n), gens, order, limits)
         return _verify_report(
             args,
             "reduced-walk minors are a Groebner basis under the diagonal order",
@@ -413,6 +412,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     except ResourceExhaustedError as exc:
         print(f"resource limit hit: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("resource limit hit: out of memory", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,12 +15,14 @@ instead of truncating. Each public entry point fixes one deadline,
 limits.timeout from its start, and passes it to every run it starts,
 self-checks included.
 
-Both run on the packed, fraction-free kernel of orders.py: the basis,
-s-polynomials, pair lcms (poly.Packing.lcm, a fieldwise max) and their
-selection keys (computed once per pair) stay packed. Polynomials enter
-through orders._packed and are decoded only where the library returns
-them: is_packed_groebner_basis, chart_equal and elimination_equal take
-minors as minors.packed_minors yields them and decode nothing.
+Both run on the packed, fraction-free kernel of orders.py, one int per
+term: the basis and s-polynomials are kernel ints, pair lcms exponent
+fields (poly.Packing.lcm, a fieldwise max) until a pair is reduced or
+ranked. Polynomials enter through orders._packed and are decoded only
+where the library returns them. minors_are_groebner_basis expands each
+minor straight into kernel ints; is_packed_groebner_basis, chart_equal
+and elimination_equal take minors as minors.packed_minors yields them.
+Neither decodes a minor.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from math import gcd
 from typing import Iterable, List, Mapping, Optional, Sequence
 
 from .minors import enumerate_generators, top_minor_records  # both stay bound here for perfbench/tracing.py
-from .minors import generator_rows, packed_minors
+from .minors import _symbolic, generator_rows, packed_minors, walk_minors
 from .orders import (  # leading_term and normal_form stay bound here for perfbench/tracing.py
     BlockOrder,
     DegRevLexOrder,
@@ -121,21 +123,20 @@ def _update_pairs(run: "_Run", t: int) -> dict:
     """Gebauer-Moeller update of the index pairs over run.leads[:t] when
     run.leads[t] joins (Gebauer & Moeller, JSC 1988).
 
-    run.pairs maps (i, j) to run.pair(i, j, lcm(leads[i], leads[j])), so
-    the smallest entry is the next pair Buchberger selects. Pairs are
-    dropped by the chain and product criteria. After inserting every
-    element of a basis this way, the basis is a Groebner basis if the
-    s-polynomial of each kept pair reduces to zero against it.
+    run.pairs maps (i, j) to lcm(leads[i], leads[j]), exponent fields
+    only. Pairs are dropped by the chain and product criteria. After
+    inserting every element of a basis this way, the basis is a Groebner
+    basis if the s-polynomial of each kept pair reduces to zero against it.
     """
-    leads, packing = run.leads, run.packing
-    lmf, guard = leads[t], packing.guard
-    lcms = [packing.lcm(lead, lmf) for lead in leads[:t]]
+    leads, lcm, guard = run.leads, run.packing.lcm, run.packing.guard
+    lmf = leads[t]
+    lcms = [lcm(lead, lmf) for lead in leads[:t]]
     # chain criterion applied to the old pairs against lm(f)
-    kept = {}
-    for (i, j), entry in run.pairs.items():
-        lij = entry[3]
-        if ((lij | guard) - lmf) & guard != guard or lcms[i] == lij or lcms[j] == lij:
-            kept[(i, j)] = entry
+    kept = {
+        (i, j): lij
+        for (i, j), lij in run.pairs.items()
+        if ((lij | guard) - lmf) & guard != guard or lcms[i] == lij or lcms[j] == lij
+    }
 
     # group candidate new pairs by their lcm and keep one representative
     # of every divisibility-minimal group; a proper divisor of a packed
@@ -146,14 +147,19 @@ def _update_pairs(run: "_Run", t: int) -> dict:
     minimal = []
     for lij in sorted(by_lcm):
         probe = lij | guard
-        if not any((probe - other) & guard == guard for other in minimal):
+        for other in minimal:
+            if (probe - other) & guard == guard:
+                break
+        else:
             minimal.append(lij)
     for lij in minimal:
         group = by_lcm[lij]
         # product criterion: a coprime pair in the group kills the group
-        if any(leads[i] + lmf == lij for i in group):
-            continue
-        kept[(group[0], t)] = run.pair(group[0], t, lij)
+        for i in group:
+            if leads[i] + lmf == lij:
+                break
+        else:
+            kept[(group[0], t)] = lij
     return kept
 
 
@@ -166,6 +172,7 @@ class _Run(_Reducer):
         super().__init__(order)
         self.limits = limits
         self.pairs: dict = {}
+        self.ranks: dict = {}  # (i, j) -> its selection rank at the current width, filled by loop()
         self.ecarts: list = []  # per basis element, its sugar minus its lead degree
         self.pairs_processed = 0
         self.budget = budget
@@ -180,9 +187,9 @@ class _Run(_Reducer):
             raise ResourceExhaustedError(f"pair limit {self.limits.max_pairs} exceeded{after}")
         _check_deadline(self.budget, done, total, "pairs")
 
-    def degree(self, exps: int) -> int:
-        """The total degree of the packed monomial exps."""
-        return sum(e for _, e in self.packing.pairs(exps))
+    def degree(self, m: int) -> int:
+        """The total degree of the kernel int or exponent fields m."""
+        return sum(e for _, e in self.packing.pairs(m))
 
     def insert(self, f: list, ecart: int = 0) -> None:
         """Append the packed polynomial f, whose sugar exceeds its lead
@@ -195,39 +202,30 @@ class _Run(_Reducer):
         """insert f with this sugar, within the basis size and degree limits."""
         if len(self.polys) + 1 > self.limits.max_basis:
             raise ResourceExhaustedError(f"basis size limit {self.limits.max_basis} exceeded")
-        degree = self.degree(f[0][1])
+        degree = self.degree(f[0][0])
         if self.limits.max_degree is not None and degree > self.limits.max_degree:
             raise ResourceExhaustedError(
                 f"degree limit {self.limits.max_degree} exceeded by a basis element of degree {degree}"
             )
         self.insert(f, sugar - degree)
 
-    def pair(self, i: int, j: int, lij: int) -> tuple:
-        """The pairs entry of (i, j) with packed lcm lij, least first: the
-        sugar (degree of lij plus the larger ecart of i and j) in a field
-        above the key_bits of lij's order key, then the index pair."""
-        select, key = self.select, max(self.ecarts[i], self.ecarts[j]) << self.key_bits
-        for v, e in self.packing.pairs(lij):
-            key += e * select[v]
-        return key, i, j, lij
-
     def widen(self) -> None:
         """Repack the basis and every pending lcm at twice the field width."""
         super().widen()
         lcm, leads = self.packing.lcm, self.leads
         for (i, j) in self.pairs:
-            self.pairs[(i, j)] = self.pair(i, j, lcm(leads[i], leads[j]))
+            self.pairs[(i, j)] = lcm(leads[i], leads[j])
+        self.ranks = {}
 
     def pair_remainder(self, i: int, j: int, stop: bool = False):
         """divide() on the s-polynomial of the pending pair (i, j), built
         from the tails: the leading terms cancel."""
-        selection, _, _, lij = self.pairs[(i, j)]
-        key = selection & ((1 << self.key_bits) - 1)  # the order key of lij
-        (pk, pe, pc), (qk, qe, qc) = self.polys[i][0], self.polys[j][0]
-        g, work, heap = gcd(pc, qc), {}, []
-        self.subtract(work, heap, i, lij - pe, key - pk, -qc // g)
-        self.subtract(work, heap, j, lij - qe, key - qk, pc // g)
-        return self.divide(work, stop, heap)
+        lij = self.term(self.pairs[(i, j)])
+        (pm, pc), (qm, qc) = self.polys[i][0], self.polys[j][0]
+        g, work = gcd(pc, qc), {}
+        self.subtract(work, i, lij - pm, -qc // g)
+        self.subtract(work, j, lij - qm, pc // g)
+        return self.divide(work, stop)
 
     def certify(self, basis: Iterable) -> bool:
         """The Buchberger criterion on the Gebauer-Moeller pairs of basis,
@@ -245,10 +243,16 @@ class _Run(_Reducer):
         return True
 
     def loop(self) -> None:
+        """Reduce the pending pair of least rank until none is left: its
+        sugar (degree of its lcm plus the larger ecart of i and j), then
+        its lcm in the order, then (i, j)."""
         while self.pairs:
             self.check()
-            selection, i, j, _ = min(self.pairs.values())
-            sugar = selection >> self.key_bits  # before a repack moves the field
+            ranks, ecarts = self.ranks, self.ecarts
+            for i, j in self.pairs.keys() - ranks.keys():
+                lij = self.pairs[(i, j)]
+                ranks[(i, j)] = self.degree(lij) + max(ecarts[i], ecarts[j]), self.term(lij), i, j
+            sugar, _, i, j = min(map(ranks.__getitem__, self.pairs))
             self.pairs_processed += 1
             r = self.retrying(lambda: _rescaled(*self.pair_remainder(i, j)))
             del self.pairs[(i, j)]
@@ -260,9 +264,9 @@ class _Run(_Reducer):
         divides another) with every tail fully reduced and each element
         primitive; canonical for the order."""
         guard, found = self.packing.guard, sorted(self.polys)  # ascending leads
-        self._reset(self.packing)
+        self._reset(self.packing.width)
         for f in found:
-            probe = f[0][1] | guard
+            probe = f[0][0] | guard
             if not any((probe - lead) & guard == guard for lead in self.leads):
                 self.add(f)
         # one pass suffices: whether a term is reducible depends only on the
@@ -273,7 +277,7 @@ class _Run(_Reducer):
 
         def tail_reduced(idx: int) -> list:
             f = self.polys[idx]
-            rem, scale = self.divide({key: [exps, c] for key, exps, c in f[1:]})
+            rem, scale = self.divide(dict(f[1:]))
             return _rescaled([(*f[0], 1), *rem], scale)
 
         for idx in range(len(self.polys)):
@@ -283,7 +287,7 @@ class _Run(_Reducer):
 def _rescaled(rem: list, scale: int) -> list:
     """A remainder from _Reducer.divide brought to its final scale and made
     primitive; [] when it is zero."""
-    return _primitive([(key, exps, c * (scale // s)) for key, exps, c, s in rem]) if rem else []
+    return _primitive([(m, c * (scale // s)) for m, c, s in rem]) if rem else []
 
 
 def _basis_run(order: TermOrder, gens: Iterable, limits: Limits, budget: Optional[tuple], self_check: bool = True) -> _Run:
@@ -294,9 +298,9 @@ def _basis_run(order: TermOrder, gens: Iterable, limits: Limits, budget: Optiona
     run = _Run(order, limits, budget)
     for source, terms in gens:
         _check_deadline(budget, run.pairs_processed, None, "pairs")
-        r = run.retrying(lambda: _rescaled(*run.divide(run.load(source, terms))))
+        r = run.retrying(lambda: _rescaled(*run.divide(run.work(source, terms))))
         if r:
-            run.grow(r, max(run.degree(exps) for _, exps, _ in r))
+            run.grow(r, max(run.degree(m) for m, _ in r))
     run.loop()
     run.interreduce()
     if self_check and not _Run(order, DEFAULT_LIMITS, budget).certify(run.divisors()):
@@ -350,6 +354,22 @@ def is_packed_groebner_basis(
     decoded. A lazy basis is consumed as the certificate runs, so its time
     counts against the timeout."""
     return _Run(order, limits, _deadline(limits)).certify((packing, terms) for terms in basis)
+
+
+def minors_are_groebner_basis(
+    ring: Ring, gens: Iterable[tuple], order: TermOrder, limits: Limits = DEFAULT_LIMITS
+) -> bool:
+    """is_packed_groebner_basis of the minors of the generators (k, rows)
+    of ring, each expanded by band_det straight into the certificate's
+    kernel ints as the certificate reaches it: no minor is translated. The
+    kernel first widens until it holds exponent d, the largest in any
+    minor. order must rank every coefficient variable of ring."""
+    run = _Run(order, limits, _deadline(limits))
+    while run.packing.emax < ring.d:
+        run.widen()
+    packing = run.packing
+    one, zero, times, _ = _symbolic(ring, run.steps)
+    return run.certify((packing, minor) for minor in walk_minors(ring.d, gens, one, zero, times))
 
 
 def elimination_order(ring: Ring) -> TermOrder:

@@ -11,7 +11,7 @@ distinguished basis G.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Mapping, Optional
 
 from .cascade import RowSelection
 from .poly import Packing, Polynomial, Ring
@@ -75,7 +75,7 @@ def band_det(rows: tuple, d: int, one, zero, times, memo: dict):
     return out
 
 
-def _symbolic(ring: Ring) -> tuple:
+def _symbolic(ring: Ring, steps: Optional[Mapping] = None) -> tuple:
     """one, zero, the band_det multiply-accumulate and the Packing of the
     keys for symbolic minors as {packed exponent int: int coefficient}
     dicts (Monagan & Pearce, CASC 2007).
@@ -86,9 +86,15 @@ def _symbolic(ring: Ring) -> tuple:
     a_j_s adds its unit step to every key, and keys sort in canonical
     order. The first product of a frame is a new dict and every later one
     is merged into it in place. Packing.polynomial decodes a finished minor.
+    steps, if given, maps each coefficient variable to the int that
+    multiplying by it adds instead, such as the kernel ints of
+    orders._Reducer.steps; the Packing is then None.
     """
-    packing = Packing(ring.coeff_vars_row_major(), (ring.d + 1).bit_length())
-    steps = [[1 << packing.shifts[ring.coeff(j, s)] for s in range(ring.d + 1)] for j in range(1, ring.n + 1)]
+    packing = None
+    if steps is None:
+        packing = Packing(ring.coeff_vars_row_major(), (ring.d + 1).bit_length())
+        steps = {v: 1 << shift for v, shift in packing.shifts.items()}
+    steps = [[steps[ring.coeff(j, s)] for s in range(ring.d + 1)] for j in range(1, ring.n + 1)]
 
     def times(acc: Optional[dict], sub: dict, j: int, s: int, odd: int) -> dict:
         step = steps[j - 1][s]

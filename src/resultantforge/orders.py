@@ -5,18 +5,20 @@ Every order is a matrix order (Robbiano, EUROCAL 1985): it ranks a tuple
 of variables and compares monomials by the rows of a nonnegative integer
 matrix, first row first. So the order is a total multiplicative order with
 1 minimal, and a key is linear in the exponents. key() packs the row
-values of one monomial into one int; nothing is memoized on the order.
+values of one monomial into one int.
 
-Division runs on a packed representation (_Reducer): exponent vectors are
-poly.Packing ints, order keys are Python ints, coefficients are integers,
-and the next term comes from a heap (Monagan & Pearce, JSC 2011).
-Polynomials enter through _packed and are decoded only for results.
+Division runs on a packed representation (_Reducer): a term is one int,
+the monomial's order key above its poly.Packing exponent fields, so one
+int comparison compares terms in the order (Monagan & Pearce, JSC 2011);
+coefficients are integers, and the next term is the largest key of the
+work dict. The order makes that layout once per field width (_kernel).
+Polynomials enter through _packed, or as minors expanded straight into
+kernel ints, and are decoded only for results.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -51,20 +53,39 @@ class TermOrder:
     ranked variables and `rows[r][idx]` the weight of variables[idx] in
     row r. A monomial in an unranked variable has no key."""
 
-    __slots__ = ("variables", "rows", "_columns")
+    __slots__ = ("variables", "rows", "_columns", "_kernels")
 
     def _set_matrix(self, variables: Sequence[Variable], rows: Iterable[Sequence[int]]) -> None:
         self.variables = tuple(variables)
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("ranking lists a variable twice")
         self.rows = tuple(tuple(row) for row in rows)
-        self._columns = dict(zip(self.variables, _key_columns(self.rows, _KEY_EMAX)))
+        self._columns = None  # made by the first key()
+        self._kernels = {}
+
+    def _kernel(self, width: int) -> tuple:
+        """The Packing of the ranked variables at width and, per variable,
+        its kernel int: its key column for exponents up to the packing's
+        emax, shifted above every field, plus its unit in its field. The
+        sum of exponent times kernel int is a monomial's kernel int, its
+        order key above its packed exponents. Made once per width, so
+        reducers of one order at one width share the Packing object."""
+        got = self._kernels.get(width)
+        if got is None:
+            packing = Packing(self.variables, width)
+            above = packing.guard.bit_length()
+            columns = _key_columns(self.rows, packing.emax)
+            steps = {v: (col << above) | (1 << packing.shifts[v]) for v, col in zip(self.variables, columns)}
+            got = self._kernels[width] = packing, steps
+        return got
 
     def key(self, m: Monomial) -> int:
         """The row values of m, each in its own bit field, first row most
         significant: comparing keys compares monomials. Exponents must stay
         below 2**64."""
         columns, key = self._columns, 0
+        if columns is None:
+            columns = self._columns = dict(zip(self.variables, _key_columns(self.rows, _KEY_EMAX)))
         for v, e in m.exps:
             col = columns.get(v)
             if col is None:
@@ -154,11 +175,12 @@ def leading_term(p: Polynomial, order: TermOrder):
 
 
 def _primitive(terms: list) -> list:
-    """Integer terms divided by their content, leading coefficient positive."""
-    g = gcd(*(c for _, _, c in terms))
-    if terms[0][2] < 0:
+    """Integer (term, coef) pairs divided by their content, leading
+    coefficient positive."""
+    g = gcd(*(c for _, c in terms))
+    if terms[0][1] < 0:
         g = -g
-    return [(key, exps, c // g) for key, exps, c in terms]
+    return terms if g == 1 else [(m, c // g) for m, c in terms]
 
 
 # Exponents up to 15 fit before the first repack; no verify run up to
@@ -183,35 +205,37 @@ def _packed(polys: Sequence[Polynomial]) -> list:
 class _Reducer:
     """Packed divisor list for repeated normal-form computations.
 
-    Monomials are poly.Packing ints over the order's variables, each with a
-    one-int order key from the key columns at the packing's width. Each
-    divisor is a primitive integer polynomial with a positive leading
-    coefficient: a list of (key, exps, coef) terms in descending key order,
-    its leading term first. The list grows through add(). Work that raises
-    OverflowError runs through retrying(), which repacks every divisor at
-    twice the field width and runs it again. Every polynomial enters as
-    integer terms packed by a source Packing (load, unpack).
+    A term is one int, the kernel int of TermOrder._kernel at the current
+    width: the monomial's order key above its poly.Packing exponent
+    fields. Comparing two such ints compares the terms in the order, a
+    product is one +, a quotient one -, and the packing's guard tests read
+    the low fields alone: m divides t exactly when ((t | guard) - m) &
+    guard == guard. Each divisor is a primitive integer polynomial with a
+    positive leading coefficient, a list of (term, coef) pairs in
+    descending order, its leading term first; leads holds the exponent
+    fields of the leading terms. The list grows through add(). Work that
+    raises OverflowError runs through retrying(), which repacks every
+    divisor at twice the field width and runs it again. A polynomial
+    enters as (source, terms): terms keyed by the source Packing (load),
+    or, when source is this kernel's packing, kernel ints that enter as
+    they are, such as divisors() of a reducer of the same order and width
+    or minors expanded with steps.
     """
 
     def __init__(self, order: TermOrder, basis: Sequence[Polynomial] = ()):
         self.order = order
-        self._reset(Packing(order.variables, _FIRST_BITS))
+        self._reset(_FIRST_BITS)
         self.extend(_packed(basis))
 
-    def _reset(self, packing: Packing) -> None:
-        self.packing = packing
-        variables, rows, emax = self.order.variables, self.order.rows, packing.emax
-        self.columns = dict(zip(variables, _key_columns(rows, emax)))
-        # columns with the degree in a field above the order key's key_bits
-        # bits, for groebner._Run's pair selection
-        self.select = dict(zip(variables, _key_columns(((1,) * len(variables), *rows), emax)))
-        self.key_bits = sum((emax * sum(row)).bit_length() for row in rows)
-        self.imports = {}  # source Packing -> its fragments as (exps, key) parts at this width
-        self.polys, self.lead_keys, self.leads, self.lcs, self.tails = [], [], [], [], []
+    def _reset(self, width: int) -> None:
+        self.packing, self.steps = self.order._kernel(width)
+        self.low = (1 << self.packing.guard.bit_length()) - 1  # the exponent fields of a kernel int
+        self.imports = {}  # source Packing -> its fragments as kernel ints at this width
+        self.polys, self.leads, self.lcs, self.tails = [], [], [], []
 
     def widen(self) -> None:
         old = self.divisors()
-        self._reset(Packing(self.packing.variables, 2 * self.packing.width))
+        self._reset(2 * self.packing.width)
         self.extend(old)
 
     def retrying(self, work):
@@ -222,43 +246,44 @@ class _Reducer:
             except OverflowError:
                 self.widen()
 
+    def term(self, exps: int) -> int:
+        """The kernel int of the packed exponents exps."""
+        shifts, emax = self.packing.shifts, self.packing.emax
+        return sum(((exps >> shifts[v]) & emax) * step for v, step in self.steps.items())
+
     def load(self, source: Packing, terms: Mapping[int, int]) -> dict:
-        """Integer terms packed by source (for example a minor from
-        minors.packed_minors) as work for divide(), {key: [exps, coef]},
-        with no Monomial built: each distinct field value of a source group
-        becomes its exponent bits and order-key part here once per width.
+        """Integer terms keyed by source (for example a minor from
+        minors.packed_minors) as work for divide(), {term: coef}, with no
+        Monomial built: each distinct field value of a source group
+        becomes its kernel int here once per width. Bits of a key above
+        source's fields, such as a kernel's order key, are not read.
         OverflowError when an exponent does not fit."""
         parts = self.imports.get(source)
         if parts is None:
-            shifts, columns, emax = self.packing.shifts, self.columns, self.packing.emax
+            steps, emax = self.steps, self.packing.emax
 
-            def move(pairs: tuple) -> tuple:
-                exps = key = 0
+            def move(pairs: tuple) -> int:
+                m = 0
                 for v, e in pairs:
                     if e > emax:
                         raise OverflowError(f"exponent {e} of {v.name} exceeds {emax}")
-                    if v not in columns:
+                    if v not in steps:
                         raise RingMismatchError(f"variable {v.name} not ranked by this order")
-                    exps += e << shifts[v]
-                    key += e * columns[v]
-                return exps, key
+                    m += e * steps[v]
+                return m
 
             parts = self.imports[source] = source.fragments(move)
-        work = {}
-        for skey, c in terms.items():
-            exps = key = 0
-            for e, k in parts(skey):
-                exps += e
-                key += k
-            work[key] = [exps, c]
-        return work
+        return {sum(parts(key)): c for key, c in terms.items()}
+
+    def work(self, source: Packing, terms: Mapping[int, int]) -> dict:
+        """(source, terms) as a new work dict for divide()."""
+        return dict(terms) if source is self.packing else self.load(source, terms)
 
     def unpack(self, source: Packing, terms: Mapping[int, int]) -> list:
-        """load(source, terms) as a primitive packed divisor."""
+        """(source, terms) as a primitive packed divisor."""
         if not terms:
             raise ZeroPolynomialError("division by a basis containing zero")
-        work = self.load(source, terms)
-        return _primitive(sorted(((key, e, c) for key, (e, c) in work.items()), reverse=True))
+        return _primitive(sorted(self.work(source, terms).items(), reverse=True))
 
     def extend(self, basis: Iterable) -> None:
         """add() each (source, terms) of basis as a packed divisor."""
@@ -266,55 +291,49 @@ class _Reducer:
             self.retrying(lambda: self.add(self.unpack(source, terms)))
 
     def divisors(self) -> list:
-        """The divisors as (packing, terms) pairs, in list order."""
-        return [(self.packing, {exps: c for _, exps, c in f}) for f in self.polys]
+        """The divisors as (packing, {kernel int: coef}) pairs, in list order."""
+        return [(self.packing, dict(f)) for f in self.polys]
 
     def add(self, poly: list) -> None:
         self.polys.append(poly)
-        key, exps, c = poly[0]
-        self.lead_keys.append(key)
-        self.leads.append(exps)
+        m, c = poly[0]
+        self.leads.append(m & self.low)
         self.lcs.append(c)
         self.tails.append(poly[1:])
 
     def replace(self, idx: int, poly: list) -> None:
         """Swap divisor idx for poly, which has the same leading monomial."""
         self.polys[idx] = poly
-        self.lcs[idx] = poly[0][2]
+        self.lcs[idx] = poly[0][1]
         self.tails[idx] = poly[1:]
 
-    def divide(self, work: dict, stop: bool = False, heap: list = None):
-        """Reduce work, {key: [exps, coef]}, fraction-free, consuming it.
+    def divide(self, work: dict, stop: bool = False):
+        """Reduce work, {term: coef}, fraction-free, consuming it.
 
-        The largest remaining term comes off a heap with lazy deletion (the
-        caller may pass one over work's keys) and is rewritten by the first
-        divisor whose lead divides it. Before subtracting c/lc times a
-        divisor, the whole work is multiplied by lc/gcd(c, lc), so it stays
-        integral: the work is always `scale` times the work of exact
-        division. Returns the remainder as (key, exps, coef, scale at the
-        time) terms in descending key order, and the final scale. With
-        stop, returns None at the first term that does not reduce: no later
-        term can cancel it, so the remainder is nonzero.
+        The largest remaining term, max(work), is rewritten by the first
+        divisor whose lead divides it. A scan of the dict costs less than
+        a heap here: most terms a step adds cancel before they would be
+        popped. Before subtracting c/lc times a divisor, the whole work is
+        multiplied by lc/gcd(c, lc), so it stays integral: the work is
+        always `scale` times the work of exact division. Returns the
+        remainder as (term, coef, scale at the time) triples in descending
+        order, and the final scale. With stop, returns None at the first
+        term that does not reduce: no later term can cancel it, so the
+        remainder is nonzero.
         """
-        guard, leads, lcs = self.packing.guard, self.leads, self.lcs
-        if heap is None:
-            heap = [-key for key in work]
-            heapify(heap)
+        guard, leads, lcs, polys = self.packing.guard, self.leads, self.lcs, self.polys
         rem, scale = [], 1
-        while heap:
-            key = -heappop(heap)
-            entry = work.pop(key, None)
-            if entry is None:
-                continue  # cancelled after it was pushed
-            exps, c = entry
-            probe = exps | guard
+        while work:
+            m = max(work)
+            c = work.pop(m)
+            probe = m | guard
             for idx, lead in enumerate(leads):
                 if (probe - lead) & guard == guard:
                     break
             else:
                 if stop:
                     return None
-                rem.append((key, exps, c, scale))
+                rem.append((m, c, scale))
                 continue
             lc = lcs[idx]
             if lc != 1:
@@ -322,42 +341,35 @@ class _Reducer:
                 if g != lc:
                     up = lc // g
                     scale *= up
-                    for other in work.values():
-                        other[1] *= up
+                    for other in work:
+                        work[other] *= up
                 c //= g
-            self.subtract(work, heap, idx, exps - lead, key - self.lead_keys[idx], c)
+            self.subtract(work, idx, m - polys[idx][0][0], c)
         return rem, scale
 
-    def subtract(self, work: dict, heap: list, idx: int, qexps: int, qkey: int, f: int) -> None:
-        """work -= f * q * tail of divisor idx, for the monomial q with
-        exponents qexps and key qkey; new terms go on the heap."""
-        guard = self.packing.guard
-        for bkey, bexps, bc in self.tails[idx]:
-            nexps = bexps + qexps
-            if nexps & guard:
+    def subtract(self, work: dict, idx: int, q: int, f: int) -> None:
+        """work -= f * q * tail of divisor idx, for the kernel int q."""
+        guard, get = self.packing.guard, work.get
+        for b, bc in self.tails[idx]:
+            m = b + q
+            if m & guard:
                 raise OverflowError
-            nkey = bkey + qkey
-            other = work.get(nkey)
-            if other is None:
-                work[nkey] = [nexps, -f * bc]
-                heappush(heap, -nkey)
+            c = get(m, 0) - f * bc
+            if c:
+                work[m] = c
             else:
-                s = other[1] - f * bc
-                if s:
-                    other[1] = s
-                else:
-                    del work[nkey]
+                del work[m]
 
     def reduces_to_zero(self, polys: Iterable) -> bool:
         """True when every (source, terms) of polys reduces to zero."""
-        return all(self.retrying(lambda: self.divide(self.load(*p), stop=True) is not None) for p in polys)
+        return all(self.retrying(lambda: self.divide(self.work(*p), stop=True) is not None) for p in polys)
 
     def normal_form(self, p: Polynomial) -> Polynomial:
         """The exact remainder of p, with Fraction coefficients."""
         source = Packing.over(p.terms)
         terms, den = _integral(source, p)
         rem, _ = self.retrying(lambda: self.divide(self.load(source, terms)))
-        return self.packing.polynomial(p.ring, {exps: Fraction(c, den * s) for _, exps, c, s in rem})
+        return self.packing.polynomial(p.ring, {m: Fraction(c, den * s) for m, c, s in rem})
 
 
 def normal_form(p: Polynomial, basis: Sequence[Polynomial], order: TermOrder) -> Polynomial:

@@ -330,10 +330,13 @@ class Packing:
     a kind and index (a_j_0 .. a_j_d for polynomial j): each distinct field
     value of a group is decoded or rendered once per packing and style, and
     each distinct half of a key's groups (fragments) is looked up whole.
+    The decoders read the fields alone, so a key may carry bits above
+    them, such as the order key of an orders._Reducer term.
     The printers also keep what they finish: text each key's *-joined body
     per namer, both printers each coefficient's term head, json_terms each
     key's "m" block. Every printing call builds its own Packing (a gens
-    run, an export, a repr), so nothing rendered outlives the call. A memo that
+    run, an export, a repr), so nothing rendered outlives the call; a
+    Groebner kernel's Packing lives as long as its order. A memo that
     passes RENDER_MEMO_SIZE entries is emptied, which bounds the memory of
     a long stream.
     """
@@ -454,8 +457,9 @@ class Packing:
 
     def polynomial(self, ring: "Ring", terms: Mapping[int, Rational]) -> "Polynomial":
         """Packed terms as a Polynomial of ring with Fraction coefficients;
-        each distinct key and coefficient is decoded once per packing."""
-        monos, fracs = self._memos.setdefault("monomials", {}), self._memos.setdefault("fractions", {})
+        each distinct key and coefficient is decoded once while it stays in
+        the memo."""
+        monos, fracs = self._render_memo("monomials"), self._render_memo("fractions")
         monos.update((key, self.monomial(key)) for key in terms if key not in monos)
         fracs.update((c, Fraction(c)) for c in terms.values() if c not in fracs)
         return Polynomial(ring, {monos[key]: fracs[c] for key, c in terms.items()}, _trusted=True)

@@ -213,6 +213,14 @@ class TestLeadterms:
         assert code == 0
         assert out == (GOLDEN / "leadterms_d2_n3.json").read_text()
 
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("order", ["diag", "degrevlex", "lex"])
+    def test_one_polynomial_has_no_leading_terms(self, capsys, d, order):
+        # n = 1 has no generator, so no order is built: the diagonal
+        # weights need n >= 2
+        code, out = run(capsys, "leadterms", "--d", str(d), "--n", "1", "--order", order)
+        assert (code, out) == (0, "[]\n")
+
 
 class TestComponentsAndDegree:
     def test_components_json(self, capsys):
@@ -530,6 +538,15 @@ class TestExitCodes:
         assert _verify_report(Args(), "claim", False, {}) == 1
         assert json.loads(capsys.readouterr().out)["status"] == "fail"
 
+    def test_out_of_memory_maps_to_three(self, monkeypatch):
+        def exhausted(args):
+            raise MemoryError
+
+        help_text, _, options = cli.COMMANDS["degree"]
+        monkeypatch.setitem(cli.COMMANDS, "degree", (help_text, exhausted, options))
+        code, out, err = run_quiet("degree", "--degrees", "2,3")
+        assert (code, out, err) == (3, "", "resource limit hit: out of memory\n")
+
 
 class TestUsage:
     def test_unknown_subcommand(self, capsys):
@@ -786,10 +803,11 @@ class TestDepthFlag:
         code, out = run(capsys, "gens", "--d", "3", "--n", "3", "--k", "2", *reduced)
         assert code == 0 and out and depths and set(depths) == {2}
 
-    # leadterms needs n >= 2 for the diagonal order; gens and export print an empty ideal at n = 1
+    # at n = 1, gens and export print an empty ideal and leadterms an empty list
     @pytest.mark.parametrize(
         "command, dn",
-        [(cmd, dn) for cmd in ("gens", "export", "leadterms") for dn in GRID] + [("gens", (2, 1)), ("export", (2, 1))],
+        [(cmd, dn) for cmd in ("gens", "export", "leadterms") for dn in GRID]
+        + [("gens", (2, 1)), ("export", (2, 1)), ("leadterms", (2, 1))],
     )
     def test_only_the_requested_depth_is_enumerated(self, capsys, monkeypatch, command, dn):
         # --k lists the rows of depth k alone, none for a depth too flat for

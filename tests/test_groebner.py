@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resultantforge import groebner
+from resultantforge import groebner, orders
 from resultantforge.diagonal import build_diagonal_weights, diagonal_order
 from resultantforge.groebner import (
     IdealPresentation,
@@ -21,10 +21,18 @@ from resultantforge.groebner import (
     ideal_equal,
     is_groebner_basis,
     is_packed_groebner_basis,
+    minors_are_groebner_basis,
     s_polynomial,
     system_polynomials,
 )
-from resultantforge.minors import enumerate_generators, generator_rows, packed_minors, reduced_rows
+from resultantforge.minors import (
+    _symbolic,
+    enumerate_generators,
+    generator_rows,
+    packed_minors,
+    reduced_rows,
+    walk_minors,
+)
 from resultantforge.orders import (
     _FIRST_BITS,
     BlockOrder,
@@ -380,7 +388,7 @@ class TestPackedCertificate:
             # through widen, they are the divisors of a reducer built at that width
             widths.clear()
             direct = _Reducer(order)
-            direct._reset(Packing(order.variables, final))
+            direct._reset(final)
             direct.extend(packed)
             assert widths == [] and direct.polys == built[0]
             assert _Reducer(order, polys).polys == built[0]
@@ -406,6 +414,75 @@ class TestPackedCertificate:
             is_packed_groebner_basis(source, [{source.key(Monomial({ring.coeff(2, 0): 1})): 1}], order)
         with pytest.raises(ZeroPolynomialError):
             is_packed_groebner_basis(source, [{}], order)
+
+
+class TestMinorsAsKernelInts:
+    """verify groebner expands each minor straight into the certificate's
+    kernel ints; a minor expanded before a repack is translated."""
+
+    def test_expansion_matches_the_translated_minors(self):
+        # the kernel ints a step table expands are those load makes of the
+        # packed minors
+        ring, order = Ring(3, 3), diagonal_order(build_diagonal_weights(3, 3))
+        reducer = _Reducer(order)
+        one, zero, times, _ = _symbolic(ring, reducer.steps)
+        rows = reduced_rows(3, 3)
+        packing, minors = packed_minors(ring, rows)
+        assert list(walk_minors(3, rows, one, zero, times)) == [reducer.load(packing, minor) for minor in minors]
+
+    def test_verify_groebner_translates_no_minor(self, monkeypatch, capsys):
+        from resultantforge.cli import main
+
+        calls = []
+        for owner, name in ((_Reducer, "load"), (Packing, "fragments")):
+            original = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args))
+        assert main(["verify", "groebner", "--d", "3", "--n", "3"]) == 0
+        assert '"status": "pass"' in capsys.readouterr().out
+        assert calls == []
+        # the spies see the translating route
+        ring, order = Ring(3, 3), diagonal_order(build_diagonal_weights(3, 3))
+        assert is_packed_groebner_basis(*packed_minors(ring, reduced_rows(3, 3)), order)
+        assert {"load", "fragments"} <= set(calls)
+
+    @pytest.mark.parametrize("drop", [None, 0, 5])
+    def test_narrow_first_width_widens_before_expanding(self, monkeypatch, drop):
+        # exponent 3 does not fit a 1-bit field: the kernel widens once,
+        # to 2 bits, before the first minor is expanded, and the answer is
+        # the oracle's, for the reduced-walk minors and with one left out
+        ring, order = Ring(3, 3), diagonal_order(build_diagonal_weights(3, 3))
+        rows = reduced_rows(3, 3)
+        if drop is not None:
+            rows = rows[:drop] + rows[drop + 1 :]
+        packing, minors = packed_minors(ring, rows)
+        polys = [packing.polynomial(ring, minor) for minor in minors]
+        widths = []
+        monkeypatch.setattr(orders, "_FIRST_BITS", 1)
+        monkeypatch.setattr(_Reducer, "widen", widen_spy(widths))
+        assert minors_are_groebner_basis(ring, rows, order) is all_pairs_groebner(polys, order)
+        assert widths == [2]
+
+    @pytest.mark.parametrize("drop", [None, 3])
+    def test_minors_expanded_before_a_repack(self, monkeypatch, drop):
+        # the minors are expanded at a 2-bit width; a multiple of the
+        # first one by a_1_0^4 then repacks the certificate, and the minors
+        # after it are translated from the width they were expanded at
+        ring, order = Ring(3, 3), diagonal_order(build_diagonal_weights(3, 3))
+        rows = reduced_rows(3, 3)
+        if drop is not None:
+            rows = rows[:drop] + rows[drop + 1 :]
+        monkeypatch.setattr(orders, "_FIRST_BITS", 2)
+        widths = []
+        monkeypatch.setattr(_Reducer, "widen", widen_spy(widths))
+        run = groebner._Run(order, Limits(), None)
+        one, zero, times, _ = _symbolic(ring, run.steps)
+        expanded = [(run.packing, minor) for minor in walk_minors(3, rows, one, zero, times)]
+        packing, minors = packed_minors(ring, rows)
+        polys = [packing.polynomial(ring, minor) for minor in minors]
+        big = polys[0].mul_term(Monomial({ring.coeff(1, 0): 4}), 1)
+        basis = expanded[:8] + _packed([big]) + expanded[8:]
+        assert run.certify(basis) is all_pairs_groebner(polys[:8] + [big] + polys[8:], order)
+        assert widths == [4]
 
 
 class TestEliminateX:

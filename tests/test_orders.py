@@ -23,6 +23,7 @@ from resultantforge.minors import packed_minors
 from resultantforge.poly import (
     MONOMIAL_ONE,
     Monomial,
+    Packing,
     Polynomial,
     Ring,
     RingMismatchError,
@@ -115,6 +116,50 @@ class TestOrderAxioms:
                 assert (ku == kv) == (u == v)
                 if ku < kv:
                     assert order.key(u.mul(w)) < order.key(v.mul(w))
+
+
+KERNEL_RING, KERNEL_RING_X = Ring(2, 3), Ring(2, 3, with_x=True)
+KERNEL_ORDERS = {
+    "lex": LexOrder(KERNEL_RING.coeff_vars_row_major()),
+    "degrevlex": DegRevLexOrder(KERNEL_RING.coeff_vars_column_major()),
+    "diagonal": diagonal_order(build_diagonal_weights(2, 3)),
+    "elimination": elimination_order(KERNEL_RING_X),
+}
+
+
+class TestKernelInts:
+    """A kernel term is one int, the order key above the exponent fields."""
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_ORDERS))
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_compare_divide_and_lcm_as_monomials(self, name, data):
+        order = KERNEL_ORDERS[name]
+        reducer = _Reducer(order)
+        packing, low = reducer.packing, reducer.low
+        # exponents up to half of emax, so that every product fits
+        monos = st.lists(st.integers(0, packing.emax // 2), min_size=len(order.variables), max_size=len(order.variables))
+        drawn = data.draw(st.lists(monos.map(lambda exps: Monomial(zip(order.variables, exps))), min_size=2, max_size=8))
+
+        def kernel(m):
+            source = Packing(order.variables, packing.width)
+            (term,) = reducer.load(source, {source.key(m): 1})
+            return term
+
+        ints = {m: kernel(m) for m in drawn}
+        assert sorted(drawn, key=ints.get) == sorted(drawn, key=order.key)
+        for u in drawn:
+            assert reducer.term(ints[u] & low) == ints[u]
+            for v in drawn:
+                a, b = ints[u] & low, ints[v] & low
+                # divide's test: a kernel int against a lead's exponent fields
+                assert (((ints[v] | packing.guard) - a) & packing.guard == packing.guard) == divides(u, v)
+                assert packing.lcm(a, b) == kernel(u.lcm(v)) & low
+                # a product is one +, and the quotient by a divisor one -
+                uv = kernel(u.mul(v))
+                assert ints[u] + ints[v] == uv
+                assert ((uv | packing.guard) - a) & packing.guard == packing.guard
+                assert uv - ints[u] == ints[v]
 
 
 class TestLeadingTerm:
