@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -42,7 +43,7 @@ from .minors import (  # enumerate_generators and generators_for_basis stay boun
 from .orders import DegRevLexOrder, LexOrder, leading_term
 from .poly import Ring, parse_number
 from .roots import CoefficientTuple, membership_scan, sample_planted, sample_random
-from .walks import enumerate_reduced, enumerate_rows, enumerate_walks, walk_leading_monomial
+from .walks import enumerate_reduced, enumerate_rows, walk_leading_monomial
 
 LIMITS_ENV = "RESULTANT_FORGE_LIMITS"
 
@@ -141,19 +142,30 @@ def _cmd_cascade(args) -> int:
 
 
 def _cmd_walks(args) -> int:
+    """Write each walk as it is enumerated: the bytes of json.dumps(walks,
+    indent=2) + "\n", with neither the walk list nor the whole text held.
+    A walk is a list of [u, v] steps, or with --format monomials the repr
+    of its leading monomial; each step's lines are rendered once."""
     _check_k(args)
+    d, n = args.d, args.n
     if args.reduced:
-        walks = enumerate_reduced(args.d, args.n)
-        if args.k is not None:
-            walks = [w for w in walks if len(w) == args.d + args.k]
+        walks = (w for w in enumerate_reduced(d, n) if args.k in (None, len(w) - d))
     else:
-        k = args.d if args.k is None else args.k
-        walks = enumerate_walks(args.d, args.n, k)
-    doc = walks  # a walk is a tuple of (u, v) steps, written as [u, v] lists
+        # the rows are listed here, so that bad parameters fail before the output opens
+        rows_of = enumerate_rows(d, n, d if args.k is None else args.k)
+        walks = ([(j, s - i) for s, (i, j) in enumerate(rows, start=1)] for rows in rows_of)
     if args.format == "monomials":
-        ring = Ring(args.d, args.n)
-        doc = [repr(walk_leading_monomial(w, ring)) for w in walks]
-    _emit(args, json.dumps(doc, indent=2) + "\n")
+        ring = Ring(d, n)
+        items = (f"  {json.dumps(repr(walk_leading_monomial(w, ring)))}" for w in walks)
+    else:
+        step = {(u, v): f"    [\n      {u},\n      {v}\n    ]" for u in range(1, n + 1) for v in range(d + 1)}
+        items = ("  [\n" + ",\n".join(map(step.__getitem__, w)) + "\n  ]" for w in walks)
+    with _output(args) as out:
+        sep = "[\n"
+        for item in items:
+            out.write(sep + item)
+            sep = ",\n"
+        out.write("[]\n" if sep == "[\n" else "\n]\n")
     return 0
 
 
@@ -375,21 +387,24 @@ COMMANDS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     """The parser of every subcommand, or of command alone; a subcommand's
-    own help, usage and errors are the same either way."""
+    own help, usage and errors are the same either way. Each is built once
+    per process and shared by every caller, which must not change it: a
+    parser depends on command alone, reads the terminal width only when it
+    formats help or usage, and parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="resultantforge",
         description="Determinantal generators, Groebner certificates, and "
         "common-root tests for systems of n univariate degree-d polynomials.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, handler, options) in COMMANDS.items():
+    for name, (help_text, _, options) in COMMANDS.items():
         if command in (None, name):
             p = sub.add_parser(name, help=help_text)
             options(p)
             p.add_argument("-o", "--output", help="write to a file instead of stdout")
-            p.set_defaults(func=handler)
     return parser
 
 
@@ -406,7 +421,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        # the handler COMMANDS names now, not the one it named when the parser was built
+        return COMMANDS[args.command][1](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,11 +18,13 @@ self-checks included.
 Both run on the packed, fraction-free kernel of orders.py, one int per
 term: the basis and s-polynomials are kernel ints, pair lcms exponent
 fields (poly.Packing.lcm, a fieldwise max) until a pair is reduced or
-ranked. Polynomials enter through orders._packed and are decoded only
-where the library returns them. minors_are_groebner_basis expands each
-minor straight into kernel ints; is_packed_groebner_basis, chart_equal
-and elimination_equal take minors as minors.packed_minors yields them.
-Neither decodes a minor.
+ranked; a sugar degree is read off a kernel int's lowest key field.
+Polynomials enter through orders._packed and are decoded only where the
+library returns them. minors_are_groebner_basis and elimination_equal
+expand each minor straight into kernel ints (_kernel_minors), and the
+elimination builds f_1, ..., f_n the same way; is_packed_groebner_basis
+and chart_equal take minors as minors.packed_minors yields them. None
+decodes a minor.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import time
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, List, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, List, Mapping, Optional, Sequence
 
 from .minors import enumerate_generators, top_minor_records  # both stay bound here for perfbench/tracing.py
 from .minors import _symbolic, generator_rows, packed_minors, walk_minors
@@ -187,10 +189,6 @@ class _Run(_Reducer):
             raise ResourceExhaustedError(f"pair limit {self.limits.max_pairs} exceeded{after}")
         _check_deadline(self.budget, done, total, "pairs")
 
-    def degree(self, m: int) -> int:
-        """The total degree of the kernel int or exponent fields m."""
-        return sum(e for _, e in self.packing.pairs(m))
-
     def insert(self, f: list, ecart: int = 0) -> None:
         """Append the packed polynomial f, whose sugar exceeds its lead
         degree by ecart, to the basis and update the pairs."""
@@ -231,8 +229,10 @@ class _Run(_Reducer):
         """The Buchberger criterion on the Gebauer-Moeller pairs of basis,
         (source, terms) pairs each unpacked as it enters. The limits are
         checked before each pair is reduced, where the message can name the
-        number of pairs."""
-        for source, terms in basis:
+        number of pairs; the deadline also before each element is inserted,
+        where it names the elements inserted so far."""
+        for done, (source, terms) in enumerate(basis):
+            _check_deadline(self.budget, done, None, "basis elements inserted")
             self.retrying(lambda: self.insert(self.unpack(source, terms)))
         pairs = sorted(self.pairs)
         for i, j in pairs:
@@ -248,10 +248,10 @@ class _Run(_Reducer):
         its lcm in the order, then (i, j)."""
         while self.pairs:
             self.check()
-            ranks, ecarts = self.ranks, self.ecarts
+            ranks, ecarts, term = self.ranks, self.ecarts, self.term
             for i, j in self.pairs.keys() - ranks.keys():
-                lij = self.pairs[(i, j)]
-                ranks[(i, j)] = self.degree(lij) + max(ecarts[i], ecarts[j]), self.term(lij), i, j
+                lij = term(self.pairs[(i, j)])
+                ranks[(i, j)] = self.degree(lij) + max(ecarts[i], ecarts[j]), lij, i, j
             sugar, _, i, j = min(map(ranks.__getitem__, self.pairs))
             self.pairs_processed += 1
             r = self.retrying(lambda: _rescaled(*self.pair_remainder(i, j)))
@@ -259,11 +259,15 @@ class _Run(_Reducer):
             if r:
                 self.grow(r, sugar)
 
-    def interreduce(self) -> None:
+    def interreduce(self, eliminate: tuple = ()) -> None:
         """Shrink the finished basis to the minimal one (no leading monomial
         divides another) with every tail fully reduced and each element
-        primitive; canonical for the order."""
-        guard, found = self.packing.guard, sorted(self.polys)  # ascending leads
+        primitive; canonical for the order. Elements in which a variable of
+        eliminate occurs are dropped first: the rest is interreduced among
+        itself."""
+        packing = self.packing
+        guard, bits = packing.guard, sum(packing.emax << packing.shifts[v] for v in eliminate)
+        found = sorted(f for f in self.polys if not any(m & bits for m, _ in f))  # ascending leads
         self._reset(self.packing.width)
         for f in found:
             probe = f[0][0] | guard
@@ -290,10 +294,18 @@ def _rescaled(rem: list, scale: int) -> list:
     return _primitive([(m, c * (scale // s)) for m, c, s in rem]) if rem else []
 
 
-def _basis_run(order: TermOrder, gens: Iterable, limits: Limits, budget: Optional[tuple], self_check: bool = True) -> _Run:
+def _basis_run(
+    order: TermOrder,
+    gens: Iterable,
+    limits: Limits,
+    budget: Optional[tuple],
+    self_check: bool = True,
+    eliminate: tuple = (),
+) -> _Run:
     """The packed core of buchberger: the finished run of the (source,
     terms) pairs gens, its divisors the reduced basis in ascending lead
-    order (none when every generator is zero). The run and its
+    order (none when every generator is zero), or, with eliminate, the
+    reduced basis of its elements free of those variables. The run and its
     self-check share budget, checked before each generator is reduced."""
     run = _Run(order, limits, budget)
     for source, terms in gens:
@@ -302,7 +314,7 @@ def _basis_run(order: TermOrder, gens: Iterable, limits: Limits, budget: Optiona
         if r:
             run.grow(r, max(run.degree(m) for m, _ in r))
     run.loop()
-    run.interreduce()
+    run.interreduce(eliminate)
     if self_check and not _Run(order, DEFAULT_LIMITS, budget).certify(run.divisors()):
         raise AssertionError("internal error: output failed the Buchberger criterion")
     return run
@@ -365,11 +377,25 @@ def minors_are_groebner_basis(
     kernel first widens until it holds exponent d, the largest in any
     minor. order must rank every coefficient variable of ring."""
     run = _Run(order, limits, _deadline(limits))
-    while run.packing.emax < ring.d:
-        run.widen()
-    packing = run.packing
-    one, zero, times, _ = _symbolic(ring, run.steps)
-    return run.certify((packing, minor) for minor in walk_minors(ring.d, gens, one, zero, times))
+    return run.certify(_kernel_minors(run, ring, gens))
+
+
+def _widened(kernel: _Reducer, d: int) -> _Reducer:
+    """kernel, widened until it holds exponent d. A reducer of the same
+    order at that width takes polynomials in kernel's ints as they are."""
+    while kernel.packing.emax < d:
+        kernel.widen()
+    return kernel
+
+
+def _kernel_minors(kernel: _Reducer, ring: Ring, gens: Iterable[tuple]) -> Iterator[tuple]:
+    """The minors of the generators (k, rows) of ring as (packing, {kernel
+    int: coef}) pairs of kernel's order, each expanded by band_det when
+    the iterator reaches it. kernel first widens until it holds exponent
+    d, the largest in any minor."""
+    packing, steps = _widened(kernel, ring.d).packing, kernel.steps
+    one, zero, times, _ = _symbolic(ring, steps)
+    return ((packing, minor) for minor in walk_minors(ring.d, gens, one, zero, times))
 
 
 def elimination_order(ring: Ring) -> TermOrder:
@@ -394,13 +420,20 @@ def system_polynomials(ring: Ring) -> List[Polynomial]:
     return out
 
 
-def _eliminated(d: int, n: int, limits: Limits, budget: Optional[tuple]) -> list:
-    """The x-free elements of the reduced basis of the system ideal under
-    the elimination order, as (source, terms) pairs."""
+def _eliminated(d: int, n: int, limits: Limits, budget: Optional[tuple], order: Optional[TermOrder] = None) -> _Run:
+    """The run whose divisors are the x-free elements of the reduced basis
+    of the system ideal under order, by default a new elimination order of
+    Ring(d, n, with_x=True). Only they are minimalized and tail-reduced:
+    under this order an element whose lead is x-free has no x at all, and
+    a lead with x divides no x-free term, so the elements with x change
+    neither the minimal x-free leads nor any x-free tail's remainder."""
     ring_x = Ring(d, n, with_x=True)
-    run = _basis_run(elimination_order(ring_x), _packed(system_polynomials(ring_x)), limits, budget, False)
-    xbits = run.packing.emax << run.packing.shifts[ring_x.x]
-    return [(source, terms) for source, terms in run.divisors() if not any(key & xbits for key in terms)]
+    order = order or elimination_order(ring_x)
+    kernel = _widened(_Reducer(order), d)
+    steps, x = kernel.steps, kernel.steps[ring_x.x]
+    # system_polynomials, straight into kernel ints
+    gens = [(kernel.packing, {steps[ring_x.coeff(i, j)] + (d - j) * x: 1 for j in range(d + 1)}) for i in range(1, n + 1)]
+    return _basis_run(order, gens, limits, budget, False, (ring_x.x,))
 
 
 def eliminate_x(d: int, n: int, limits: Limits = DEFAULT_LIMITS) -> IdealPresentation:
@@ -415,7 +448,7 @@ def eliminate_x(d: int, n: int, limits: Limits = DEFAULT_LIMITS) -> IdealPresent
     """
     budget = _deadline(limits)
     ring_a = Ring(d, n)
-    restricted = [source.polynomial(ring_a, terms) for source, terms in _eliminated(d, n, limits, budget)]
+    restricted = [source.polynomial(ring_a, terms) for source, terms in _eliminated(d, n, limits, budget).divisors()]
     return IdealPresentation(ring_a, restricted, DegRevLexOrder(ring_a.coeff_vars_column_major()), restricted)
 
 
@@ -450,18 +483,25 @@ def elimination_equal(d: int, n: int, limits: Limits = DEFAULT_LIMITS) -> tuple:
     """Do the cascade minors generate the ideal eliminate_x computes? The
     answer, the number of minors and the size of the eliminated basis, by
     mutual membership with nothing decoded: the minors mod the eliminated
-    basis, then its elements mod the minors' basis."""
+    basis, then its elements mod the minors' basis. Both live in the kernel
+    of the elimination order, which on x-free polynomials compares as the
+    degrevlex order of eliminate_x: the minors' run is that order's run,
+    and no polynomial is translated. No list of minors is held: they are
+    expanded as the minors' run takes them, against the timeout, and again
+    only for a membership step."""
     budget = _deadline(limits)
-    ring = Ring(d, n)
-    order = DegRevLexOrder(ring.coeff_vars_column_major())
-    packing, minors = packed_minors(ring, generator_rows(d, n))
-    minors = [(packing, minor) for minor in minors]
-    elim = _Reducer(order)
-    elim.extend(_eliminated(d, n, limits, budget))
-    run = _basis_run(order, minors, limits, budget)
+    ring_x = Ring(d, n, with_x=True)
+    order = elimination_order(ring_x)
+    gens = generator_rows(d, n)
+
+    def minors():
+        return _kernel_minors(_Reducer(order), ring_x, gens)
+
+    elim = _eliminated(d, n, limits, budget, order)
+    run = _basis_run(order, minors(), limits, budget)
     # both are reduced bases, primitive and in ascending lead order: equal lists are one ideal
     same = run.packing.width == elim.packing.width and run.polys == elim.polys
-    return same or _members([(elim, minors), (run, elim.divisors())], budget), len(minors), len(elim.polys)
+    return same or _members([(elim, minors()), (run, elim.divisors())], budget), len(gens), len(elim.polys)
 
 
 def _lift(d: int, k: int, rows: tuple) -> tuple:

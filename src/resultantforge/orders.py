@@ -11,9 +11,11 @@ Division runs on a packed representation (_Reducer): a term is one int,
 the monomial's order key above its poly.Packing exponent fields, so one
 int comparison compares terms in the order (Monagan & Pearce, JSC 2011);
 coefficients are integers, and the next term is the largest key of the
-work dict. The order makes that layout once per field width (_kernel).
-Polynomials enter through _packed, or as minors expanded straight into
-kernel ints, and are decoded only for results.
+work dict. The order makes that layout once per field width (_kernel),
+with a row of ones below its own rows, so a term's total degree is one
+field of its int. Polynomials enter through _packed, or straight as
+kernel ints, such as minors expanded with the kernel's steps, and are
+decoded only for results.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .poly import (
+    RENDER_MEMO_SIZE,
     Monomial,
     Packing,
     Polynomial,
@@ -48,6 +51,38 @@ def _key_columns(rows: tuple, emax: int) -> list:
 _KEY_EMAX = (1 << 64) - 1
 
 
+def _term_reader(packing: Packing, steps: dict):
+    """exps -> the kernel int of the packed exponents exps, with steps the
+    kernel ints of packing's variables. The fields are cut into a first and
+    a second half of the variables, and each half's kernel int is kept once
+    computed, so exponents whose halves were both seen cost two dict
+    lookups. A half memo that passes RENDER_MEMO_SIZE entries is emptied."""
+    emax, cut = packing.emax, len(packing.variables) // 2
+    halves = []
+    for part in (packing.variables[:cut], packing.variables[cut:]):
+        spec = tuple((packing.shifts[v], steps[v]) for v in part)
+        halves.append((sum(emax << shift for shift, _ in spec), spec, {}))
+    (high, high_spec, high_memo), (low, low_spec, low_memo) = halves
+
+    def convert(bits: int, spec: tuple, memo: dict) -> int:
+        if len(memo) > RENDER_MEMO_SIZE:
+            memo.clear()
+        t = memo[bits] = sum(((bits >> shift) & emax) * step for shift, step in spec)
+        return t
+
+    def term(exps: int) -> int:
+        h, l = exps & high, exps & low
+        a = high_memo.get(h)
+        if a is None:
+            a = convert(h, high_spec, high_memo)
+        b = low_memo.get(l)
+        if b is None:
+            b = convert(l, low_spec, low_memo)
+        return a + b
+
+    return term
+
+
 class TermOrder:
     """A matrix order. Subclasses call _set_matrix once: `variables` are the
     ranked variables and `rows[r][idx]` the weight of variables[idx] in
@@ -64,19 +99,26 @@ class TermOrder:
         self._kernels = {}
 
     def _kernel(self, width: int) -> tuple:
-        """The Packing of the ranked variables at width and, per variable,
-        its kernel int: its key column for exponents up to the packing's
-        emax, shifted above every field, plus its unit in its field. The
+        """The Packing of the ranked variables at width, per variable its
+        kernel int, and the kernel's term and degree readers. A variable's
+        kernel int is its key column for exponents up to the packing's
+        emax, shifted above every field, plus its unit in its field; the
         sum of exponent times kernel int is a monomial's kernel int, its
-        order key above its packed exponents. Made once per width, so
-        reducers of one order at one width share the Packing object."""
+        order key above its packed exponents. The key's matrix is the
+        order's with a row of ones appended, least significant: its field,
+        right above the exponent fields, holds the total degree, and it
+        never decides a comparison, since the order's rows already rank
+        monomials injectively. Made once per width, so reducers of one
+        order at one width share the Packing object and the term memo."""
         got = self._kernels.get(width)
         if got is None:
             packing = Packing(self.variables, width)
             above = packing.guard.bit_length()
-            columns = _key_columns(self.rows, packing.emax)
+            ones = (1,) * len(self.variables)
+            columns = _key_columns(self.rows + (ones,), packing.emax)
             steps = {v: (col << above) | (1 << packing.shifts[v]) for v, col in zip(self.variables, columns)}
-            got = self._kernels[width] = packing, steps
+            mask = (1 << (packing.emax * len(ones)).bit_length()) - 1
+            got = self._kernels[width] = packing, steps, _term_reader(packing, steps), lambda m: (m >> above) & mask
         return got
 
     def key(self, m: Monomial) -> int:
@@ -210,7 +252,10 @@ class _Reducer:
     fields. Comparing two such ints compares the terms in the order, a
     product is one +, a quotient one -, and the packing's guard tests read
     the low fields alone: m divides t exactly when ((t | guard) - m) &
-    guard == guard. Each divisor is a primitive integer polynomial with a
+    guard == guard. Neither kernel reader decodes: degree(m) is the total
+    degree of the kernel int m, its lowest key field, and term(e) the
+    kernel int of exponent fields e, such as a pair's lcm, from a memo of
+    each half of e. Each divisor is a primitive integer polynomial with a
     positive leading coefficient, a list of (term, coef) pairs in
     descending order, its leading term first; leads holds the exponent
     fields of the leading terms. The list grows through add(). Work that
@@ -225,10 +270,11 @@ class _Reducer:
     def __init__(self, order: TermOrder, basis: Sequence[Polynomial] = ()):
         self.order = order
         self._reset(_FIRST_BITS)
-        self.extend(_packed(basis))
+        if basis:
+            self.extend(_packed(basis))
 
     def _reset(self, width: int) -> None:
-        self.packing, self.steps = self.order._kernel(width)
+        self.packing, self.steps, self.term, self.degree = self.order._kernel(width)
         self.low = (1 << self.packing.guard.bit_length()) - 1  # the exponent fields of a kernel int
         self.imports = {}  # source Packing -> its fragments as kernel ints at this width
         self.polys, self.leads, self.lcs, self.tails = [], [], [], []
@@ -245,11 +291,6 @@ class _Reducer:
                 return work()
             except OverflowError:
                 self.widen()
-
-    def term(self, exps: int) -> int:
-        """The kernel int of the packed exponents exps."""
-        shifts, emax = self.packing.shifts, self.packing.emax
-        return sum(((exps >> shifts[v]) & emax) * step for v, step in self.steps.items())
 
     def load(self, source: Packing, terms: Mapping[int, int]) -> dict:
         """Integer terms keyed by source (for example a minor from

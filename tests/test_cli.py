@@ -22,7 +22,7 @@ from resultantforge.exports import export_ideal
 from resultantforge.minors import enumerate_generators, generator_rows, generators_for_basis
 from resultantforge.poly import Packing, Ring
 from resultantforge.roots import CoefficientTuple, membership_scan, sample_planted, sample_random
-from resultantforge.walks import components, enumerate_reduced, enumerate_rows, walk_leading_monomial
+from resultantforge.walks import components, enumerate_reduced, enumerate_rows, enumerate_walks, walk_leading_monomial
 
 from conftest import GRID
 from oracles import reference_export
@@ -199,6 +199,28 @@ class TestWalks:
             assert code == 0
             kept = [item for item, length in zip(json.loads(full), lengths) if length == d + k]
             assert out == json.dumps(kept, indent=2) + "\n"
+
+    @pytest.mark.parametrize("dn", [(3, 3), (2, 4), (4, 3)])
+    @pytest.mark.parametrize(
+        "flags",
+        [[], ["--reduced"], ["--format", "monomials"], ["--reduced", "--format", "monomials"], ["--k", "2"],
+         ["--reduced", "--k", "1", "--format", "monomials"]],
+        ids=["pairs", "reduced", "monomials", "reduced-monomials", "k", "reduced-k-monomials"],
+    )
+    def test_streamed_bytes_equal_one_dump(self, capsys, dn, flags):
+        # each walk is written as it is enumerated, with the bytes of one
+        # json.dumps of the whole list
+        d, n = dn
+        k = int(flags[flags.index("--k") + 1]) if "--k" in flags else None
+        if "--reduced" in flags:
+            walks = [w for w in enumerate_reduced(d, n) if k in (None, len(w) - d)]
+        else:
+            walks = enumerate_walks(d, n, d if k is None else k)
+        if "monomials" in flags:
+            walks = [repr(walk_leading_monomial(w, Ring(d, n))) for w in walks]
+        code, out = run(capsys, "walks", "--d", str(d), "--n", str(n), *flags)
+        assert code == 0
+        assert out == json.dumps(walks, indent=2) + "\n"
 
 
 class TestLeadterms:
@@ -410,7 +432,8 @@ class TestVerify:
         "flags, message",
         [
             (["--max-pairs", "5"], "pair limit 5 exceeded after 5 of 29 pairs"),
-            (["--timeout", "0"], "timeout of 0.0s exceeded after 0 of 29 pairs"),
+            # the deadline is checked before each basis element is inserted
+            (["--timeout", "0"], "timeout of 0.0s exceeded after 0 basis elements inserted"),
         ],
     )
     def test_groebner_certificate_is_bounded(self, capsys, flags, message):
@@ -648,6 +671,66 @@ class TestParserOutput:
         seen = self.built(monkeypatch)
         main(argv)
         assert seen == [list(cli.COMMANDS) if name is None else [name] for name in parsers]
+
+    @staticmethod
+    def successful_jobs(tmp_path) -> list:
+        """One argv per command, each exiting 0."""
+        coeffs = tmp_path / "tuple.json"
+        coeffs.write_text(json.dumps(sample_planted(2, 3, 5).to_json()))
+        jobs = [
+            ["gens", "--d", "2", "--n", "3", "--format", "json"],
+            ["cascade", "--d", "2", "--n", "3"],
+            ["walks", "--d", "2", "--n", "3", "--reduced"],
+            ["leadterms", "--d", "2", "--n", "3"],
+            ["components", "--d", "2", "--n", "3"],
+            ["degree", "--degrees", "2,3"],
+            ["verify", "elimination", "--d", "2", "--n", "2"],
+            ["eval", "--d", "2", "--n", "3", "--coeffs", str(coeffs)],
+            ["sample", "--d", "2", "--n", "3", "--seed", "4"],
+            ["export", "--d", "2", "--n", "3", "--format", "m2"],
+        ]
+        assert [argv[0] for argv in jobs] == list(cli.COMMANDS)
+        return jobs
+
+    def test_reused_parsers_write_the_golden_bytes(self, capsys, monkeypatch, tmp_path):
+        # every case twice in one process, forward then reversed, with a
+        # job of each command in between: a parser reused after parsing,
+        # failing or printing help writes what a new one writes
+        monkeypatch.setenv("COLUMNS", "80")
+        cli.build_parser.cache_clear()
+        jobs = self.successful_jobs(tmp_path)
+        for cases in (USAGE_CASES, jobs, USAGE_CASES[::-1]):
+            for case in cases:
+                argv = case["argv"] if isinstance(case, dict) else case
+                code = main(argv)
+                captured = capsys.readouterr()
+                if isinstance(case, dict):
+                    assert (code, captured.out, captured.err) == (case["code"], case["stdout"], case["stderr"])
+                else:
+                    assert (code, captured.err) == (0, "")
+
+    def test_a_second_job_builds_no_parser(self, capsys, monkeypatch):
+        built, init = [], argparse.ArgumentParser.__init__
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", lambda self, *a, **kw: built.append(1) or init(self, *a, **kw))
+        cli.build_parser.cache_clear()
+        argv = ["verify", "chart", "--d", "2", "--n", "3"]
+        assert main(argv) == 0
+        assert built  # the verify parser and its subparser
+        built.clear()
+        assert main(argv) == 0
+        assert built == []
+        capsys.readouterr()
+
+    def test_a_handler_patched_after_the_build_runs(self, capsys, monkeypatch):
+        argv = ["degree", "--degrees", "2,3"]
+        assert main(argv) == 0
+        assert cli.build_parser.cache_info().currsize >= 1
+        seen = []
+        help_text, _, options = cli.COMMANDS["degree"]
+        monkeypatch.setitem(cli.COMMANDS, "degree", (help_text, lambda args: seen.append(args.degrees) or 0, options))
+        capsys.readouterr()
+        assert run(capsys, *argv) == (0, "")
+        assert seen == ["2,3"]
 
     @pytest.mark.parametrize("argv", [["verify", "--help"], ["bogus"]])
     def test_module_entry_point_reads_sys_argv(self, argv):

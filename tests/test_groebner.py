@@ -71,17 +71,28 @@ def chart_by_basis(d, n, limits=Limits()):
 
 def perturb_first_minor(monkeypatch):
     """groebner expands the first depth-1 minor plus 1 in place of that
-    minor, in each call that lists a depth-1 generator."""
+    minor, in each call that lists a depth-1 generator, whether it expands
+    through packed_minors or into kernel ints (where 0 is the constant
+    term too)."""
 
-    def perturbed(ring, rows):
-        packing, minors = packed_minors(ring, rows)
+    def plus_one(rows, minors):
         minors = list(minors)
         first = next((i for i, (k, _) in enumerate(rows) if k == 1), None)
         if first is not None:
             minors[first] = {**minors[first], 0: minors[first].get(0, 0) + 1}
-        return packing, iter(minors)
+        return iter(minors)
 
+    def perturbed(ring, rows):
+        packing, minors = packed_minors(ring, rows)
+        return packing, plus_one(rows, minors)
+
+    def perturbed_kernel(kernel, ring, rows):
+        pairs = list(kernel_minors(kernel, ring, rows))
+        return zip([source for source, _ in pairs], plus_one(rows, [minor for _, minor in pairs]))
+
+    kernel_minors = groebner._kernel_minors
     monkeypatch.setattr(groebner, "packed_minors", perturbed)
+    monkeypatch.setattr(groebner, "_kernel_minors", perturbed_kernel)
 
 
 class TestSPolynomial:
@@ -852,18 +863,42 @@ class TestDeadlineOnEntry:
         # counts against the timeout of a library call too
         now = [0.0]
 
-        def expand(*args):
-            now[0] = 10.0
-            return packed_minors(*args)
+        def expanding(expand):
+            def expanded(*args):
+                now[0] = 10.0
+                return expand(*args)
+
+            return expanded
 
         monkeypatch.setattr(groebner.time, "monotonic", lambda: now[0])
-        monkeypatch.setattr(groebner, "packed_minors", expand)
+        # chart_equal expands through packed_minors, elimination_equal into kernel ints
+        monkeypatch.setattr(groebner, "packed_minors", expanding(packed_minors))
+        monkeypatch.setattr(groebner, "_kernel_minors", expanding(groebner._kernel_minors))
         with pytest.raises(ResourceExhaustedError, match=rf"^timeout of 1.0s exceeded after {after}$"):
             call(2, 3, Limits(timeout=1.0))
 
     def test_pair_limit_is_not_checked_on_entry(self):
         ring, x, y, order = xy_setup()
         assert buchberger([x * y - y], order, Limits(max_pairs=0)).certified_basis == [x * y - y]
+
+
+class TestDeadlineWhileInserting:
+    """The certificate checks the deadline before it inserts each basis
+    element, which it expands as it inserts it, and reads no clock without
+    a timeout."""
+
+    def test_no_clock_is_read_without_a_timeout(self, monkeypatch):
+        monkeypatch.setattr(groebner.time, "monotonic", lambda: pytest.fail("clock read"))
+        assert minors_are_groebner_basis(Ring(3, 3), reduced_rows(3, 3), DIAGONAL_33)
+
+    def test_the_message_names_the_elements_inserted(self, monkeypatch):
+        # the clock passes the deadline once 5 elements are in
+        inserted, insert = [], groebner._Run.insert
+        monkeypatch.setattr(groebner._Run, "insert", lambda run, *args: inserted.append(1) or insert(run, *args))
+        monkeypatch.setattr(groebner.time, "monotonic", lambda: 10.0 if len(inserted) >= 5 else 0.0)
+        with pytest.raises(ResourceExhaustedError, match=r"^timeout of 1.0s exceeded after 5 basis elements inserted$"):
+            minors_are_groebner_basis(Ring(3, 3), reduced_rows(3, 3), DIAGONAL_33, Limits(timeout=1.0))
+        assert len(inserted) == 5
 
 
 class TestDeadlineInMembership:
@@ -955,6 +990,39 @@ class TestReducedBasis:
         assert_reduced(elim.certified_basis, elim.order)
 
 
+class TestXFreeInterreduction:
+    """The x-run interreduces only its x-free elements, and the result is
+    the x-free part of the fully interreduced basis."""
+
+    @staticmethod
+    def x_free_reference(d, n) -> list:
+        ring_x = Ring(d, n, with_x=True)
+        basis = buchberger(system_polynomials(ring_x), elimination_order(ring_x), self_check=False).certified_basis
+        return [p for p in basis if all(v != ring_x.x for m in p.terms for v, _ in m.exps)]
+
+    @pytest.mark.parametrize("dn", GRID)
+    def test_eliminated_is_the_x_free_part_of_the_reduced_basis(self, dn):
+        ring_x, ring_a = Ring(*dn, with_x=True), Ring(*dn)
+        reference = self.x_free_reference(*dn)
+        run = groebner._eliminated(*dn, Limits(), None)
+        assert [source.polynomial(ring_x, terms) for source, terms in run.divisors()] == reference
+        assert eliminate_x(*dn).certified_basis == [Polynomial(ring_a, p.terms) for p in reference]
+
+    @pytest.mark.parametrize("dn, basis, x_free", [((3, 2), 14, 1), ((2, 3), 20, 7)])
+    def test_only_the_x_free_elements_are_tail_reduced(self, monkeypatch, dn, basis, x_free):
+        # interreduce replaces each element it keeps by its tail-reduced
+        # form: the full run keeps the whole minimal basis, the x-run the
+        # x-free elements alone
+        replaced, replace = [], groebner._Run.replace
+        monkeypatch.setattr(groebner._Run, "replace", lambda run, *args: replaced.append(1) or replace(run, *args))
+        ring_x = Ring(*dn, with_x=True)
+        assert len(buchberger(system_polynomials(ring_x), elimination_order(ring_x), self_check=False).certified_basis) == basis
+        assert len(replaced) == basis
+        replaced.clear()
+        assert len(groebner._eliminated(*dn, Limits(), None).polys) == x_free
+        assert len(replaced) == x_free
+
+
 class TestPairSelection:
     """Pairs are reduced lowest sugar first, then by the term order: the
     work of each run is pinned, and the basis does not depend on it."""
@@ -964,8 +1032,8 @@ class TestPairSelection:
         runs = []
         basis_run = groebner._basis_run
 
-        def spy(order, gens, limits, budget, self_check=True):
-            runs.append(basis_run(order, gens, limits, budget, self_check))
+        def spy(*args, **kwargs):
+            runs.append(basis_run(*args, **kwargs))
             return runs[-1]
 
         monkeypatch.setattr(groebner, "_basis_run", spy)

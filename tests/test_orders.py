@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from resultantforge.diagonal import build_diagonal_weights, diagonal_order
-from resultantforge.groebner import elimination_order
+from resultantforge.groebner import Limits, _Run, elimination_order
 from resultantforge.orders import (
     BlockOrder,
     DegRevLexOrder,
@@ -160,6 +160,22 @@ class TestKernelInts:
                 assert ints[u] + ints[v] == uv
                 assert ((uv | packing.guard) - a) & packing.guard == packing.guard
                 assert uv - ints[u] == ints[v]
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_ORDERS))
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_degree_and_term_read_a_kernel_int_without_decoding(self, name, data):
+        # the degree is the key's lowest field, a row of ones below the
+        # order's rows; term rebuilds a kernel int from its exponent fields
+        run = _Run(KERNEL_ORDERS[name], Limits(), None)
+        if data.draw(st.booleans()):
+            run.widen()
+        packing = run.packing
+        exps = st.lists(st.integers(0, packing.emax), min_size=len(packing.variables), max_size=len(packing.variables))
+        for drawn in data.draw(st.lists(exps, min_size=1, max_size=8)):
+            m = sum(e * run.steps[v] for v, e in zip(packing.variables, drawn))
+            assert run.degree(m) == sum(e for _, e in packing.pairs(m)) == sum(drawn)
+            assert run.term(m & run.low) == m
 
 
 class TestLeadingTerm:
