@@ -1,19 +1,20 @@
 """Buchberger engine, elimination oracle, and ideal comparisons.
 
-The engine is deterministic: pairs are selected by lowest sugar, then
-smallest lcm in the term order, then first index pair (Giovini, Mora,
-Niesi, Robbiano & Traverso, ISSAC 1991; an input's sugar is its degree,
-a pair's the degree of its lcm plus the larger ecart, sugar minus lead
-degree, of its elements, and an element a pair adds takes its sugar),
-useless pairs are discarded with Buchberger's product and chain criteria
-in their Gebauer-Moeller packaging, and output bases are inter-reduced,
-content-normalized, and sorted, so identical inputs always produce
-identical bases. The certificate is_groebner_basis reduces only the pairs
-the same Gebauer-Moeller update keeps for a given basis (Gebauer &
-Moeller, JSC 1988). Resource limits are explicit; exceeding one raises
-instead of truncating. Each public entry point fixes one deadline,
-limits.timeout from its start, and passes it to every run it starts,
-self-checks included.
+The engine is deterministic: pairs are popped from a heap by lowest
+sugar, then smallest lcm in the term order, then first index pair
+(Giovini, Mora, Niesi, Robbiano & Traverso, ISSAC 1991; an input's sugar
+is its degree, a pair's the degree of its lcm plus the larger ecart,
+sugar minus lead degree, of its elements, and an element a pair adds
+takes its sugar), useless pairs are discarded with Buchberger's product
+and chain criteria in their Gebauer-Moeller packaging, each remainder is
+reduced only until its lead is irreducible, and output bases are
+inter-reduced (every tail reduced once), content-normalized, and sorted,
+so identical inputs always produce identical bases. The certificate
+is_groebner_basis reduces only the pairs the same Gebauer-Moeller update
+keeps for a given basis (Gebauer & Moeller, JSC 1988). Resource limits
+are explicit; exceeding one raises instead of truncating. Each public
+entry point fixes one deadline, limits.timeout from its start, and
+passes it to every run it starts, self-checks included.
 
 Both run on the packed, fraction-free kernel of orders.py, one int per
 term: the basis and s-polynomials are kernel ints, pair lcms exponent
@@ -32,6 +33,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Iterable, Iterator, List, Mapping, Optional, Sequence
 
@@ -121,24 +123,25 @@ def s_polynomial(p: Polynomial, q: Polynomial, order: TermOrder) -> Polynomial:
     return p.mul_term(lcm.div(lmp), 1 / lcp) + q.mul_term(lcm.div(lmq), -1 / lcq)
 
 
-def _update_pairs(run: "_Run", t: int) -> dict:
-    """Gebauer-Moeller update of the index pairs over run.leads[:t] when
-    run.leads[t] joins (Gebauer & Moeller, JSC 1988).
+def _update_pairs(run: "_Run", t: int) -> list:
+    """Gebauer-Moeller update, in place, of the index pairs over
+    run.leads[:t] when run.leads[t] joins (Gebauer & Moeller, JSC 1988);
+    returns the pairs it adds.
 
     run.pairs maps (i, j) to lcm(leads[i], leads[j]), exponent fields
     only. Pairs are dropped by the chain and product criteria. After
     inserting every element of a basis this way, the basis is a Groebner
     basis if the s-polynomial of each kept pair reduces to zero against it.
     """
-    leads, lcm, guard = run.leads, run.packing.lcm, run.packing.guard
-    lmf = leads[t]
-    lcms = [lcm(lead, lmf) for lead in leads[:t]]
+    pairs, leads, guard, width = run.pairs, run.leads, run.packing.guard, run.packing.width
+    lmf, lcms = leads[t], []
+    for lead in leads[:t]:  # poly.Packing.lcm, inline: the fields where lead >= lm(f) keep lead's value
+        ge = ((lead | guard) - lmf) & guard
+        lcms.append((lead & (pick := ge - (ge >> width))) | (lmf & ~pick))
     # chain criterion applied to the old pairs against lm(f)
-    kept = {
-        (i, j): lij
-        for (i, j), lij in run.pairs.items()
-        if ((lij | guard) - lmf) & guard != guard or lcms[i] == lij or lcms[j] == lij
-    }
+    for ij in [(i, j) for (i, j), lij in pairs.items()
+               if ((lij | guard) - lmf) & guard == guard and lcms[i] != lij != lcms[j]]:
+        del pairs[ij]
 
     # group candidate new pairs by their lcm and keep one representative
     # of every divisibility-minimal group; a proper divisor of a packed
@@ -154,6 +157,7 @@ def _update_pairs(run: "_Run", t: int) -> dict:
                 break
         else:
             minimal.append(lij)
+    added = []
     for lij in minimal:
         group = by_lcm[lij]
         # product criterion: a coprime pair in the group kills the group
@@ -161,8 +165,9 @@ def _update_pairs(run: "_Run", t: int) -> dict:
             if leads[i] + lmf == lij:
                 break
         else:
-            kept[(group[0], t)] = lij
-    return kept
+            pairs[(group[0], t)] = lij
+            added.append((group[0], t))
+    return added
 
 
 class _Run(_Reducer):
@@ -174,7 +179,7 @@ class _Run(_Reducer):
         super().__init__(order)
         self.limits = limits
         self.pairs: dict = {}
-        self.ranks: dict = {}  # (i, j) -> its selection rank at the current width, filled by loop()
+        self.heap: list = []  # ranks of the pairs grow() added, pending or since dropped from pairs
         self.ecarts: list = []  # per basis element, its sugar minus its lead degree
         self.pairs_processed = 0
         self.budget = budget
@@ -189,12 +194,18 @@ class _Run(_Reducer):
             raise ResourceExhaustedError(f"pair limit {self.limits.max_pairs} exceeded{after}")
         _check_deadline(self.budget, done, total, "pairs")
 
-    def insert(self, f: list, ecart: int = 0) -> None:
+    def insert(self, f: list, ecart: int = 0) -> list:
         """Append the packed polynomial f, whose sugar exceeds its lead
-        degree by ecart, to the basis and update the pairs."""
+        degree by ecart, to the basis, update the pairs and return the new ones."""
         self.add(f)
         self.ecarts.append(ecart)
-        self.pairs = _update_pairs(self, len(self.polys) - 1)
+        return _update_pairs(self, len(self.polys) - 1)
+
+    def rank(self, i: int, j: int) -> tuple:
+        """(sugar, lcm kernel int, i, j) of the pending pair (i, j); its
+        sugar is its lcm's degree plus the larger ecart of i and j."""
+        lij = self.term(self.pairs[(i, j)])
+        return self.degree(lij) + max(self.ecarts[i], self.ecarts[j]), lij, i, j
 
     def grow(self, f: list, sugar: int) -> None:
         """insert f with this sugar, within the basis size and degree limits."""
@@ -205,25 +216,29 @@ class _Run(_Reducer):
             raise ResourceExhaustedError(
                 f"degree limit {self.limits.max_degree} exceeded by a basis element of degree {degree}"
             )
-        self.insert(f, sugar - degree)
+        for pair in self.insert(f, sugar - degree):
+            heappush(self.heap, self.rank(*pair))
 
     def widen(self) -> None:
-        """Repack the basis and every pending lcm at twice the field width."""
+        """Repack the basis and every pending lcm at twice the field width,
+        and rebuild the heap: kernel ints of two widths do not compare."""
         super().widen()
         lcm, leads = self.packing.lcm, self.leads
         for (i, j) in self.pairs:
             self.pairs[(i, j)] = lcm(leads[i], leads[j])
-        self.ranks = {}
+        self.heap[:] = [self.rank(*pair) for pair in self.pairs]
+        heapify(self.heap)
 
-    def pair_remainder(self, i: int, j: int, stop: bool = False):
+    def pair_remainder(self, i: int, j: int, stop: bool):
         """divide() on the s-polynomial of the pending pair (i, j), built
-        from the tails: the leading terms cancel."""
+        from the tails (the leading terms cancel): with stop, stopped at
+        its first irreducible term, else top-reduced."""
         lij = self.term(self.pairs[(i, j)])
         (pm, pc), (qm, qc) = self.polys[i][0], self.polys[j][0]
         g, work = gcd(pc, qc), {}
         self.subtract(work, i, lij - pm, -qc // g)
         self.subtract(work, j, lij - qm, pc // g)
-        return self.divide(work, stop)
+        return self.divide(work, stop, top=not stop)
 
     def certify(self, basis: Iterable) -> bool:
         """The Buchberger criterion on the Gebauer-Moeller pairs of basis,
@@ -243,18 +258,18 @@ class _Run(_Reducer):
         return True
 
     def loop(self) -> None:
-        """Reduce the pending pair of least rank until none is left: its
-        sugar (degree of its lcm plus the larger ecart of i and j), then
-        its lcm in the order, then (i, j)."""
-        while self.pairs:
+        """Reduce the pending pair of least rank until none is left, popped
+        from the heap, where a pair the chain criterion has since dropped
+        is skipped. Each remainder is reduced only until its lead is
+        irreducible: interreduce() reduces the tails of the final basis."""
+        heap = self.heap
+        while heap:
+            sugar, _, i, j = heappop(heap)
+            if (i, j) not in self.pairs:
+                continue
             self.check()
-            ranks, ecarts, term = self.ranks, self.ecarts, self.term
-            for i, j in self.pairs.keys() - ranks.keys():
-                lij = term(self.pairs[(i, j)])
-                ranks[(i, j)] = self.degree(lij) + max(ecarts[i], ecarts[j]), lij, i, j
-            sugar, _, i, j = min(map(ranks.__getitem__, self.pairs))
             self.pairs_processed += 1
-            r = self.retrying(lambda: _rescaled(*self.pair_remainder(i, j)))
+            r = self.retrying(lambda: _rescaled(*self.pair_remainder(i, j, stop=False)))
             del self.pairs[(i, j)]
             if r:
                 self.grow(r, sugar)
@@ -310,7 +325,7 @@ def _basis_run(
     run = _Run(order, limits, budget)
     for source, terms in gens:
         _check_deadline(budget, run.pairs_processed, None, "pairs")
-        r = run.retrying(lambda: _rescaled(*run.divide(run.work(source, terms))))
+        r = run.retrying(lambda: _rescaled(*run.divide(run.work(source, terms), top=True)))
         if r:
             run.grow(r, max(run.degree(m) for m, _ in r))
     run.loop()

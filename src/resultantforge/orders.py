@@ -348,7 +348,7 @@ class _Reducer:
         self.lcs[idx] = poly[0][1]
         self.tails[idx] = poly[1:]
 
-    def divide(self, work: dict, stop: bool = False):
+    def divide(self, work: dict, stop: bool = False, top: bool = False):
         """Reduce work, {term: coef}, fraction-free, consuming it.
 
         The largest remaining term, max(work), is rewritten by the first
@@ -360,7 +360,9 @@ class _Reducer:
         remainder as (term, coef, scale at the time) triples in descending
         order, and the final scale. With stop, returns None at the first
         term that does not reduce: no later term can cancel it, so the
-        remainder is nonzero.
+        remainder is nonzero. With top, returns at that term, followed by
+        the rest of the work unreduced, all at the current scale: a
+        remainder whose lead alone is irreducible.
         """
         guard, leads, lcs, polys = self.packing.guard, self.leads, self.lcs, self.polys
         rem, scale = [], 1
@@ -375,6 +377,9 @@ class _Reducer:
                 if stop:
                     return None
                 rem.append((m, c, scale))
+                if top:
+                    rem += [(t, work[t], scale) for t in sorted(work, reverse=True)]
+                    break
                 continue
             lc = lcs[idx]
             if lc != 1:

@@ -5,9 +5,13 @@ enumeration code paths: determinants come from the raw permutation sum and
 covers from exhaustive subset enumeration, so agreement is meaningful.
 _Reducer is the reference division: Fraction coefficients, Monomial
 arithmetic and a max() rescan of the work for every step, against the
-library's packed, fraction-free, heap-driven reducer. The all-pairs
+library's packed, fraction-free, scan-driven reducer. The all-pairs
 Groebner check reduces with it and shares only the library's
-Polynomial-level s-polynomial, none of its pair selection. Ranks of
+Polynomial-level s-polynomial, none of its pair selection.
+min_rank_basis_run is the Buchberger loop as it was before its pair heap
+and lead-only reduction: each step takes the pending pair of least rank
+by a min over all pairs and reduces its s-polynomial fully, and so does
+each generator as it enters. Ranks of
 specialized cascade matrices come from Bareiss elimination, not from the
 library's band recursion, and integer_times lets band_det decide integer
 minors one by one, against the library's column sweep of a whole depth.
@@ -34,7 +38,7 @@ from itertools import combinations, permutations
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from resultantforge.cascade import CascadeMatrix, RowSelection
-from resultantforge.groebner import DEFAULT_LIMITS, IdealPresentation, Limits, ideal_equal, s_polynomial
+from resultantforge.groebner import DEFAULT_LIMITS, IdealPresentation, Limits, _rescaled, _Run, ideal_equal, s_polynomial
 from resultantforge.minors import enumerate_generators, top_minor_records
 from resultantforge.orders import DegRevLexOrder, TermOrder, leading_term
 from resultantforge.poly import (
@@ -213,6 +217,42 @@ def all_pairs_groebner(basis, order) -> bool:
             if reducer.reduce(s_polynomial(basis[i], basis[j], order)):
                 return False
     return True
+
+
+def min_rank_basis_run(order: TermOrder, gens, eliminate: tuple = ()) -> tuple:
+    """The finished run of the (source, terms) pairs gens, with no limit,
+    and the (i, j) pairs it reduced, in order. Each generator and each
+    s-polynomial is fully reduced; each step takes the pending pair of
+    least rank (sugar, lcm kernel int, i, j), the rank recomputed for every
+    pending pair. Only the pair update and the divisor list are the
+    library's, with the divisor list's arithmetic."""
+    run, done = _Run(order, Limits(), None), []
+    for source, terms in gens:
+        r = run.retrying(lambda: _rescaled(*run.divide(run.work(source, terms))))
+        if r:
+            run.grow(r, max(run.degree(m) for m, _ in r))
+
+    def remainder(i: int, j: int) -> list:
+        lij = run.term(run.pairs[(i, j)])
+        (pm, pc), (qm, qc) = run.polys[i][0], run.polys[j][0]
+        work: dict = {}  # qc f_i - pc f_j, whose leading terms cancel
+        run.subtract(work, i, lij - pm, -qc)
+        run.subtract(work, j, lij - qm, pc)
+        return _rescaled(*run.divide(work))
+
+    while run.pairs:
+        ranks = []
+        for i, j in run.pairs:
+            lij = run.term(run.pairs[(i, j)])
+            ranks.append((run.degree(lij) + max(run.ecarts[i], run.ecarts[j]), lij, i, j))
+        sugar, _, i, j = min(ranks)
+        done.append((i, j))
+        r = run.retrying(lambda: remainder(i, j))
+        del run.pairs[(i, j)]
+        if r:
+            run.grow(r, sugar)
+    run.interreduce(eliminate)
+    return run, done
 
 
 def substitute(p: Polynomial, assignment: Mapping[Variable, object], into: Ring = None) -> Polynomial:

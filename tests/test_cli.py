@@ -8,6 +8,7 @@ import json
 import os
 import pathlib
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -345,8 +346,10 @@ class TestVerify:
             (3, 3, 88, 16),
             (2, 5, 210, 60),
             (3, 4, 925, 91),
-            pytest.param(4, 3, 514, 37, marks=pytest.mark.slow),
+            (4, 3, 514, 37),
             pytest.param(3, 5, 4830, 330, marks=pytest.mark.slow),
+            pytest.param(4, 4, 12621, 349, marks=pytest.mark.slow),
+            pytest.param(5, 3, 3092, 86, marks=pytest.mark.slow),
         ],
     )
     def test_elimination_passes_beyond_the_golden_grid(self, capsys, d, n, minors, eliminated):
@@ -569,6 +572,35 @@ class TestExitCodes:
         monkeypatch.setitem(cli.COMMANDS, "degree", (help_text, exhausted, options))
         code, out, err = run_quiet("degree", "--degrees", "2,3")
         assert (code, out, err) == (3, "", "resource limit hit: out of memory\n")
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize(
+        "argv, seconds",
+        [
+            ("walks --d 5 --n 5", 60),
+            ("leadterms --d 5 --n 4", 60),
+            ("gens --d 6 --n 6", 60),
+            ("verify groebner --d 6 --n 4 --timeout 0", 60),
+            ("verify groebner --d 5 --n 5 --timeout 5", 10),
+            ("verify groebner --d 4 --n 5 --timeout 0", 60),
+            ("verify chart --d 6 --n 3 --timeout 5", 60),
+            ("verify elimination --d 5 --n 3 --timeout 5", 60),
+        ],
+    )
+    def test_past_the_frontier_ends_with_zero_or_three(self, argv, seconds):
+        # each command as a child process whose address space alone is
+        # capped at 3 GB: it finishes, or says in one line which limit it hit
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+        start = time.monotonic()
+        done = subprocess.run(
+            [sys.executable, "-m", "resultantforge", *argv.split()], env=dict(os.environ, PYTHONPATH=SRC),
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, timeout=seconds, preexec_fn=cap,
+        )
+        assert time.monotonic() - start < seconds
+        assert done.returncode in (0, 3)
+        assert "Traceback" not in done.stderr and len(done.stderr.splitlines()) == (done.returncode == 3)
 
 
 class TestUsage:

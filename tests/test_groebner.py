@@ -47,7 +47,7 @@ from resultantforge.poly import Monomial, Packing, Polynomial, Ring, ZeroPolynom
 
 from conftest import GRID
 from oracles import _Reducer as ReferenceReducer
-from oracles import all_pairs_groebner, chart_by_substitution, reduces_to_zero, sylvester_resultant
+from oracles import all_pairs_groebner, chart_by_substitution, min_rank_basis_run, reduces_to_zero, sylvester_resultant
 
 
 def xring():
@@ -1074,6 +1074,123 @@ class TestPairSelection:
         assert_reduced(basis, order)
         assert all_pairs_groebner(basis, order)
         assert reduces_to_zero(gens, basis, order)
+
+
+def lex_system():
+    """Four generators under lex on x, a_1_0, a_1_1, a_2_0, small enough
+    for one field bit on entry; the run's exponents grow past 3."""
+    ring = Ring(1, 2, with_x=True)
+    x, a, b, c = (Polynomial.variable(ring, v) for v in (ring.x, ring.coeff(1, 0), ring.coeff(1, 1), ring.coeff(2, 0)))
+    one = Polynomial.constant(ring, 1)
+    gens = [x * x + a * b - one, a * a + x * b + c, b * b + x * a - one - one, x * c + a]
+    return gens, LexOrder((ring.x, ring.coeff(1, 0), ring.coeff(1, 1), ring.coeff(2, 0)))
+
+
+class TestPairHeap:
+    """loop() pops its pairs from a heap and reduces each remainder only
+    until its lead is irreducible. On the runs verify makes, the reference
+    loop of tests/oracles.py, a min over every pending rank with full
+    reduction, reduces the same pairs in the same order to the same run."""
+
+    @staticmethod
+    def spied(monkeypatch) -> list:
+        """Per _basis_run call, [order, listed gens, eliminate, the (i, j)
+        of each pair_remainder() call of loop(), the finished run]."""
+        calls = []
+        basis_run, pair_remainder = groebner._basis_run, groebner._Run.pair_remainder
+
+        def run_spy(order, gens, limits, budget, self_check=True, eliminate=()):
+            calls.append([order, list(gens), eliminate, []])
+            calls[-1].append(basis_run(order, calls[-1][1], limits, budget, self_check, eliminate))
+            return calls[-1][-1]
+
+        def remainder_spy(run, i, j, stop):
+            if not stop:
+                calls[-1][3].append((i, j))
+            return pair_remainder(run, i, j, stop)
+
+        monkeypatch.setattr(groebner, "_basis_run", run_spy)
+        monkeypatch.setattr(groebner._Run, "pair_remainder", remainder_spy)
+        return calls
+
+    @staticmethod
+    def assert_as_reference(calls):
+        for order, gens, eliminate, reduced, run in calls:
+            reference, done = min_rank_basis_run(order, gens, eliminate)
+            assert reduced == done and run.pairs_processed == len(done)
+            assert run.packing.width == reference.packing.width and run.polys == reference.polys
+
+    @pytest.mark.parametrize("dn", GRID)
+    def test_buchberger_and_x_runs_follow_the_reference(self, monkeypatch, dn, basis_records, diag_orders):
+        calls = self.spied(monkeypatch)
+        gens = [rec.poly for rec in basis_records[dn]]
+        pres = buchberger(gens, diag_orders[dn], self_check=False)
+        groebner._eliminated(*dn, Limits(), None)
+        self.assert_as_reference(calls)
+        reference = calls[0][-1]
+        assert pres.certified_basis == [reference.packing.polynomial(gens[0].ring, terms) for _, terms in reference.divisors()]
+
+    @pytest.mark.parametrize("call", ["chart_by_basis", "elimination_equal"])
+    def test_chart_and_minors_runs_follow_the_reference(self, monkeypatch, call):
+        calls = self.spied(monkeypatch)
+        assert chart_by_basis(3, 3) if call == "chart_by_basis" else elimination_equal(2, 4)[0]
+        assert len(calls) == (1 if call == "chart_by_basis" else 2)
+        self.assert_as_reference(calls)
+
+    @pytest.mark.parametrize("dn", GRID)
+    def test_eliminate_x_equals_the_full_reduction_reference(self, dn):
+        ring_x = Ring(*dn, with_x=True)
+        reference = min_rank_basis_run(elimination_order(ring_x), _packed(system_polynomials(ring_x)), (ring_x.x,))[0]
+        expected = [Polynomial(Ring(*dn), reference.packing.polynomial(ring_x, terms).terms) for _, terms in reference.divisors()]
+        assert eliminate_x(*dn).certified_basis == expected
+
+    def test_a_run_that_widens_mid_loop_ends_as_an_unpatched_one(self, monkeypatch):
+        gens, order = lex_system()
+        calls, widened = self.spied(monkeypatch), []
+        unpatched = buchberger(gens, order, self_check=False).certified_basis
+        widen = groebner._Run.widen
+
+        def spy(run):
+            widened.append((run.pairs_processed, len(run.pairs)))
+            widen(run)
+
+        monkeypatch.setattr(groebner._Run, "widen", spy)
+        monkeypatch.setattr(orders, "_FIRST_BITS", 1)
+        assert buchberger(gens, order, self_check=False).certified_basis == unpatched
+        # one repack as the first generator enters, one after 11 pairs with 10 pending
+        assert widened == [(0, 0), (11, 10)]
+        assert calls[1][-1].pairs_processed == calls[0][-1].pairs_processed == 26
+        # the pair that overflowed is reduced again at the new width
+        assert calls[1][3] == calls[0][3][:11] + calls[0][3][10:]
+
+    def test_each_remainder_stops_at_its_first_irreducible_term(self, monkeypatch):
+        # the x-run at (2, 3): until interreduce(), each divide() returns the
+        # state of a full division at its first irreducible term, whose
+        # tail a full division would go on to reduce
+        checked, divide, interreduce = [], orders._Reducer.divide, groebner._Run.interreduce
+
+        def spy(run, work, stop=False, top=False):
+            if checked and checked[-1] is None:  # interreduce() divides fully
+                assert not top
+                return divide(run, work, stop, top)
+            full, full_scale = divide(run, dict(work))
+            rem, scale = divide(run, work, stop, top)
+            assert top and bool(rem) == bool(full)
+            if rem:
+                first, *rest = rem
+                assert first == full[0] and all(s == scale for _, _, s in rem)
+                tail, tail_scale = divide(run, {m: c for m, c, _ in rest})
+                assert [(m, c, s * scale) for m, c, s in tail] == full[1:] and scale * tail_scale == full_scale
+                guard = run.packing.guard
+                checked.append(any(((m | guard) - lead) & guard == guard for m, _, _ in rest for lead in run.leads))
+            return rem, scale
+
+        monkeypatch.setattr(orders._Reducer, "divide", spy)
+        monkeypatch.setattr(groebner._Run, "interreduce", lambda run, *args: checked.append(None) or interreduce(run, *args))
+        groebner._eliminated(2, 3, Limits(), None)
+        # 3 generators and the 17 of 49 pairs whose remainder is nonzero; one
+        # of those remainders has a tail term that a lead divides
+        assert len(checked) == 3 + 17 + 1 and checked.count(True) == 1
 
 
 @pytest.mark.slow
