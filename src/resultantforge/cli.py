@@ -25,6 +25,7 @@ from .groebner import (  # eliminate_x, ideal_equal and is_groebner_basis stay b
     DEFAULT_LIMITS,
     Limits,
     ResourceExhaustedError,
+    _kernel_minors,
     chart_equal,
     eliminate_x,
     elimination_equal,
@@ -34,13 +35,12 @@ from .groebner import (  # eliminate_x, ideal_equal and is_groebner_basis stay b
 )
 from .minors import (  # enumerate_generators and generators_for_basis stay bound here for perfbench/tracing.py
     enumerate_generators,
-    expand_walks,
     generator_rows,
     generators_for_basis,
     packed_minors,
     reduced_rows,
 )
-from .orders import DegRevLexOrder, LexOrder, leading_term
+from .orders import DegRevLexOrder, LexOrder, _Reducer, leading_term  # leading_term stays bound here for perfbench/tracing.py
 from .poly import Ring, parse_number
 from .roots import CoefficientTuple, membership_scan, sample_planted, sample_random
 from .walks import enumerate_reduced, enumerate_rows, walk_leading_monomial
@@ -170,10 +170,12 @@ def _cmd_walks(args) -> int:
 
 
 def _cmd_leadterms(args) -> int:
-    records = expand_walks(args.d, args.n, _generators(args))
-    # an order only for a generator to order: the diagonal weights need n >= 2
-    order = _named_order(args.order, Ring(args.d, args.n)) if records else None
-    doc = [repr(leading_term(rec.poly, order)[0]) for rec in records]
+    """Print each requested minor's lead: its largest kernel int in the order."""
+    ring, gens = Ring(args.d, args.n), _generators(args)
+    doc = []
+    if gens:  # an order only for a generator to order: the diagonal weights need n >= 2
+        minors = _kernel_minors(_Reducer(_named_order(args.order, ring)), ring, gens)
+        doc = [repr(packing.monomial(max(minor))) for packing, minor in minors]
     _emit(args, json.dumps(doc, indent=2) + "\n")
     return 0
 

@@ -21,11 +21,12 @@ term: the basis and s-polynomials are kernel ints, pair lcms exponent
 fields (poly.Packing.lcm, a fieldwise max) until a pair is reduced or
 ranked; a sugar degree is read off a kernel int's lowest key field.
 Polynomials enter through orders._packed and are decoded only where the
-library returns them. minors_are_groebner_basis and elimination_equal
-expand each minor straight into kernel ints (_kernel_minors), and the
-elimination builds f_1, ..., f_n the same way; is_packed_groebner_basis
-and chart_equal take minors as minors.packed_minors yields them. None
-decodes a minor.
+library returns them. A minor meets a term order one way: expanded
+straight into the order's kernel ints (_kernel_minors), in
+minors_are_groebner_basis, elimination_equal, chart_equal's Buchberger
+fallback and the leadterms command; the elimination builds f_1, ..., f_n
+the same way. chart_equal's lift check compares minors as
+minors.packed_minors yields them and ranks none. None decodes a minor.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
-from typing import Iterable, Iterator, List, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence
 
 from .minors import enumerate_generators, top_minor_records  # both stay bound here for perfbench/tracing.py
 from .minors import _symbolic, generator_rows, packed_minors, walk_minors
@@ -50,7 +51,7 @@ from .orders import (  # leading_term and normal_form stay bound here for perfbe
     leading_term,
     normal_form,
 )
-from .poly import Monomial, Packing, Polynomial, Ring, RingMismatchError, ZeroPolynomialError, parse_number
+from .poly import Monomial, Polynomial, Ring, RingMismatchError, ZeroPolynomialError, parse_number
 
 
 class ResourceExhaustedError(RuntimeError):
@@ -373,21 +374,11 @@ def is_groebner_basis(
     return _Run(order, limits, _deadline(limits)).certify(_packed(basis))
 
 
-def is_packed_groebner_basis(
-    packing: Packing, basis: Iterable[Mapping[int, int]], order: TermOrder, limits: Limits = DEFAULT_LIMITS
-) -> bool:
-    """is_groebner_basis of polynomials given as {key: int coefficient}
-    over packing, such as the minors of minors.packed_minors; none is
-    decoded. A lazy basis is consumed as the certificate runs, so its time
-    counts against the timeout."""
-    return _Run(order, limits, _deadline(limits)).certify((packing, terms) for terms in basis)
-
-
 def minors_are_groebner_basis(
     ring: Ring, gens: Iterable[tuple], order: TermOrder, limits: Limits = DEFAULT_LIMITS
 ) -> bool:
-    """is_packed_groebner_basis of the minors of the generators (k, rows)
-    of ring, each expanded by band_det straight into the certificate's
+    """is_groebner_basis of the minors of the generators (k, rows) of
+    ring, each expanded by band_det straight into the certificate's
     kernel ints as the certificate reaches it: no minor is translated. The
     kernel first widens until it holds exponent d, the largest in any
     minor. order must rank every coefficient variable of ring."""
@@ -568,15 +559,16 @@ def _lifts_hold(ring: Ring, budget: Optional[tuple]) -> bool:
 
 
 def _chart_by_basis(ring: Ring, limits: Limits, budget: Optional[tuple]) -> bool:
-    """chart_equal by Buchberger on one fresh expansion of the family. Both
-    families lead with a_1_0 - 1, so reduction sets a_1_0 = 1 in each minor
-    as it enters: J + <a_1_0 - 1> is the preimage of J's chart. Every full
-    generator is reduced mod the one basis, top's."""
+    """chart_equal by Buchberger on one fresh expansion of the family into
+    the kernel ints of its order. Both families lead with a_1_0 - 1, so
+    reduction sets a_1_0 = 1 in each minor as it enters: J + <a_1_0 - 1>
+    is the preimage of J's chart. Every full generator is reduced mod the
+    one basis, top's."""
     gens = generator_rows(ring.d, ring.n)
-    packing, minors = packed_minors(ring, gens)
-    family = list(zip(gens, minors))
-    chart = (packing, {1 << packing.shifts[ring.coeff(1, 0)]: 1, 0: -1})
-    top = [chart, *((packing, minor) for (k, _), minor in family if k == ring.d)]
-    full = [chart, *((packing, minor) for _, minor in family)]
     order = DegRevLexOrder(ring.coeff_vars_column_major())
+    kernel = _Reducer(order)
+    family = list(zip(gens, _kernel_minors(kernel, ring, gens)))
+    chart = (kernel.packing, {kernel.steps[ring.coeff(1, 0)]: 1, 0: -1})
+    top = [chart, *(minor for (k, _), minor in family if k == ring.d)]
+    full = [chart, *(minor for _, minor in family)]
     return _members([(_basis_run(order, top, limits, budget), full)], budget)

@@ -51,23 +51,35 @@ def _key_columns(rows: tuple, emax: int) -> list:
 _KEY_EMAX = (1 << 64) - 1
 
 
-def _term_reader(packing: Packing, steps: dict):
-    """exps -> the kernel int of the packed exponents exps, with steps the
-    kernel ints of packing's variables. The fields are cut into a first and
-    a second half of the variables, and each half's kernel int is kept once
-    computed, so exponents whose halves were both seen cost two dict
-    lookups. A half memo that passes RENDER_MEMO_SIZE entries is emptied."""
-    emax, cut = packing.emax, len(packing.variables) // 2
+def _term_reader(packing: Packing, steps: dict, emax: int):
+    """exps -> the kernel int of the exponent fields exps of packing, any
+    Packing, given steps, a kernel's int per variable, and emax, the
+    largest exponent its fields hold; bits above packing's fields, such as
+    an order key, are not read. Each half of the variables' fields keeps
+    its kernel int once computed, so exps whose halves were both seen cost
+    two dict lookups. Only a memo miss checks its fields: a nonzero one
+    above emax raises OverflowError, one with no step RingMismatchError.
+    A half memo that passes RENDER_MEMO_SIZE entries is emptied."""
+    mask, cut = packing.emax, len(packing.variables) // 2
     halves = []
     for part in (packing.variables[:cut], packing.variables[cut:]):
-        spec = tuple((packing.shifts[v], steps[v]) for v in part)
-        halves.append((sum(emax << shift for shift, _ in spec), spec, {}))
+        spec = tuple((packing.shifts[v], v, steps.get(v)) for v in part)
+        halves.append((sum(mask << shift for shift, _, _ in spec), spec, {}))
     (high, high_spec, high_memo), (low, low_spec, low_memo) = halves
 
     def convert(bits: int, spec: tuple, memo: dict) -> int:
+        t = 0
+        for shift, v, step in spec:
+            e = (bits >> shift) & mask
+            if e:
+                if e > emax:
+                    raise OverflowError(f"exponent {e} of {v.name} exceeds {emax}")
+                if step is None:
+                    raise RingMismatchError(f"variable {v.name} not ranked by this order")
+                t += e * step
         if len(memo) > RENDER_MEMO_SIZE:
             memo.clear()
-        t = memo[bits] = sum(((bits >> shift) & emax) * step for shift, step in spec)
+        memo[bits] = t
         return t
 
     def term(exps: int) -> int:
@@ -118,7 +130,8 @@ class TermOrder:
             columns = _key_columns(self.rows + (ones,), packing.emax)
             steps = {v: (col << above) | (1 << packing.shifts[v]) for v, col in zip(self.variables, columns)}
             mask = (1 << (packing.emax * len(ones)).bit_length()) - 1
-            got = self._kernels[width] = packing, steps, _term_reader(packing, steps), lambda m: (m >> above) & mask
+            reader = _term_reader(packing, steps, packing.emax)
+            got = self._kernels[width] = packing, steps, reader, lambda m: (m >> above) & mask
         return got
 
     def key(self, m: Monomial) -> int:
@@ -255,16 +268,17 @@ class _Reducer:
     guard == guard. Neither kernel reader decodes: degree(m) is the total
     degree of the kernel int m, its lowest key field, and term(e) the
     kernel int of exponent fields e, such as a pair's lcm, from a memo of
-    each half of e. Each divisor is a primitive integer polynomial with a
-    positive leading coefficient, a list of (term, coef) pairs in
-    descending order, its leading term first; leads holds the exponent
-    fields of the leading terms. The list grows through add(). Work that
-    raises OverflowError runs through retrying(), which repacks every
-    divisor at twice the field width and runs it again. A polynomial
-    enters as (source, terms): terms keyed by the source Packing (load),
-    or, when source is this kernel's packing, kernel ints that enter as
-    they are, such as divisors() of a reducer of the same order and width
-    or minors expanded with steps.
+    each half of e (_term_reader). Each divisor is a primitive integer
+    polynomial with a positive leading coefficient, a list of (term, coef)
+    pairs in descending order, its leading term first; leads holds the
+    exponent fields of the leading terms. The list grows through add().
+    Work that raises OverflowError runs through retrying(), which repacks
+    every divisor at twice the field width and runs it again. A polynomial
+    enters as (source, terms). When source is this kernel's packing, terms
+    are kernel ints and enter as they are, such as divisors() of a reducer
+    of the same order and width or minors expanded with steps; only a
+    foreign source, a Polynomial's from _packed or an older width's after
+    widen(), is translated by load, through the same _term_reader.
     """
 
     def __init__(self, order: TermOrder, basis: Sequence[Polynomial] = ()):
@@ -276,7 +290,7 @@ class _Reducer:
     def _reset(self, width: int) -> None:
         self.packing, self.steps, self.term, self.degree = self.order._kernel(width)
         self.low = (1 << self.packing.guard.bit_length()) - 1  # the exponent fields of a kernel int
-        self.imports = {}  # source Packing -> its fragments as kernel ints at this width
+        self.imports = {}  # source Packing -> its _term_reader at this width
         self.polys, self.leads, self.lcs, self.tails = [], [], [], []
 
     def widen(self) -> None:
@@ -293,28 +307,16 @@ class _Reducer:
                 self.widen()
 
     def load(self, source: Packing, terms: Mapping[int, int]) -> dict:
-        """Integer terms keyed by source (for example a minor from
-        minors.packed_minors) as work for divide(), {term: coef}, with no
-        Monomial built: each distinct field value of a source group
-        becomes its kernel int here once per width. Bits of a key above
-        source's fields, such as a kernel's order key, are not read.
-        OverflowError when an exponent does not fit."""
-        parts = self.imports.get(source)
-        if parts is None:
-            steps, emax = self.steps, self.packing.emax
-
-            def move(pairs: tuple) -> int:
-                m = 0
-                for v, e in pairs:
-                    if e > emax:
-                        raise OverflowError(f"exponent {e} of {v.name} exceeds {emax}")
-                    if v not in steps:
-                        raise RingMismatchError(f"variable {v.name} not ranked by this order")
-                    m += e * steps[v]
-                return m
-
-            parts = self.imports[source] = source.fragments(move)
-        return {sum(parts(key)): c for key, c in terms.items()}
+        """Integer terms keyed by a foreign Packing, such as a
+        Polynomial's from _packed or an older width's kernel ints after
+        widen(), as work for divide(), {term: coef}, with no Monomial
+        built: each source has one _term_reader per width, memoized in
+        imports. OverflowError when an exponent does not fit,
+        RingMismatchError when a variable is not ranked."""
+        read = self.imports.get(source)
+        if read is None:
+            read = self.imports[source] = _term_reader(source, self.steps, self.packing.emax)
+        return {read(key): c for key, c in terms.items()}
 
     def work(self, source: Packing, terms: Mapping[int, int]) -> dict:
         """(source, terms) as a new work dict for divide()."""

@@ -329,7 +329,7 @@ class Packing:
     document. Each builds a monomial from its groups, the variables sharing
     a kind and index (a_j_0 .. a_j_d for polynomial j): each distinct field
     value of a group is decoded or rendered once per packing and style, and
-    each distinct half of a key's groups (fragments) is looked up whole.
+    each distinct half of a key's groups is looked up whole.
     The decoders read the fields alone, so a key may carry bits above
     them, such as the order key of an orders._Reducer term.
     The printers also keep what they finish: text each key's *-joined body
@@ -358,7 +358,7 @@ class Packing:
             prefix = f"{kind}_{i}_" if kind in ("a", "b") else kind
             spec = tuple((v, self.shifts[v] - low) for v in vs)
             self._groups.append((prefix, low, (1 << step * len(vs)) - 1, spec))
-        self._memos: dict = {}  # fragments() per style, the printers' memos, polynomial()'s decodes
+        self._memos: dict = {}  # _parts() per style, the printers' memos, polynomial()'s decodes
 
     @classmethod
     def over(cls, monomials: Iterable["Monomial"]) -> "Packing":
@@ -390,23 +390,19 @@ class Packing:
         return {self.key(m): c.numerator if c.denominator == 1 else c for m, c in terms.items()}
 
     def _parts(self, style, render, by_name: bool = False):
-        """fragments(render, by_name), made once per style."""
-        parts = self._memos.get(style)
-        if parts is None:
-            parts = self._memos[style] = self.fragments(render, by_name)
-        return parts
-
-    def fragments(self, render, by_name: bool = False):
         """key -> the rendered nonempty groups of the key, as a tuple, most
         significant first or, by_name, in the name order of
-        json.dumps(sort_keys=True), where a_10_* comes before a_1_*. render
-        maps a group's (variable, exponent) pairs, in canonical order, to
-        its fragment. The groups, in that order, are cut into a first and a
-        second half, and each half's fragments are memoized on the key's
-        bits in that half, so a key whose halves were both seen costs two
-        dict lookups. Each distinct field value of a group is rendered once
-        per returned function. A half memo that passes RENDER_MEMO_SIZE
-        entries is emptied."""
+        json.dumps(sort_keys=True), where a_10_* comes before a_1_*; made
+        once per style. render maps a group's (variable, exponent) pairs,
+        in canonical order, to its fragment. The groups, in that order,
+        are cut into a first and a second half, and each half's fragments
+        are memoized on the key's bits in that half, so a key whose halves
+        were both seen costs two dict lookups. Each distinct field value
+        of a group is rendered once per style. A half memo that passes
+        RENDER_MEMO_SIZE entries is emptied."""
+        parts = self._memos.get(style)
+        if parts is not None:
+            return parts
         mask = self.emax
         groups = sorted(self._groups) if by_name else self._groups
         cut = len(groups) // 2
@@ -446,6 +442,7 @@ class Packing:
                 b = fill_low(l, low_memo)
             return a + b
 
+        self._memos[style] = parts
         return parts
 
     def pairs(self, key: int) -> tuple:

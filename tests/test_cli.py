@@ -21,6 +21,7 @@ from resultantforge import cli, geometry
 from resultantforge.cli import LIMITS_ENV, main
 from resultantforge.exports import export_ideal
 from resultantforge.minors import enumerate_generators, generator_rows, generators_for_basis
+from resultantforge.orders import leading_term
 from resultantforge.poly import Packing, Ring
 from resultantforge.roots import CoefficientTuple, membership_scan, sample_planted, sample_random
 from resultantforge.walks import components, enumerate_reduced, enumerate_rows, enumerate_walks, walk_leading_monomial
@@ -235,6 +236,37 @@ class TestLeadterms:
         code, out = run(capsys, "leadterms", "--d", "2", "--n", "3")
         assert code == 0
         assert out == (GOLDEN / "leadterms_d2_n3.json").read_text()
+
+    @pytest.mark.parametrize("dn", [(3, 3), (2, 4), (3, 4), (4, 3)])
+    @pytest.mark.parametrize("order", ["diag", "degrevlex", "lex"])
+    def test_matches_the_leads_of_the_decoded_minors(self, capsys, dn, order):
+        # each lead is the one leading_term picks from the record's
+        # polynomial, for all generators, one depth and the reduced walks
+        d, n = dn
+        records = enumerate_generators(d, n)
+        term_order = cli._named_order(order, Ring(d, n))
+        cases = [
+            ([], records),
+            (["--k", "2"], [rec for rec in records if rec.k == 2]),
+            (["--reduced-only"], generators_for_basis(d, n)),
+        ]
+        for flags, want in cases:
+            want = [repr(leading_term(rec.poly, term_order)[0]) for rec in want]
+            code, out = run(capsys, "leadterms", "--d", str(d), "--n", str(n), "--order", order, *flags)
+            assert want and (code, out) == (0, json.dumps(want, indent=2) + "\n")
+
+    def test_four_by_four_fits_in_one_gigabyte(self):
+        # a child process whose address space alone is capped at 1 GB: each
+        # minor is expanded into kernel ints and dropped once its lead is read
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        done = subprocess.run(
+            [sys.executable, "-m", "resultantforge", *"leadterms --d 4 --n 4 --order lex".split()],
+            env=dict(os.environ, PYTHONPATH=SRC), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+            timeout=60, preexec_fn=cap,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("order", ["diag", "degrevlex", "lex"])

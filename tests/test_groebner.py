@@ -1,6 +1,7 @@
 """Buchberger engine, elimination, and ideal comparisons."""
 
 import itertools
+import json
 from math import gcd
 
 import pytest
@@ -20,7 +21,6 @@ from resultantforge.groebner import (
     elimination_order,
     ideal_equal,
     is_groebner_basis,
-    is_packed_groebner_basis,
     minors_are_groebner_basis,
     s_polynomial,
     system_polynomials,
@@ -291,7 +291,7 @@ class TestCertificate:
         # the reduced-walk minors ("walks") or all minors, plus, when there
         # are at most 30 of them, every subset with one generator dropped:
         # those supply most of the non-bases; the reduced-walk cases also
-        # go through the packed certificate
+        # go through the certificate of verify groebner
         records = basis_records if family == "walks" else all_records
         gens = [rec.poly for rec in records[dn]]
         ring = gens[0].ring
@@ -306,14 +306,15 @@ class TestCertificate:
         want = [all_pairs_groebner(c, term_order) for c in cases]
         assert [is_groebner_basis(c, term_order) for c in cases] == want
         if family == "walks":
-            # the same cases as verify groebner feeds them in: packed minors
-            packing, minors = packed_minors(ring, reduced_rows(*dn))
-            packed = list(minors)
-            assert [{packing.monomial(key): c for key, c in p.items()} for p in packed] == [g.terms for g in gens]
-            packed_cases = [packed]
+            # the same cases as verify groebner feeds them in: the rows,
+            # each minor expanded straight into the certificate's kernel ints
+            rows = reduced_rows(*dn)
+            packing, minors = packed_minors(ring, rows)
+            assert [{packing.monomial(key): c for key, c in p.items()} for p in minors] == [g.terms for g in gens]
+            row_cases = [rows]
             if 1 < len(gens) <= 30:
-                packed_cases += [packed[:i] + packed[i + 1 :] for i in range(len(gens))]
-            assert [is_packed_groebner_basis(packing, iter(c), term_order) for c in packed_cases] == want
+                row_cases += [rows[:i] + rows[i + 1 :] for i in range(len(gens))]
+            assert [minors_are_groebner_basis(ring, c, term_order) for c in row_cases] == want
 
 
 def fraction_polynomials(ring, emax, max_terms=3):
@@ -335,6 +336,12 @@ def widen_spy(widths):
         widths.append(reducer.packing.width)
 
     return spy
+
+
+def certify(source, packed, order, limits=Limits()):
+    """The certificate of the polynomials packed over source, {key: int
+    coefficient} each, translated into the kernel by _Reducer.load."""
+    return groebner._Run(order, limits, None).certify((source, terms) for terms in packed)
 
 
 class TestPackedCertificate:
@@ -359,7 +366,7 @@ class TestPackedCertificate:
         want = all_pairs_groebner(polys, order)
         assert is_groebner_basis(polys, order) is want
         widths.clear()
-        assert is_packed_groebner_basis(source, packed, order) is want
+        assert certify(source, packed, order) is want
         assert widths == [8]
 
     @pytest.mark.parametrize("kind", ["lex", "degrevlex"])
@@ -410,7 +417,7 @@ class TestPackedCertificate:
             assert is_groebner_basis(polys, order) is want
             from_polys = list(widths)
             widths.clear()
-            assert is_packed_groebner_basis(source, rekeyed, order) is want
+            assert certify(source, rekeyed, order) is want
         # each certificate's import of the big element repacks once, to the
         # final width, and both repack alike; under degrevlex no remainder
         # needs more
@@ -422,14 +429,14 @@ class TestPackedCertificate:
         order = LexOrder([ring.coeff(1, 0), ring.coeff(1, 1)])
         source = Packing(ring.variables, 2)
         with pytest.raises(ValueError, match="a_2_0 not ranked"):
-            is_packed_groebner_basis(source, [{source.key(Monomial({ring.coeff(2, 0): 1})): 1}], order)
+            certify(source, [{source.key(Monomial({ring.coeff(2, 0): 1})): 1}], order)
         with pytest.raises(ZeroPolynomialError):
-            is_packed_groebner_basis(source, [{}], order)
+            certify(source, [{}], order)
 
 
 class TestMinorsAsKernelInts:
-    """verify groebner expands each minor straight into the certificate's
-    kernel ints; a minor expanded before a repack is translated."""
+    """verify and leadterms expand each minor straight into the kernel ints
+    of its order; a minor expanded before a repack is translated."""
 
     def test_expansion_matches_the_translated_minors(self):
         # the kernel ints a step table expands are those load makes of the
@@ -441,20 +448,26 @@ class TestMinorsAsKernelInts:
         packing, minors = packed_minors(ring, rows)
         assert list(walk_minors(3, rows, one, zero, times)) == [reducer.load(packing, minor) for minor in minors]
 
-    def test_verify_groebner_translates_no_minor(self, monkeypatch, capsys):
+    @pytest.mark.parametrize("command", ["verify groebner", "verify elimination", "verify chart", "leadterms"])
+    def test_no_minor_is_translated(self, monkeypatch, capsys, command):
+        # every minor meets its term order as kernel ints, also on the
+        # chart's Buchberger route; (3, 3) has no depth-1 minor to perturb,
+        # so the lift route is switched off to send verify chart down it
         from resultantforge.cli import main
 
-        calls = []
-        for owner, name in ((_Reducer, "load"), (Packing, "fragments")):
-            original = getattr(owner, name)
-            monkeypatch.setattr(owner, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args))
-        assert main(["verify", "groebner", "--d", "3", "--n", "3"]) == 0
-        assert '"status": "pass"' in capsys.readouterr().out
+        if command == "verify chart":
+            monkeypatch.setattr(groebner, "_lifts_hold", lambda ring, budget: False)
+        calls, load = [], _Reducer.load
+        monkeypatch.setattr(_Reducer, "load", lambda *args: calls.append(args[1]) or load(*args))
+        assert main([*command.split(), "--d", "3", "--n", "3"]) == 0
+        out = capsys.readouterr().out
+        assert len(json.loads(out)) == 88 if command == "leadterms" else '"status": "pass"' in out
         assert calls == []
-        # the spies see the translating route
+        # the spy sees the translating route
         ring, order = Ring(3, 3), diagonal_order(build_diagonal_weights(3, 3))
-        assert is_packed_groebner_basis(*packed_minors(ring, reduced_rows(3, 3)), order)
-        assert {"load", "fragments"} <= set(calls)
+        packing, minors = packed_minors(ring, reduced_rows(3, 3))
+        assert groebner._Run(order, Limits(), None).certify((packing, minor) for minor in minors)
+        assert calls and set(calls) == {packing}
 
     @pytest.mark.parametrize("drop", [None, 0, 5])
     def test_narrow_first_width_widens_before_expanding(self, monkeypatch, drop):
@@ -587,15 +600,7 @@ class TestChartEqual:
         # sees it, since <top> lies in <full> whatever the full family holds
         from resultantforge.cli import main
 
-        def perturbed(ring, rows):
-            packing, minors = packed_minors(ring, rows)
-            minors = list(minors)
-            first = next((i for i, (k, _) in enumerate(rows) if k == 1), None)
-            if first is not None:
-                minors[first] = {**minors[first], 0: minors[first].get(0, 0) + 1}
-            return packing, iter(minors)
-
-        monkeypatch.setattr(groebner, "packed_minors", perturbed)
+        perturb_first_minor(monkeypatch)
         assert chart_equal(2, 3) is False
         assert main(["verify", "chart", "--d", "2", "--n", "3"]) == 1
         assert '"status": "fail"' in capsys.readouterr().out
@@ -626,17 +631,25 @@ class TestChartEqual:
 
     @pytest.mark.parametrize("perturb", [False, True], ids=["pass", "perturbed"])
     def test_only_the_lifts_are_expanded_at_depth_d(self, monkeypatch, perturb):
-        # the lower minors, then the lift of each, and the full family
-        # only once a comparison fails
+        # the lower minors, then the lift of each, and the full family,
+        # straight into kernel ints, only once a comparison fails
         if perturb:
             perturb_first_minor(monkeypatch)
         calls, _ = self.spied_expansions(monkeypatch)
+        kernel_calls, kernel_minors = [], groebner._kernel_minors
+
+        def spied(kernel, ring, gens):
+            kernel_calls.append(list(gens))
+            return kernel_minors(kernel, ring, gens)
+
+        monkeypatch.setattr(groebner, "_kernel_minors", spied)
         assert chart_equal(2, 4) is not perturb
         gens = generator_rows(2, 4)
         lower = [g for g in gens if g[0] < 2]
         lifted = [(2, groebner._lift(2, k, rows)) for k, rows in lower]
         assert len(lifted) < sum(k == 2 for k, _ in gens)
-        assert calls == [lower, lifted] + [gens] * perturb
+        assert calls == [lower, lifted]
+        assert kernel_calls == [gens] * perturb
 
     def test_lower_minors_and_lifts_stream_one_pair_at_a_time(self, monkeypatch):
         calls, taken = self.spied_expansions(monkeypatch)
@@ -743,8 +756,6 @@ ELIMINATED_23 = eliminate_x(2, 3)
 MINORS_23 = IdealPresentation(
     ELIMINATED_23.ring, [rec.poly for rec in enumerate_generators(2, 3)], ELIMINATED_23.order
 )
-PACKING_33, REDUCED_MINORS_33 = packed_minors(Ring(3, 3), reduced_rows(3, 3))
-REDUCED_MINORS_33 = list(REDUCED_MINORS_33)
 DIAGONAL_33 = diagonal_order(build_diagonal_weights(3, 3))
 
 
@@ -776,10 +787,10 @@ class TestTimeBudget:
             lambda limits: elimination_equal(2, 3, limits),
             lambda limits: eliminate_x(2, 3, limits),
             lambda limits: ideal_equal(MINORS_23, ELIMINATED_23, limits),
-            lambda limits: is_packed_groebner_basis(PACKING_33, REDUCED_MINORS_33, DIAGONAL_33, limits),
+            lambda limits: minors_are_groebner_basis(Ring(3, 3), reduced_rows(3, 3), DIAGONAL_33, limits),
         ],
         ids=[
-            "buchberger", "chart_equal", "elimination_equal", "eliminate_x", "ideal_equal", "is_packed_groebner_basis",
+            "buchberger", "chart_equal", "elimination_equal", "eliminate_x", "ideal_equal", "minors_are_groebner_basis",
         ],
     )
     def test_library_call_shares_one_budget(self, monkeypatch, call):

@@ -161,6 +161,25 @@ class TestKernelInts:
                 assert ((uv | packing.guard) - a) & packing.guard == packing.guard
                 assert uv - ints[u] == ints[v]
 
+    def test_load_checks_only_the_fields_a_term_sets(self):
+        # the order leaves a_2_0 unranked and the source's fields are wider
+        # than the kernel's: a term loads while every field it sets is
+        # ranked and fits, also beside an unranked variable's zero field
+        ring = Ring(1, 2)
+        a10, a11, a20, a21 = ring.coeff(1, 0), ring.coeff(1, 1), ring.coeff(2, 0), ring.coeff(2, 1)
+        reducer = _Reducer(LexOrder([a10, a11, a21]))
+        source, steps, emax = Packing(ring.variables, 8), reducer.steps, reducer.packing.emax
+        fits = Monomial({a10: 2, a21: emax})
+        want = {2 * steps[a10] + emax * steps[a21]: 3}
+        assert reducer.load(source, {source.key(fits): 3}) == want
+        with pytest.raises(RingMismatchError, match="^variable a_2_0 not ranked by this order$"):
+            reducer.load(source, {source.key(Monomial({a10: 2, a20: 1})): 1})
+        with pytest.raises(OverflowError, match=f"^exponent {emax + 1} of a_1_1 exceeds {emax}$"):
+            reducer.load(source, {source.key(Monomial({a11: emax + 1})): 1})
+        # the reader still maps what fits after a failed check
+        assert reducer.load(source, {source.key(fits): 3}) == want
+        assert reducer.imports.keys() == {source}
+
     @pytest.mark.parametrize("name", sorted(KERNEL_ORDERS))
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
