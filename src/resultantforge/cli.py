@@ -254,17 +254,18 @@ def _cmd_eval(args) -> int:
             f"coefficient file is for (d={tup.d}, n={tup.n}), flags say (d={args.d}, n={args.n})"
         )
     report = membership_scan(tup)
-    _emit(args, _eval_doc(report))
+    _emit(args, _eval_doc(report, args.d, args.n))
     return 0 if report.biconditional_ok else 1
 
 
-def _eval_doc(report) -> str:
-    """The eval report, written directly: the bytes of json.dumps(indent=2,
-    sort_keys=True) + "\n" for {"biconditional_ok", "generators": [{"k",
-    "rows", "vanishes"}, ...], "root_report", "top_minors_all_vanish"}. Each
-    [i, j] row block is rendered once, before the generators."""
-    pairs = set().union(*(rows for _, rows in report.generators))
-    block_of = {(i, j): f"        [\n          {i},\n          {j}\n        ]" for i, j in pairs}.__getitem__
+def _eval_doc(report, d: int, n: int) -> str:
+    """The eval report at (d, n), written directly: the bytes of
+    json.dumps(indent=2, sort_keys=True) + "\n" for {"biconditional_ok",
+    "generators": [{"k", "rows", "vanishes"}, ...], "root_report",
+    "top_minors_all_vanish"}. Each [i, j] row block of the d x n grid, which
+    holds every row of every M_k, is rendered once, before the generators."""
+    block_of = {(i, j): f"        [\n          {i},\n          {j}\n        ]"
+                for i in range(1, d + 1) for j in range(1, n + 1)}.__getitem__
     gens = []
     for (k, rows), vanishes in zip(report.generators, report.vanishing):
         block = ",\n".join(map(block_of, rows))

@@ -307,9 +307,26 @@ def json_field(doc, key: str, kind: type, path: str = ""):
     return json_value(doc[key], kind, where)
 
 
-# entries of one printer memo before it is emptied; every distinct monomial
-# of gens --d 3 --n 4 (15,796) fits
+# entries of one half memo before it is emptied; the halves of every key
+# of gens --d 4 --n 4 fit
 RENDER_MEMO_SIZE = 1 << 15
+
+
+class _HalfMemo(dict):
+    """bits of one half of a key's groups -> render(bits), made on the first
+    lookup; emptied before an insert once it holds RENDER_MEMO_SIZE + 1
+    entries, so it never holds more."""
+
+    __slots__ = ("render",)
+
+    def __init__(self, render):
+        self.render = render
+
+    def __missing__(self, bits: int):
+        if len(self) > RENDER_MEMO_SIZE:
+            self.clear()
+        out = self[bits] = self.render(bits)
+        return out
 
 
 class Packing:
@@ -326,19 +343,19 @@ class Packing:
     overflowed; lcm is the fieldwise maximum. pairs, monomial and
     polynomial decode; text renders a polynomial for reprs and the text, m2
     and singular formats, json_terms its term list in the JSON ideal
-    document. Each builds a monomial from its groups, the variables sharing
-    a kind and index (a_j_0 .. a_j_d for polynomial j): each distinct field
-    value of a group is decoded or rendered once per packing and style, and
-    each distinct half of a key's groups is looked up whole.
-    The decoders read the fields alone, so a key may carry bits above
-    them, such as the order key of an orders._Reducer term.
-    The printers also keep what they finish: text each key's *-joined body
-    per namer, both printers each coefficient's term head, json_terms each
-    key's "m" block. Every printing call builds its own Packing (a gens
-    run, an export, a repr), so nothing rendered outlives the call; a
-    Groebner kernel's Packing lives as long as its order. A memo that
-    passes RENDER_MEMO_SIZE entries is emptied, which bounds the memory of
-    a long stream.
+    document. The decoders read the fields alone, so a key may carry bits
+    above them, such as the order key of an orders._Reducer term.
+
+    Every decoder and printer composes a term from the two halves of its
+    key, split between groups, the variables sharing a kind and index
+    (a_j_0 .. a_j_d for polynomial j): per style, _halves keeps two memos
+    from a half's bits to that half's fragments, joined, and each distinct
+    field value of a group is rendered once. A memo that passes
+    RENDER_MEMO_SIZE entries is emptied, which bounds the memory of a long
+    stream; nothing else is kept per monomial, and a coefficient's rendered
+    head lives for one call. Every printing call builds its own Packing (a
+    gens run, an export, a repr); a Groebner kernel's Packing lives as
+    long as its order.
     """
 
     __slots__ = ("variables", "width", "emax", "guard", "shifts", "_groups", "_memos")
@@ -358,7 +375,7 @@ class Packing:
             prefix = f"{kind}_{i}_" if kind in ("a", "b") else kind
             spec = tuple((v, self.shifts[v] - low) for v in vs)
             self._groups.append((prefix, low, (1 << step * len(vs)) - 1, spec))
-        self._memos: dict = {}  # _parts() per style, the printers' memos, polynomial()'s decodes
+        self._memos: dict = {}  # style -> _halves()
 
     @classmethod
     def over(cls, monomials: Iterable["Monomial"]) -> "Packing":
@@ -389,30 +406,26 @@ class Packing:
         """Packed terms; integral coefficients become ints, which print faster."""
         return {self.key(m): c.numerator if c.denominator == 1 else c for m, c in terms.items()}
 
-    def _parts(self, style, render, by_name: bool = False):
-        """key -> the rendered nonempty groups of the key, as a tuple, most
-        significant first or, by_name, in the name order of
-        json.dumps(sort_keys=True), where a_10_* comes before a_1_*; made
-        once per style. render maps a group's (variable, exponent) pairs,
-        in canonical order, to its fragment. The groups, in that order,
-        are cut into a first and a second half, and each half's fragments
-        are memoized on the key's bits in that half, so a key whose halves
-        were both seen costs two dict lookups. Each distinct field value
-        of a group is rendered once per style. A half memo that passes
-        RENDER_MEMO_SIZE entries is emptied."""
-        parts = self._memos.get(style)
-        if parts is not None:
-            return parts
+    def _halves(self, style, render, join, by_name: bool = False) -> tuple:
+        """(high, hi, low, lo), made once per style: a key's fragments are
+        hi[key & high] and lo[key & low], its first and second half of
+        groups, most significant first or, by_name, in the name order of
+        json.dumps(sort_keys=True), where a_10_* comes before a_1_*. render
+        maps a group's (variable, exponent) pairs, in canonical order, to
+        its fragment; join maps a half's fragments, in order, to what its
+        memo keeps."""
+        got = self._memos.get(style)
+        if got is not None:
+            return got
         mask = self.emax
         groups = sorted(self._groups) if by_name else self._groups
         cut = len(groups) // 2
 
         def half(part: list) -> tuple:
-            """The mask of part's groups in a key, and fill(bits, memo),
-            which renders the groups of bits and keeps them in memo."""
+            """The mask of part's groups in a key, and the memo of their fragments."""
             table = [(low, fields, {}, spec) for _, low, fields, spec in part]
 
-            def fill(bits: int, memo: dict) -> tuple:
+            def fragments(bits: int):
                 out = []
                 for low, fields, seen, spec in table:
                     f = (bits >> low) & fields
@@ -422,68 +435,38 @@ class Packing:
                             exps = ((v, (f >> off) & mask) for v, off in spec)
                             got = seen[f] = render(tuple((v, e) for v, e in exps if e))
                         out.append(got)
-                if len(memo) > RENDER_MEMO_SIZE:
-                    memo.clear()
-                out = memo[bits] = tuple(out)
-                return out
+                return join(out)
 
-            return sum(fields << low for _, low, fields, _ in part), fill
+            return sum(fields << low for _, low, fields, _ in part), _HalfMemo(fragments)
 
-        (high, fill_high), (low, fill_low) = half(groups[:cut]), half(groups[cut:])
-        high_memo, low_memo = {}, {}
-
-        def parts(key: int) -> tuple:
-            h, l = key & high, key & low
-            a = high_memo.get(h)
-            if a is None:
-                a = fill_high(h, high_memo)
-            b = low_memo.get(l)
-            if b is None:
-                b = fill_low(l, low_memo)
-            return a + b
-
-        self._memos[style] = parts
-        return parts
+        got = self._memos[style] = (*half(groups[:cut]), *half(groups[cut:]))
+        return got
 
     def pairs(self, key: int) -> tuple:
         """The (variable, exponent) pairs of an in-range key, in canonical order."""
-        return sum(self._parts("pairs", tuple)(key), ())
+        high, hi, low, lo = self._halves("pairs", tuple, _concat)
+        return hi[key & high] + lo[key & low]
 
     def monomial(self, key: int) -> "Monomial":
         return Monomial._make(self.pairs(key))
 
     def polynomial(self, ring: "Ring", terms: Mapping[int, Rational]) -> "Polynomial":
-        """Packed terms as a Polynomial of ring with Fraction coefficients;
-        each distinct key and coefficient is decoded once while it stays in
-        the memo."""
-        monos, fracs = self._render_memo("monomials"), self._render_memo("fractions")
-        monos.update((key, self.monomial(key)) for key in terms if key not in monos)
-        fracs.update((c, Fraction(c)) for c in terms.values() if c not in fracs)
-        return Polynomial(ring, {monos[key]: fracs[c] for key, c in terms.items()}, _trusted=True)
-
-    def _render_memo(self, name) -> dict:
-        """The printers' memo called name, emptied first if it holds more
-        than RENDER_MEMO_SIZE entries."""
-        memo = self._memos.get(name)
-        if memo is None or len(memo) > RENDER_MEMO_SIZE:
-            memo = self._memos[name] = {}
-        return memo
+        """Packed terms as a Polynomial of ring with Fraction coefficients."""
+        high, hi, low, lo = self._halves("pairs", tuple, _concat)
+        fracs, make = {c: Fraction(c) for c in terms.values()}, Monomial._make
+        return Polynomial(ring, {make(hi[key & high] + lo[key & low]): fracs[c] for key, c in terms.items()},
+                          _trusted=True)
 
     def text(self, terms: Mapping[int, Rational], namer=str) -> str:
         """Deterministic human/CAS-readable rendering of packed terms;
-        namer maps a Variable to its printed name. Each key's *-joined
-        body is rendered once per namer, and each coefficient's head of a
-        later term with a body once, while they stay in the memo."""
+        namer maps a Variable to its printed name."""
         if not terms:
             return "0"
-        bodies, heads = self._render_memo(("text", namer)), self._render_memo("text heads")
-        parts = self._parts(namer, lambda pairs: _product(pairs, namer))
-        out = []
+        high, hi, low, lo = self._halves(namer, lambda pairs: _product(pairs, namer), "*".join)
+        heads, out = {}, []
         for key in sorted(terms, reverse=True):
-            c = terms[key]
-            body = bodies.get(key)
-            if body is None:
-                body = bodies[key] = "*".join(parts(key))
+            c, a, b = terms[key], hi[key & high], lo[key & low]
+            body = f"{a}*{b}" if a and b else a or b
             if out and body:
                 head = heads.get(c)
                 if head is None:
@@ -496,26 +479,29 @@ class Packing:
     def json_terms(self, terms: Mapping[int, Rational]) -> str:
         """The term list [{"c": "num/den", "m": {name: exp}}, ...] of one
         generator of the JSON ideal document, in canonical order: the bytes
-        json.dumps(indent=2, sort_keys=True) writes for it at depth 2. Each
-        key's "m" block and each coefficient's term head is rendered once
-        while it stays in the memo."""
+        json.dumps(indent=2, sort_keys=True) writes for it at depth 2."""
         if not terms:
             return "    []"
-        blocks, heads = self._render_memo("json blocks"), self._render_memo("json heads")
-        parts = self._parts("json", lambda pairs: ",\n".join(
-            f'          "{name}": {e}' for name, e in sorted((v.name, e) for v, e in pairs)), True)
-        out = []
+        high, hi, low, lo = self._halves("json", lambda pairs: ",\n".join(
+            f'          "{name}": {e}' for name, e in sorted((v.name, e) for v, e in pairs)), ",\n".join, True)
+        heads, out = {}, []
         for key in sorted(terms, reverse=True):
-            m = blocks.get(key)
-            if m is None:
-                m = parts(key)
-                m = blocks[key] = ("{\n" + ",\n".join(m) + "\n        }" if m else "{}") + "\n      }"
-            c = terms[key]
+            c, a, b = terms[key], hi[key & high], lo[key & low]
             head = heads.get(c)
             if head is None:
                 head = heads[c] = f'      {{\n        "c": "{format_rational(c)}",\n        "m": '
-            out.append(head + m)
+            if a and b:
+                out.append(f"{head}{{\n{a},\n{b}\n        }}\n      }}")
+            elif a or b:
+                out.append(f"{head}{{\n{a or b}\n        }}\n      }}")
+            else:
+                out.append(head + "{}\n      }")
         return "    [\n" + ",\n".join(out) + "\n    ]"
+
+
+def _concat(fragments: list) -> tuple:
+    """A half's (variable, exponent) pairs, from its groups' pairs in order."""
+    return sum(fragments, ())
 
 
 def _text_head(c: Rational, first: bool, body: bool) -> str:

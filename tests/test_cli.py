@@ -557,7 +557,7 @@ class TestSampleAndEval:
                     "top_minors_all_vanish": report.top_minors_all_vanish,
                     "biconditional_ok": report.biconditional_ok,
                 }
-                assert cli._eval_doc(report) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+                assert cli._eval_doc(report, *dn) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     def test_sample_deterministic(self, capsys):
         _, first = run(capsys, "sample", "--d", "2", "--n", "2", "--seed", "3")

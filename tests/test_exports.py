@@ -3,9 +3,12 @@ grammar-level check of the Singular output (no CAS is ever invoked), and
 the packed printer's order and bytes against the reference printer in
 tests/oracles.py."""
 
+import contextlib
+import io
 import json
 import pathlib
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -13,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resultantforge import poly
-from resultantforge.cli import main
+from resultantforge.cli import build_parser, main
 from resultantforge.exports import FORMATS, alias_name, export_ideal, from_json_doc, ideal_pieces
 from resultantforge.minors import _symbolic, enumerate_generators, generator_rows, packed_minors
 from resultantforge.poly import Monomial, Packing, Polynomial, Ring, RingMismatchError, Variable
@@ -277,8 +280,29 @@ class TestStreaming:
         monkeypatch.setattr(poly, "RENDER_MEMO_SIZE", 8)
         packing, minors = packed_minors(ring, generator_rows(2, 4))
         assert "".join(ideal_pieces(ring, packing, minors, fmt)) == reference_export(ring, polys, fmt)
-        most = max(len(p.terms) for p in polys)
-        assert all(len(memo) <= 8 + most for memo in packing._memos.values() if isinstance(memo, dict))
+        halves = [memo for entry in packing._memos.values() for memo in entry if isinstance(memo, dict)]
+        assert len(halves) == 2 * len(packing._memos) > 0
+        assert all(len(memo) <= 8 + 1 for memo in halves)
+
+    def test_printing_gens_at_3_4_traces_under_3_mb(self):
+        # 39,648 terms over 15,796 monomials; the printer keeps only its
+        # half memos, not a string per monomial
+        class Discard(io.TextIOBase):
+            def writable(self):
+                return True
+
+            def write(self, text):
+                return len(text)
+
+        build_parser("gens")
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(Discard()):
+                assert main(["gens", "--d", "3", "--n", "4", "--format", "json"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 1024 * 1024
 
     def test_bad_alias_raises_before_any_piece(self):
         ring = Ring(26, 1)
